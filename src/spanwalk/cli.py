@@ -18,6 +18,7 @@ precondition failure (a JSON error document is still printed), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -54,7 +55,7 @@ def _format_real(x: float) -> str:
 
 
 def _json(value: Any, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, reals at 17 significant digits."""
+    """Deterministic JSON: sorted keys, reals at 17 significant digits, null for inf and nan."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -64,7 +65,7 @@ def _json(value: Any, indent: int = 0) -> str:
     if isinstance(value, int):
         return str(value)
     if isinstance(value, float):
-        return _format_real(value)
+        return _format_real(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
         import json as _json_std
 

@@ -72,3 +72,9 @@ class RetryBudgetError(ToolkitError):
     """A rejection sampler ran out of attempts before producing a valid graph."""
 
     code = "retry-budget"
+
+
+class ExactInvariantError(ToolkitError):
+    """An identity that exact integer arithmetic guarantees failed: a defect, not bad input."""
+
+    code = "exact-invariant"

@@ -1,8 +1,9 @@
 """Independent brute-force oracles for pinning expected values.
 
 Nothing here touches the package's exact engines: walk counts come from DFS
-enumeration, triangles from vertex-triple scans, and spanning-tree counts
-from deletion-contraction on explicit multigraph edge lists.
+enumeration or dense matrix powers, Laplacian traces from dense Laplacian
+powers, triangles from vertex-triple scans, and spanning-tree counts from
+deletion-contraction on explicit multigraph edge lists.
 """
 
 from __future__ import annotations
@@ -23,6 +24,36 @@ def dfs_closed_walks(g: Graph, k: int) -> int:
         return sum(extend(w, start, steps - 1) for w in nbrs[u])
 
     return sum(extend(v, v, k) for v in range(g.n))
+
+
+def _dense_power_traces(matrix: list[list[int]], max_k: int) -> list[int]:
+    """tr(M^1), ..., tr(M^max_k) by repeated dense matrix products."""
+    n = len(matrix)
+    power = [row[:] for row in matrix]
+    traces = [sum(power[i][i] for i in range(n))]
+    for _ in range(max_k - 1):
+        power = [
+            [sum(row[u] * matrix[u][j] for u in range(n)) for j in range(n)]
+            for row in power
+        ]
+        traces.append(sum(power[i][i] for i in range(n)))
+    return traces
+
+
+def _dense_adjacency(g: Graph) -> list[list[int]]:
+    return [[int(g.has_edge(u, v)) for v in range(g.n)] for u in range(g.n)]
+
+
+def dense_closed_walks(g: Graph, max_k: int) -> list[int]:
+    """w_1..w_max_k as traces of dense adjacency powers."""
+    return _dense_power_traces(_dense_adjacency(g), max_k)
+
+
+def direct_laplacian_traces(g: Graph, max_r: int) -> list[int]:
+    """tr(L^1)..tr(L^max_r) as traces of dense Laplacian powers."""
+    adj = _dense_adjacency(g)
+    lap = [[sum(row) if u == v else -row[v] for v in range(g.n)] for u, row in enumerate(adj)]
+    return _dense_power_traces(lap, max_r)
 
 
 def brute_force_triangles(g: Graph) -> int:
@@ -103,6 +134,10 @@ def complete(n: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph(a + b, frozenset((u, a + v) for u in range(a) for v in range(b)))
+
+
+def circulant(n: int, offsets: tuple[int, ...]) -> Graph:
+    return Graph(n, frozenset((i, (i + s) % n) for i in range(n) for s in offsets))
 
 
 def path(n: int) -> Graph:

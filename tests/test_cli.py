@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 
 import pytest
 
@@ -130,6 +131,22 @@ def test_bounds_precondition_failure_reports_without_values():
     assert doc["preconditions_ok"] is False
     assert "log_value" not in doc and "linear_value" not in doc
     assert doc["reason"]
+
+
+def test_overflowing_bound_prints_null_linear_value(tmp_path):
+    # t(complement of C_150) is near 10^321, beyond the float range
+    cycle = tmp_path / "c150.txt"
+    cycle.write_text("150\n" + "".join(f"{i} {(i + 1) % 150}\n" for i in range(150)))
+    code, text = _run(["bounds", "thm2", "--edge-list", str(cycle), "--m", "2"])
+    assert code == 0
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    doc = json.loads(text, parse_constant=reject)
+    assert doc["preconditions_ok"] is True
+    assert doc["linear_value"] is None
+    assert math.isfinite(doc["log_value"]) and doc["log_value"] > 709
 
 
 def test_bounds_thm3_csv():

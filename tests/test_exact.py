@@ -13,18 +13,25 @@ from spanwalk import (
     RegularityRequiredError,
     closed_walk_counts,
     complement,
+    iter_closed_walk_counts,
     laplacian_traces,
     named_graph,
     random_regular,
+    random_regular_bipartite,
     spanning_tree_count,
     triangle_count,
 )
+from spanwalk.errors import ExactInvariantError
+from spanwalk.exact import _recurrence_coefficients
 from oracles import (
+    circulant,
     complete,
     complete_bipartite,
     cycle,
     deletion_contraction_tree_count,
+    dense_closed_walks,
     dfs_closed_walks,
+    direct_laplacian_traces,
     gnp,
     path,
 )
@@ -73,6 +80,44 @@ def test_walk_counts_match_dfs_enumeration():
         table = closed_walk_counts(g, 6)
         for k in range(1, 7):
             assert table.w(k) == dfs_closed_walks(g, k), (n, seed, k)
+
+
+_ENGINE_CASES = {
+    "single vertex": Graph(1),
+    "edgeless": Graph(7),
+    "perfect matching": Graph(8, frozenset((2 * i, 2 * i + 1) for i in range(4))),
+    "disconnected union": Graph(
+        10, frozenset({(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)})
+    ),
+    "complete": complete(7),
+    "petersen": named_graph("petersen"),
+    "paper-bipartite": named_graph("paper-bipartite"),
+    "random bipartite": random_regular_bipartite(12, 3, seed=11),
+    "circulant": circulant(15, (1, 4)),
+    "gnp odd order": gnp(9, 0.4, 21),
+    "gnp even order": gnp(12, 0.3, 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ENGINE_CASES))
+def test_walk_engine_matches_dense_powers_across_the_phase_switch(name):
+    # orders 1..n use matrix powers, orders past n the Cayley-Hamilton recurrence
+    g = _ENGINE_CASES[name]
+    max_k = 3 * g.n + 3
+    walker = iter_closed_walk_counts(g)
+    counts = [next(walker) for _ in range(max_k)]
+    assert counts == dense_closed_walks(g, max_k)
+    assert counts[0] == 0
+    if g.n >= 2:
+        assert counts[1] == 2 * g.size
+    if g.n >= 3:
+        assert counts[2] % 6 == 0
+
+
+def test_inconsistent_power_sums_raise_a_typed_error():
+    # no integer matrix has tr A = 1 and tr A^2 = 0, because 2 e_2 = 1 - 0 is odd
+    with pytest.raises(ExactInvariantError):
+        _recurrence_coefficients([1, 0])
 
 
 def test_walk_counts_structity():
@@ -139,12 +184,10 @@ def test_laplacian_traces_frozen_value():
 
 
 def test_laplacian_traces_high_orders_cross_check():
-    # the op itself asserts binomial == direct; exercise it at depth
     for idx, (n, d) in enumerate([(6, 2), (8, 3), (10, 3), (12, 4)]):
         g = random_regular(n, d, seed=7000 + idx)
         table = laplacian_traces(g, 8)
-        assert table.max_r == 8
-        assert all(table.trace(r) >= 0 for r in range(1, 9))
+        assert list(table.traces) == direct_laplacian_traces(g, 8)
 
 
 def test_laplacian_traces_requires_regular():
