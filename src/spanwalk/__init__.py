@@ -53,8 +53,6 @@ from .series import (
 from .synchrony import (
     SynchronyOutcome,
     fixed_point,
-    measure_e_k,
-    measure_p_k,
     measure_synchrony,
     spread_step,
     synchrony_index,
@@ -91,8 +89,6 @@ __all__ = [
     "is_connected",
     "iter_closed_walk_counts",
     "laplacian_traces",
-    "measure_e_k",
-    "measure_p_k",
     "measure_synchrony",
     "named_graph",
     "parse_edge_list",

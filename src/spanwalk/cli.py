@@ -12,7 +12,8 @@ Subcommands:
 
 Output is a single JSON document (CSV where offered) on stdout, byte-identical
 across runs for identical inputs.  Exit codes: 0 success, 2 domain or
-precondition failure (a JSON error document is still printed), 64 usage error.
+precondition failure, or a numeric failure (overflow, recursion depth) in a
+command (a JSON error document is still printed), 64 usage error.
 """
 
 from __future__ import annotations
@@ -26,7 +27,12 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import families, series, synchrony
-from .errors import InputReadError, RegularityRequiredError, ToolkitError
+from .errors import (
+    InputReadError,
+    NumericFailureError,
+    RegularityRequiredError,
+    ToolkitError,
+)
 from .exact import closed_walk_counts, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
@@ -383,13 +389,16 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:  # late parser.error calls (option value checks)
         return int(exc.code or 0)
     except ToolkitError as exc:
-        out.write(_json({"error": {"code": exc.code, "message": str(exc)}}) + "\n")
-        return 2
+        code, message = exc.code, str(exc)
     except ValueError as exc:
-        out.write(_json({"error": {"code": "invalid-parameter", "message": str(exc)}}) + "\n")
-        return 2
-    out.write(text)
-    return 0
+        code, message = "invalid-parameter", str(exc)
+    except (ArithmeticError, RecursionError) as exc:
+        code, message = NumericFailureError.code, f"{type(exc).__name__}: {exc}"
+    else:
+        out.write(text)
+        return 0
+    out.write(_json({"error": {"code": code, "message": message}}) + "\n")
+    return 2
 
 
 def main() -> None:

@@ -78,3 +78,13 @@ class ExactInvariantError(ToolkitError):
     """An identity that exact integer arithmetic guarantees failed: a defect, not bad input."""
 
     code = "exact-invariant"
+
+
+class NumericFailureError(ToolkitError):
+    """A command path overflowed, divided by zero or recursed too deeply: a defect, not bad input.
+
+    The CLI reports an ``ArithmeticError`` or ``RecursionError`` raised in a
+    command under this code instead of printing a traceback.
+    """
+
+    code = "numeric-failure"

@@ -14,12 +14,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
+from mpmath.libmp import from_rational, mpf_exp, mpf_mul, round_ceiling, round_floor
 
 from .errors import (
     ConvergenceDomainError,
     DirectedUnsupportedError,
+    ExactInvariantError,
     PrecisionExhaustedError,
     RegularityRequiredError,
 )
@@ -29,6 +32,8 @@ from .graph import Graph, regular_degree
 _EVAL_PREC = 96  # working significand bits for partial-sum evaluation
 _MIN_PREC = 64
 _MAX_TERMS = 50_000
+_TAIL_BITS = 5  # tail bound <= 2^-(b+5): truncation widens the enclosure by <= 1/16
+_GUARD_BITS = 16  # precision b + 16: rounding widens it by <= 2^-9
 
 
 def _checked_parameters(g: Graph) -> tuple[int, int]:
@@ -115,40 +120,100 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
 
 @dataclass(frozen=True)
 class IdentificationReport:
-    """Outcome of integer identification: the value plus convergence diagnostics."""
+    """Outcome of integer identification: the value plus its certificate.
+
+    The enclosure [bracket_low, bracket_high] of t is exact.  tail_bound and
+    rounding_bound are exact bounds, in units of t, on how much series
+    truncation (2 T bracket_high, T the tail bound of the log series) and
+    rounding (2^(7 - precision_bits) bracket_high) widen it, so a caller can
+    see which of the two set the width.
+    """
 
     value: int
     terms_used: int
-    bracket_low: float
-    bracket_high: float
+    bracket_low: Fraction
+    bracket_high: Fraction
     precision_bits: int
+    tail_bound: Fraction
+    rounding_bound: Fraction
 
     @property
     def bracket_width(self) -> float:
-        return self.bracket_high - self.bracket_low
+        return float(self.bracket_high - self.bracket_low)
 
 
-def _mpf_to_fraction(x) -> Fraction:
-    sign, man, exp, _ = x._mpf_
+def _mpf_to_fraction(x: tuple) -> Fraction:
+    sign, man, exp, _ = x
     if man == 0:
         return Fraction(0)
     fr = Fraction(man) * Fraction(2) ** exp
     return -fr if sign else fr
 
 
+def _log2_upper_bound(n: int, d: int) -> int:
+    """An integer b with t(complement) <= 2^b.
+
+    The complement is (n-1-d)-regular, so its n-1 nonzero Laplacian
+    eigenvalues sum to n(n-1-d); by AM-GM their product, which is n t, is at
+    most (n(n-1-d)/(n-1))^(n-1).
+    """
+    if n <= 2:
+        return 0  # the complement is K_1 or K_2: one spanning tree
+    num = (n * (n - 1 - d)) ** (n - 1)
+    den = n * (n - 1) ** (n - 1)
+    return max(0, num.bit_length() - den.bit_length() + 1)
+
+
+def _tail_bound(n: int, d: int, k: int) -> tuple[int, int]:
+    """Numerator and denominator of n q^(k+1) / ((k+1)(1-q)), q = d/(n-d).
+
+    It bounds the absolute sum of the series terms past order k, because
+    w_k <= n d^k.
+    """
+    return n * d ** (k + 1), (k + 1) * (n - d) ** k * (n - 2 * d)
+
+
+def _term_count(n: int, d: int, b: int) -> int:
+    """Smallest K <= _MAX_TERMS whose tail bound is at most 2^-(b+5).
+
+    The tail bound falls strictly with K, so a doubling search followed by
+    bisection finds K with O(log K) exact integer comparisons.
+    """
+    def too_big(k: int) -> bool:
+        num, den = _tail_bound(n, d, k)
+        return num << (b + _TAIL_BITS) > den
+
+    lo, hi = 0, 1  # the tail past order lo exceeds the limit; K = 0 is a sentinel
+    while too_big(hi):
+        if hi == _MAX_TERMS:
+            raise PrecisionExhaustedError(
+                f"the tail bound needs more than {_MAX_TERMS} terms (n={n}, d={d})"
+            )
+        lo, hi = hi, min(2 * hi, _MAX_TERMS)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if too_big(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
 def _bracket(
-    c_fr: Fraction, acc: Fraction, tail: Fraction, prec: int
-) -> tuple[Fraction, Fraction, float]:
-    """Rigorous enclosure of c * exp(acc +- tail), inflated for rounding."""
-    with mpmath.workprec(prec):
-        c = mpmath.mpf(c_fr.numerator) / c_fr.denominator
-        lo_arg = acc - tail
-        hi_arg = acc + tail
-        eps = mpmath.mpf(2) ** (6 - prec)
-        lo = c * mpmath.exp(mpmath.mpf(lo_arg.numerator) / lo_arg.denominator) * (1 - eps)
-        hi = c * mpmath.exp(mpmath.mpf(hi_arg.numerator) / hi_arg.denominator) * (1 + eps)
-        mid = float(c * mpmath.exp(mpmath.mpf(acc.numerator) / acc.denominator))
-        return _mpf_to_fraction(lo), _mpf_to_fraction(hi), mid
+    c_fr: Fraction, lo_arg: Fraction, hi_arg: Fraction, prec: int
+) -> tuple[Fraction, Fraction]:
+    """Rigorous enclosure [c exp(lo_arg), c exp(hi_arg)], inflated for rounding.
+
+    Every conversion and product rounds outward; the relative inflation
+    2^(6 - prec) covers the error of the exponential itself.
+    """
+    eps = Fraction(1, 2 ** (prec - 6))
+    ends = []
+    for arg, rnd, widen in ((lo_arg, round_floor, 1 - eps), (hi_arg, round_ceiling, 1 + eps)):
+        c = from_rational(c_fr.numerator, c_fr.denominator, prec, rnd)
+        x = from_rational(arg.numerator, arg.denominator, prec, rnd)
+        ends.append(_mpf_to_fraction(mpf_mul(c, mpf_exp(x, prec, rnd), prec, rnd)) * widen)
+    return ends[0], ends[1]
 
 
 def identify_complexity_report(
@@ -158,58 +223,56 @@ def identify_complexity_report(
 ) -> IdentificationReport:
     """Identify the complement's spanning-tree count as an exact integer.
 
-    Terms accumulate exactly as rationals.  Because w_k <= n d^k, the
-    discarded tail after order K is at most n q^(K+1) / ((K+1)(1 - q)) in
-    absolute value with q = d/(n-d) < 1, which gives a rigorous enclosure of
-    the true sum.  Summation stops once two consecutive partial exponentials
-    move by less than one half and the enclosure, inflated for rounding,
-    contains exactly one integer.  When rounding (not the tail) blocks
-    uniqueness, the working precision doubles, up to max_precision_bits.
+    The plan is fixed before any walk is counted.  AM-GM on the complement's
+    Laplacian spectrum gives t <= 2^b.  Because w_k <= n d^k, the series
+    terms past order K sum to at most n q^(K+1) / ((K+1)(1 - q)) in absolute
+    value, q = d/(n-d) < 1; K is the smallest order that makes this at most
+    2^-(b+5), and the working precision is max(precision_bits, 64, b + 16).
+    The K terms are summed exactly as rationals and bracketed once: truncation
+    then widens the enclosure of t by at most 1/16 and rounding by at most
+    2^-9, so it holds exactly one integer.
+
+    Raises PrecisionExhaustedError, before any walk is counted, when K would
+    exceed the term budget or b + 16 exceeds max_precision_bits.
     """
     n, d = _checked_parameters(g)
     prec = max(precision_bits if precision_bits is not None else _MIN_PREC, _MIN_PREC)
     if prec > max_precision_bits:
         raise ValueError("precision_bits exceeds max_precision_bits")
+    b = _log2_upper_bound(n, d)
+    if b + _GUARD_BITS > max_precision_bits:
+        raise PrecisionExhaustedError(
+            f"t(complement) may reach 2^{b}, which needs {b + _GUARD_BITS} bits; "
+            f"the cap is {max_precision_bits}"
+        )
+    prec = max(prec, b + _GUARD_BITS)
+    big_k = _term_count(n, d, b)
+
+    # acc = sum_{k=2..K} (-1)^(k-1) w_k / (k (n-d)^k) over the common
+    # denominator lcm(2..K) (n-d)^K, accumulated by Horner's rule in n - d.
+    lcm = math.lcm(*range(2, big_k + 1))
+    num = 0
+    for k, w in enumerate(islice(iter_closed_walk_counts(g), 1, big_k), start=2):
+        num = num * (n - d) + (w if k % 2 else -w) * (lcm // k)
+    acc = Fraction(num, lcm * (n - d) ** big_k)
+    tail = Fraction(*_tail_bound(n, d, big_k))
     c_fr = Fraction((n - d) ** n, n * n)
-    q = Fraction(d, n - d)
-    walker = iter_closed_walk_counts(g)
-    next(walker)  # w_1 is always 0 for simple graphs
-    acc = Fraction(0)
-    prev_mid: float | None = None
-    streak = 0
-    for k in range(2, _MAX_TERMS):
-        acc += _term_fraction(n, d, next(walker), k)
-        tail = Fraction(n, k + 1) * q ** (k + 1) / (1 - q) if d else Fraction(0)
-        lo, hi, mid = _bracket(c_fr, acc, tail, prec)
-        if prev_mid is not None and abs(mid - prev_mid) < 0.5:
-            streak += 1
-        else:
-            streak = 0
-        prev_mid = mid
-        if streak < 2:
-            continue
-        while True:
-            low_int = math.ceil(lo)
-            high_int = math.floor(hi)
-            if low_int == high_int:
-                return IdentificationReport(
-                    value=low_int,
-                    terms_used=k,
-                    bracket_low=float(lo),
-                    bracket_high=float(hi),
-                    precision_bits=prec,
-                )
-            # Not unique yet: decide whether the tail or rounding is to blame.
-            tail_width_small = 2 * tail * hi < Fraction(1, 4)
-            if not tail_width_small:
-                break  # take more series terms
-            if 2 * prec > max_precision_bits:
-                raise PrecisionExhaustedError(
-                    f"no unique integer in [{float(lo)}, {float(hi)}] at {prec} bits"
-                )
-            prec *= 2
-            lo, hi, mid = _bracket(c_fr, acc, tail, prec)
-    raise PrecisionExhaustedError(f"no convergence after {_MAX_TERMS} terms")
+    lo, hi = _bracket(c_fr, acc - tail, acc + tail, prec)
+    value = math.ceil(lo)
+    if math.floor(hi) != value:
+        raise ExactInvariantError(
+            f"the enclosure at K={big_k}, {prec} bits holds "
+            f"{math.floor(hi) - value + 1} integers, not one"
+        )
+    return IdentificationReport(
+        value=value,
+        terms_used=big_k,
+        bracket_low=lo,
+        bracket_high=hi,
+        precision_bits=prec,
+        tail_bound=2 * tail * hi,
+        rounding_bound=hi / 2 ** (prec - 7),
+    )
 
 
 def identify_complexity(

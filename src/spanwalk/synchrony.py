@@ -156,32 +156,6 @@ def measure_synchrony(
     raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
 
 
-def measure_p_k(
-    g: Graph,
-    t: int,
-    k: int,
-    mode: str = "exhaustive",
-    samples: int | None = None,
-    seed64: int | None = None,
-    budget: int = EXHAUSTIVE_BUDGET,
-) -> SynchronyOutcome:
-    """Synchronization probability over k-subsets (full outcome, including e_k)."""
-    return measure_synchrony(g, t, k, mode, samples, seed64, budget)
-
-
-def measure_e_k(
-    g: Graph,
-    t: int,
-    k: int,
-    mode: str = "exhaustive",
-    samples: int | None = None,
-    seed64: int | None = None,
-    budget: int = EXHAUSTIVE_BUDGET,
-) -> SynchronyOutcome:
-    """Expected reciprocal synchrony index over k-subsets (full outcome, including p_k)."""
-    return measure_synchrony(g, t, k, mode, samples, seed64, budget)
-
-
 def _measure_exhaustive(g: Graph, t: int, k: int, budget: int) -> SynchronyOutcome:
     total = comb(g.n, k)
     if total > budget:

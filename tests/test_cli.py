@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from spanwalk import cli
 from spanwalk.cli import run
 
 
@@ -20,6 +21,16 @@ def _run(argv):
 def _run_json(argv):
     code, text = _run(argv)
     return code, json.loads(text)
+
+
+def _reject_non_finite(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+def _write_cycle_150(tmp_path):
+    path = tmp_path / "c150.txt"
+    path.write_text("150\n" + "".join(f"{i} {(i + 1) % 150}\n" for i in range(150)))
+    return path
 
 
 def test_complexity_of_named_complements():
@@ -135,18 +146,42 @@ def test_bounds_precondition_failure_reports_without_values():
 
 def test_overflowing_bound_prints_null_linear_value(tmp_path):
     # t(complement of C_150) is near 10^321, beyond the float range
-    cycle = tmp_path / "c150.txt"
-    cycle.write_text("150\n" + "".join(f"{i} {(i + 1) % 150}\n" for i in range(150)))
+    cycle = _write_cycle_150(tmp_path)
     code, text = _run(["bounds", "thm2", "--edge-list", str(cycle), "--m", "2"])
     assert code == 0
-
-    def reject(constant):
-        raise ValueError(f"non-finite JSON constant {constant}")
-
-    doc = json.loads(text, parse_constant=reject)
+    doc = json.loads(text, parse_constant=_reject_non_finite)
     assert doc["preconditions_ok"] is True
     assert doc["linear_value"] is None
     assert math.isfinite(doc["log_value"]) and doc["log_value"] > 709
+
+
+def test_identify_beyond_the_float_range_prints_valid_json(tmp_path):
+    cycle = _write_cycle_150(tmp_path)
+    code, text = _run(["series", "--identify", "--edge-list", str(cycle)])
+    assert code == 0
+    doc = json.loads(text, parse_constant=_reject_non_finite)
+    assert set(doc) == {"t_complement", "terms_used", "bracket_width", "precision_bits"}
+    assert int(doc["t_complement"]) > 10**320
+    assert 0 < doc["bracket_width"] < 0.125
+
+
+@pytest.mark.parametrize(
+    "failure",
+    [
+        OverflowError("int too large to convert to float"),
+        ZeroDivisionError("division by zero"),
+        RecursionError("maximum recursion depth exceeded"),
+    ],
+)
+def test_numeric_failures_exit_2_with_error_document(monkeypatch, failure):
+    def raising(args, parser):
+        raise failure
+
+    monkeypatch.setitem(cli._COMMANDS, "walks", raising)
+    code, doc = _run_json(["walks", "--named", "petersen", "--max-k", "3"])
+    assert code == 2
+    message = f"{type(failure).__name__}: {failure}"
+    assert doc == {"error": {"code": "numeric-failure", "message": message}}
 
 
 def test_bounds_thm3_csv():

@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +15,7 @@ from spanwalk import (
     ConvergenceDomainError,
     DirectedUnsupportedError,
     Graph,
+    PrecisionExhaustedError,
     RegularityRequiredError,
     closed_walk_counts,
     complement,
@@ -22,7 +27,9 @@ from spanwalk import (
     series_term,
     spanning_tree_count,
 )
-from oracles import cycle, path
+from spanwalk import families, graph, series
+from spanwalk.errors import ExactInvariantError
+from oracles import circulant, cycle, path
 
 # Partial sums for the Petersen graph through k = 6, frozen to 5 decimals.
 PETERSEN_PARTIALS = (14.85393, 14.54781, 14.54781, 14.53219, 14.53362, 14.53221)
@@ -107,6 +114,71 @@ def test_identify_report_diagnostics():
     assert report.bracket_low <= 2048000 <= report.bracket_high
     assert report.bracket_width < 1.0
     assert report.precision_bits >= 64
+
+
+@pytest.fixture(scope="module")
+def cycle_150():
+    """C_150, whose complement has about 10^321 spanning trees, beyond the float range."""
+    g = cycle(150)
+    return g, identify_complexity_report(g)
+
+
+def test_identify_beyond_the_float_range_matches_bareiss(cycle_150):
+    g, report = cycle_150
+    assert report.value == spanning_tree_count(complement(g))
+    assert report.value > 10**320
+    assert isinstance(report.bracket_low, Fraction) and isinstance(report.bracket_high, Fraction)
+    assert report.bracket_low <= report.value <= report.bracket_high
+    assert math.isfinite(report.bracket_width) and 0 < report.bracket_width < 0.125
+
+
+def test_report_separates_tail_and_rounding_widths(cycle_150):
+    for report in (identify_complexity_report(named_graph("petersen")), cycle_150[1]):
+        for share in (report.tail_bound, report.rounding_bound):
+            assert isinstance(share, Fraction)
+            assert 0 <= share < Fraction(1, 8)
+        assert report.rounding_bound == report.bracket_high / 2 ** (report.precision_bits - 7)
+
+
+def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
+    def no_walks(g):
+        raise AssertionError("walks counted before the budget check")
+
+    monkeypatch.setattr(series, "iter_closed_walk_counts", no_walks)
+    # d = 200, n - d = 201: the tail bound needs about 427 000 terms
+    dense = circulant(401, tuple(range(1, 101)))
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhaustedError, match="terms"):
+        identify_complexity(dense)
+    assert time.perf_counter() - start < 1.0
+    # t(complement of C_140(1, 3)) needs about 995 bits
+    start = time.perf_counter()
+    with pytest.raises(PrecisionExhaustedError, match="bits"):
+        identify_complexity(circulant(140, (1, 3)), max_precision_bits=512)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_enclosure_without_a_unique_integer_raises(monkeypatch):
+    monkeypatch.setattr(series, "_bracket", lambda *args: (Fraction(2047999), Fraction(2048001)))
+    with pytest.raises(ExactInvariantError):
+        identify_complexity(named_graph("petersen"))
+    monkeypatch.setattr(series, "_bracket", lambda *args: (Fraction(41, 10), Fraction(49, 10)))
+    with pytest.raises(ExactInvariantError):
+        identify_complexity(named_graph("petersen"))
+
+
+def test_identify_matches_exact_count_on_the_bench_ladder():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    mods = SimpleNamespace(families=families, graph=graph)
+    graphs = {gid: workloads.build_graph(mods, gid) for gid in workloads.identify_gids()}
+    small = {gid: g for gid, g in graphs.items() if g.n <= 60}
+    assert "circ:25:1,2,3,4,5,6" in small and len(small) == 36
+    for gid, g in small.items():
+        assert identify_complexity(g) == spanning_tree_count(complement(g)), gid
 
 
 def test_identify_matches_exact_count_on_random_regulars():

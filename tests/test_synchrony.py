@@ -12,8 +12,6 @@ from spanwalk import (
     ExhaustiveBudgetError,
     Graph,
     fixed_point,
-    measure_e_k,
-    measure_p_k,
     measure_synchrony,
     named_graph,
     spread_step,
@@ -108,12 +106,6 @@ def test_petersen_single_seed_sweep():
     assert out.p_k == 1
     assert out.e_k == Fraction(1, 2)
     assert out.i_star_histogram == {2: 10}
-
-
-def test_measure_p_k_and_e_k_share_the_sweep():
-    a = measure_p_k(cycle(5), t=1, k=2)
-    b = measure_e_k(cycle(5), t=1, k=2)
-    assert a == b
 
 
 def test_exhaustive_budget():
