@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from fractions import Fraction
 from typing import Any
@@ -45,7 +44,6 @@ from .graph import (
 )
 
 _NAMED_CHOICES = ("petersen", "paper-h", "paper-bipartite")
-_PRECISION_ENV = "SPANWALK_PRECISION_BITS"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,12 +130,6 @@ def _load_graph(args: argparse.Namespace) -> Graph:
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="spanwalk", description=__doc__.splitlines()[0])
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="parallelism level (default 1; results are identical at any setting)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     graph_parser = sub.add_parser("graph", help="inspect or re-serialize a graph")
@@ -160,7 +152,6 @@ def build_parser() -> _Parser:
     mode.add_argument("--eval", action="store_true", help="partial sums through --max-k")
     mode.add_argument("--identify", action="store_true", help="exact integer identification")
     series_parser.add_argument("--max-k", type=int, metavar="K")
-    series_parser.add_argument("--precision-bits", type=int, metavar="BITS")
 
     bounds_parser = sub.add_parser("bounds", help="closed-form bound families")
     bounds_sub = bounds_parser.add_subparsers(dest="bound", required=True)
@@ -199,15 +190,11 @@ def build_parser() -> _Parser:
 
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
-    if args.threads < 1:
-        parser.error("--threads must be at least 1")
     if args.command == "series":
         if args.eval and args.max_k is None:
             parser.error("--eval requires --max-k")
         if args.identify and args.max_k is not None:
             parser.error("--max-k applies only to --eval")
-        if args.eval and args.precision_bits is not None:
-            parser.error("--precision-bits applies only to --identify")
     if args.command == "synchrony":
         if args.mode == "mc":
             if args.samples is None or args.seed is None:
@@ -215,18 +202,6 @@ def _validate(args: argparse.Namespace, parser: _Parser) -> None:
         else:
             if args.samples is not None or args.seed is not None:
                 parser.error("--samples and --seed apply only to --mode mc")
-
-
-def _precision_from(args: argparse.Namespace, parser: _Parser) -> int | None:
-    if args.precision_bits is not None:
-        return args.precision_bits
-    raw = os.environ.get(_PRECISION_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        parser.error(f"{_PRECISION_ENV} must be an integer, got {raw!r}")
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -289,7 +264,7 @@ def _cmd_series(args, parser) -> str:
             "rounding_bound": ev.rounding_bound,
         }
         return _json(doc) + "\n"
-    report = series.identify_complexity_report(g, precision_bits=_precision_from(args, parser))
+    report = series.identify_complexity_report(g)
     doc = {
         "t_complement": str(report.value),
         "terms_used": report.terms_used,

@@ -51,7 +51,7 @@ class ConvergenceDomainError(ToolkitError):
 
 
 class PrecisionExhaustedError(ToolkitError):
-    """Integer identification could not isolate a unique value within the precision cap."""
+    """Integer identification would need more terms or precision than its fixed budgets."""
 
     code = "precision-exhausted"
 

@@ -19,15 +19,6 @@ from .graph import Graph, regular_degree
 Matrix = list[list[int]]
 
 
-def adjacency_matrix(g: Graph) -> Matrix:
-    a = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        a[u][v] = 1
-        if not g.directed:
-            a[v][u] = 1
-    return a
-
-
 def laplacian_matrix(g: Graph) -> Matrix:
     """Degree matrix minus adjacency matrix; undirected graphs only."""
     if g.directed:

@@ -32,6 +32,7 @@ from .graph import Graph, regular_degree
 _EVAL_PREC = 96  # working significand bits for partial-sum evaluation
 _MIN_PREC = 64
 _MAX_TERMS = 50_000
+_MAX_PRECISION_BITS = 4096
 _TAIL_BITS = 5  # tail bound <= 2^-(b+5): truncation widens the enclosure by <= 1/16
 _GUARD_BITS = 16  # precision b + 16: rounding widens it by <= 2^-9
 
@@ -216,36 +217,29 @@ def _bracket(
     return ends[0], ends[1]
 
 
-def identify_complexity_report(
-    g: Graph,
-    precision_bits: int | None = None,
-    max_precision_bits: int = 4096,
-) -> IdentificationReport:
+def identify_complexity_report(g: Graph) -> IdentificationReport:
     """Identify the complement's spanning-tree count as an exact integer.
 
     The plan is fixed before any walk is counted.  AM-GM on the complement's
     Laplacian spectrum gives t <= 2^b.  Because w_k <= n d^k, the series
     terms past order K sum to at most n q^(K+1) / ((K+1)(1 - q)) in absolute
     value, q = d/(n-d) < 1; K is the smallest order that makes this at most
-    2^-(b+5), and the working precision is max(precision_bits, 64, b + 16).
-    The K terms are summed exactly as rationals and bracketed once: truncation
-    then widens the enclosure of t by at most 1/16 and rounding by at most
-    2^-9, so it holds exactly one integer.
+    2^-(b+5), and the working precision is max(64, b + 16).  The K terms are
+    summed exactly as rationals and bracketed once: truncation then widens
+    the enclosure of t by at most 1/16 and rounding by at most 2^-9, so it
+    holds exactly one integer.
 
     Raises PrecisionExhaustedError, before any walk is counted, when K would
-    exceed the term budget or b + 16 exceeds max_precision_bits.
+    exceed _MAX_TERMS or b + 16 exceeds _MAX_PRECISION_BITS.
     """
     n, d = _checked_parameters(g)
-    prec = max(precision_bits if precision_bits is not None else _MIN_PREC, _MIN_PREC)
-    if prec > max_precision_bits:
-        raise ValueError("precision_bits exceeds max_precision_bits")
     b = _log2_upper_bound(n, d)
-    if b + _GUARD_BITS > max_precision_bits:
+    if b + _GUARD_BITS > _MAX_PRECISION_BITS:
         raise PrecisionExhaustedError(
             f"t(complement) may reach 2^{b}, which needs {b + _GUARD_BITS} bits; "
-            f"the cap is {max_precision_bits}"
+            f"the cap is {_MAX_PRECISION_BITS}"
         )
-    prec = max(prec, b + _GUARD_BITS)
+    prec = max(_MIN_PREC, b + _GUARD_BITS)
     big_k = _term_count(n, d, b)
 
     # acc = sum_{k=2..K} (-1)^(k-1) w_k / (k (n-d)^k) over the common
@@ -275,10 +269,6 @@ def identify_complexity_report(
     )
 
 
-def identify_complexity(
-    g: Graph,
-    precision_bits: int | None = None,
-    max_precision_bits: int = 4096,
-) -> int:
+def identify_complexity(g: Graph) -> int:
     """The complement's spanning-tree count as an exact integer (see identify_complexity_report)."""
-    return identify_complexity_report(g, precision_bits, max_precision_bits).value
+    return identify_complexity_report(g).value

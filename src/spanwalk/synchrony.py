@@ -156,35 +156,45 @@ def measure_synchrony(
     raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
 
 
+def _subset_mask(vertices: Iterable[int]) -> int:
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _sweep(g: Graph, t: int, seed_masks: Iterable[int]) -> tuple[dict[int, int], int]:
+    """Histogram of the finite synchrony indices over seed_masks, and the stalled count."""
+    masks = _in_neighbor_masks(g)
+    histogram: dict[int, int] = {}
+    stalled = 0
+    for seed_mask in seed_masks:
+        index = _index_mask(masks, seed_mask, t, g.n)
+        if index == math.inf:
+            stalled += 1
+        else:
+            histogram[index] = histogram.get(index, 0) + 1
+    return histogram, stalled
+
+
+def _mean_contribution(histogram: dict[int, int], total: int) -> Fraction:
+    return sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total
+
+
 def _measure_exhaustive(g: Graph, t: int, k: int, budget: int) -> SynchronyOutcome:
     total = comb(g.n, k)
     if total > budget:
         raise ExhaustiveBudgetError(
             f"C({g.n}, {k}) = {total} subsets exceeds the budget of {budget}; use monte-carlo mode"
         )
-    masks = _in_neighbor_masks(g)
-    histogram: dict[int, int] = {}
-    stalled = 0
-    synchronized = 0
-    recip_sum = Fraction(0)
-    for subset in combinations(range(g.n), k):
-        seed_mask = 0
-        for v in subset:
-            seed_mask |= 1 << v
-        index = _index_mask(masks, seed_mask, t, g.n)
-        if index == math.inf:
-            stalled += 1
-        else:
-            synchronized += 1
-            histogram[index] = histogram.get(index, 0) + 1
-            recip_sum += _contribution(index)
+    histogram, stalled = _sweep(g, t, map(_subset_mask, combinations(range(g.n), k)))
     return SynchronyOutcome(
         k=k,
         t=t,
         mode="exhaustive",
         samples=total,
-        p_k=Fraction(synchronized, total),
-        e_k=recip_sum / total,
+        p_k=Fraction(total - stalled, total),
+        e_k=_mean_contribution(histogram, total),
         p_k_stderr=None,
         e_k_stderr=None,
         i_star_histogram=histogram,
@@ -192,44 +202,22 @@ def _measure_exhaustive(g: Graph, t: int, k: int, budget: int) -> SynchronyOutco
     )
 
 
-def _sample_rng(seed64: int, index: int) -> random.Random:
-    # Distinct, reproducible stream per sample: key = seed64 || index.
-    return random.Random(((seed64 & 0xFFFFFFFFFFFFFFFF) << 64) | (index & 0xFFFFFFFFFFFFFFFF))
-
-
 def _measure_monte_carlo(g: Graph, t: int, k: int, samples: int, seed64: int) -> SynchronyOutcome:
-    masks = _in_neighbor_masks(g)
-    n = g.n
-    histogram: dict[int, int] = {}
-    stalled = 0
-    synchronized = 0
-    recip_sum = 0.0
-    recip_sq_sum = 0.0
-    for idx in range(samples):
-        rng = _sample_rng(seed64, idx)
-        verts = list(range(n))
-        for i in range(k):  # partial Fisher-Yates: the first k entries are a uniform k-subset
-            j = rng.randrange(i, n)
-            verts[i], verts[j] = verts[j], verts[i]
-        seed_mask = 0
-        for v in verts[:k]:
-            seed_mask |= 1 << v
-        index = _index_mask(masks, seed_mask, t, n)
-        if index == math.inf:
-            stalled += 1
-            value = 0.0
-        else:
-            synchronized += 1
-            histogram[index] = histogram.get(index, 0) + 1
-            value = float(_contribution(index))
-        recip_sum += value
-        recip_sq_sum += value * value
-    p_hat = synchronized / samples
-    e_hat = recip_sum / samples
+    # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
+    rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
+    vertices = range(g.n)
+    histogram, stalled = _sweep(
+        g, t, (_subset_mask(rng.sample(vertices, k)) for _ in range(samples))
+    )
+    p_hat = (samples - stalled) / samples
+    e_exact = _mean_contribution(histogram, samples)
     p_stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
     if samples > 1:
-        variance = max(0.0, (recip_sq_sum - samples * e_hat * e_hat) / (samples - 1))
-        e_stderr = math.sqrt(variance / samples)
+        # squared deviations of 1/i* from its mean, a stalled seed contributing 0
+        deviations = stalled * e_exact**2 + sum(
+            c * (_contribution(i) - e_exact) ** 2 for i, c in histogram.items()
+        )
+        e_stderr = math.sqrt(deviations / (samples - 1) / samples)
     else:
         e_stderr = 0.0
     return SynchronyOutcome(
@@ -238,7 +226,7 @@ def _measure_monte_carlo(g: Graph, t: int, k: int, samples: int, seed64: int) ->
         mode="monte-carlo",
         samples=samples,
         p_k=p_hat,
-        e_k=e_hat,
+        e_k=float(e_exact),
         p_k_stderr=p_stderr,
         e_k_stderr=e_stderr,
         i_star_histogram=histogram,

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import ast
 import random
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import spanwalk
 from spanwalk import (
     DirectedUnsupportedError,
     Graph,
@@ -118,6 +121,16 @@ def test_inconsistent_power_sums_raise_a_typed_error():
     # no integer matrix has tr A = 1 and tr A^2 = 0, because 2 e_2 = 1 - 0 is odd
     with pytest.raises(ExactInvariantError):
         _recurrence_coefficients([1, 0])
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert, so no production path may rely on one
+    modules = sorted(Path(spanwalk.__file__).parent.glob("*.py"))
+    assert modules
+    for module in modules:
+        tree = ast.parse(module.read_text(encoding="utf-8"), filename=str(module))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{module.name}: assert at lines {lines}"
 
 
 def test_walk_counts_structity():

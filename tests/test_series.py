@@ -113,7 +113,7 @@ def test_identify_report_diagnostics():
     assert report.terms_used >= 4
     assert report.bracket_low <= 2048000 <= report.bracket_high
     assert report.bracket_width < 1.0
-    assert report.precision_bits >= 64
+    assert report.precision_bits == 64  # b = 23: the 64-bit floor, not b + 16
 
 
 @pytest.fixture(scope="module")
@@ -130,6 +130,7 @@ def test_identify_beyond_the_float_range_matches_bareiss(cycle_150):
     assert isinstance(report.bracket_low, Fraction) and isinstance(report.bracket_high, Fraction)
     assert report.bracket_low <= report.value <= report.bracket_high
     assert math.isfinite(report.bracket_width) and 0 < report.bracket_width < 0.125
+    assert report.precision_bits == 1084  # b + 16
 
 
 def test_report_separates_tail_and_rounding_widths(cycle_150):
@@ -151,10 +152,10 @@ def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
     with pytest.raises(PrecisionExhaustedError, match="terms"):
         identify_complexity(dense)
     assert time.perf_counter() - start < 1.0
-    # t(complement of C_140(1, 3)) needs about 995 bits
+    # t(complement of C_500) may need b + 16 = 4479 bits, above the 4096-bit cap
     start = time.perf_counter()
     with pytest.raises(PrecisionExhaustedError, match="bits"):
-        identify_complexity(circulant(140, (1, 3)), max_precision_bits=512)
+        identify_complexity(cycle(500))
     assert time.perf_counter() - start < 1.0
 
 
@@ -186,12 +187,6 @@ def test_identify_matches_exact_count_on_random_regulars():
     for idx, (n, d) in enumerate(cases):
         g = random_regular(n, d, seed=300 + idx)
         assert identify_complexity(g) == spanning_tree_count(complement(g)), (n, d)
-
-
-def test_identify_accepts_explicit_precision():
-    assert identify_complexity(named_graph("petersen"), precision_bits=128) == 2048000
-    with pytest.raises(ValueError):
-        identify_complexity(named_graph("petersen"), precision_bits=128, max_precision_bits=64)
 
 
 def test_bipartite_inputs_have_zero_odd_terms():
