@@ -19,19 +19,6 @@ from .graph import Graph, regular_degree
 Matrix = list[list[int]]
 
 
-def laplacian_matrix(g: Graph) -> Matrix:
-    """Degree matrix minus adjacency matrix; undirected graphs only."""
-    if g.directed:
-        raise DirectedUnsupportedError("the Laplacian is defined here for undirected graphs")
-    lap = [[0] * g.n for _ in range(g.n)]
-    for u, v in g.edges:
-        lap[u][v] -= 1
-        lap[v][u] -= 1
-        lap[u][u] += 1
-        lap[v][v] += 1
-    return lap
-
-
 def _bareiss_determinant(matrix: Matrix) -> int:
     """Fraction-free determinant of a square integer matrix.
 
@@ -65,19 +52,62 @@ def _bareiss_determinant(matrix: Matrix) -> int:
     return sign * m[size - 1][size - 1]
 
 
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, via a principal minor of the Laplacian.
+def _minimum_degree_order(nbrs: list[set[int]]) -> list[int]:
+    """Greedy minimum-degree elimination order of the graph with these neighbour sets.
 
-    The last row and column are deleted; by the matrix-tree identity the choice
-    of deleted vertex does not change the determinant.  Disconnected graphs
-    give 0 and the single-vertex graph gives 1.
+    Each step takes the vertex of least degree in the elimination graph, the
+    smallest label on ties, joins its remaining neighbours pairwise (the fill
+    edges) and removes it.  Low fill keeps the entries that elimination turns
+    into big integers few.
     """
-    lap = laplacian_matrix(g)
-    minor = [row[: g.n - 1] for row in lap[: g.n - 1]]
-    det = _bareiss_determinant(minor)
-    if det < 0:
-        raise ExactInvariantError("a Laplacian minor of an undirected graph came out negative")
-    return det
+    adj = [set(s) for s in nbrs]
+    remaining = set(range(len(adj)))
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (len(adj[u]), u))
+        remaining.remove(v)
+        order.append(v)
+        for u in adj[v]:
+            adj[u] |= adj[v]
+            adj[u] -= {u, v}
+    return order
+
+
+def _symmetric_matrix(nbrs: list[set[int]], order: list[int], diagonal: list[int], off: int) -> Matrix:
+    """Rows and columns indexed by `order`: diagonal[v] on the diagonal, `off` at each edge, else 0."""
+    return [[diagonal[u] if u == v else off if v in nbrs[u] else 0 for v in order] for u in order]
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees, from the determinant of the sparser of two matrices.
+
+    When 4|E| <= n(n-1), the matrix is a principal minor of the Laplacian L(g):
+    by the matrix-tree theorem any one vertex may be deleted, and the last one
+    in the elimination order is.  Otherwise it is nI - L(complement(g)), which
+    equals L(g) + J and has determinant n^2 t(g) (Temperley 1964; Kelmans
+    1965); it has as many off-diagonal nonzeros as the complement has edges.
+    Either way rows and columns follow one minimum-degree order of the sparse
+    graph, which does not change the determinant.  Disconnected graphs give 0
+    and the single-vertex graph gives 1.
+    """
+    if g.directed:
+        raise DirectedUnsupportedError("the Laplacian is defined here for undirected graphs")
+    n = g.n
+    nbrs = g.neighbor_sets()
+    if 4 * g.size <= n * (n - 1):
+        order = _minimum_degree_order(nbrs)[:-1]
+        det = _bareiss_determinant(_symmetric_matrix(nbrs, order, [len(s) for s in nbrs], -1))
+        if det < 0:
+            raise ExactInvariantError("a Laplacian minor of an undirected graph came out negative")
+        return det
+    everyone = set(range(n))
+    sparse = [everyone - s - {v} for v, s in enumerate(nbrs)]
+    order = _minimum_degree_order(sparse)
+    det = _bareiss_determinant(_symmetric_matrix(sparse, order, [n - len(s) for s in sparse], 1))
+    count, remainder = divmod(det, n * n)
+    if remainder or count < 0:
+        raise ExactInvariantError(f"det(L + J) is not a nonnegative multiple of n^2 = {n * n}")
+    return count
 
 
 def _frobenius_walks(nbrs: list[list[int]]) -> Iterator[int]:

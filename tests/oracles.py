@@ -3,12 +3,14 @@
 Nothing here touches the package's exact engines: walk counts come from DFS
 enumeration or dense matrix powers, Laplacian traces from dense Laplacian
 powers, triangles from vertex-triple scans, and spanning-tree counts from
-deletion-contraction on explicit multigraph edge lists.
+deletion-contraction on explicit multigraph edge lists or from rational
+Gaussian elimination on the Laplacian minor in natural vertex order.
 """
 
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 from spanwalk import Graph
@@ -110,6 +112,35 @@ def _dc(n: int, edges: tuple[tuple[int, int], ...]) -> int:
 
 def deletion_contraction_tree_count(g: Graph) -> int:
     return _dc(g.n, tuple(sorted(g.edges)))
+
+
+def kirchhoff_tree_count(g: Graph) -> int:
+    """Spanning trees as the determinant of the Laplacian with its last row and column deleted.
+
+    Plain Gaussian elimination over Fraction in natural vertex order, swapping
+    rows only at a zero pivot.
+    """
+    nbrs = g.neighbor_sets()
+    size = g.n - 1
+    m = [
+        [Fraction(len(nbrs[u])) if u == v else Fraction(-1 if v in nbrs[u] else 0) for v in range(size)]
+        for u in range(size)
+    ]
+    det = Fraction(1)
+    for k in range(size):
+        pivot_row = next((r for r in range(k, size) if m[r][k] != 0), None)
+        if pivot_row is None:
+            return 0
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, size):
+            factor = m[i][k] / m[k][k]
+            if factor:
+                for j in range(k + 1, size):
+                    m[i][j] -= factor * m[k][j]
+    return int(det)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

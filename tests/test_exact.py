@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+from itertools import product
 from math import comb
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from spanwalk import (
     spanning_tree_count,
     triangle_count,
 )
+from spanwalk import exact
 from spanwalk.errors import ExactInvariantError
 from spanwalk.exact import _recurrence_coefficients
 from oracles import (
@@ -36,6 +38,7 @@ from oracles import (
     dfs_closed_walks,
     direct_laplacian_traces,
     gnp,
+    kirchhoff_tree_count,
     path,
 )
 
@@ -60,6 +63,14 @@ def test_spanning_trees_closed_forms():
     # complete bipartite K_{a,b}: a^(b-1) b^(a-1)
     assert spanning_tree_count(complete_bipartite(3, 4)) == 3**3 * 4**2
     assert spanning_tree_count(complete_bipartite(5, 5)) == 5**4 * 5**4
+    # dense and disconnected: K_7 plus an isolated vertex
+    assert spanning_tree_count(Graph(8, complete(7).edges)) == 0
+    # n = 2: one edge (dense side), no edge (sparse side)
+    assert spanning_tree_count(Graph(2, frozenset({(0, 1)}))) == 1
+    assert spanning_tree_count(Graph(2)) == 0
+    # 4|E| = n(n-1) exactly
+    assert spanning_tree_count(cycle(5)) == 5
+    assert spanning_tree_count(path(4)) == 1
 
 
 def test_spanning_trees_match_deletion_contraction():
@@ -68,6 +79,43 @@ def test_spanning_trees_match_deletion_contraction():
         n = rng.randint(2, 7)
         g = gnp(n, rng.choice([0.2, 0.35, 0.5]), 500 + seed)
         assert spanning_tree_count(g) == deletion_contraction_tree_count(g), (n, seed)
+    dense = 0
+    for seed, (n, p) in enumerate(product(range(2, 9), (0.65, 0.8, 0.95))):
+        g = gnp(n, p, 700 + seed)
+        dense += 4 * g.size > n * (n - 1)
+        assert spanning_tree_count(g) == deletion_contraction_tree_count(g), (n, p, seed)
+    assert dense >= 15  # most of these inputs take the nI - L(complement) branch
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
+
+
+def test_complement_counts_match_kirchhoff_oracle_under_relabelling():
+    # the exact-count shape: dense complements of sparse regular graphs
+    graphs = [random_regular(n, d, seed=7000 + n + d) for n, d in product((20, 30, 40), (3, 4))]
+    graphs.append(circulant(40, (1, 3)))
+    for idx, g in enumerate(graphs):
+        expected = kirchhoff_tree_count(complement(g))
+        assert spanning_tree_count(complement(g)) == expected, g
+        assert spanning_tree_count(complement(_relabelled(g, 300 + idx))) == expected, g
+
+
+@pytest.mark.parametrize(
+    "g, fake",
+    [
+        (complete(5), 25 * 125 + 1),  # dense: det(L + J) not divisible by n^2
+        (complete(5), -25 * 125),  # dense: divisible, but the count is negative
+        (cycle(6), -6),  # sparse: a negative Laplacian minor
+    ],
+    ids=["dense-remainder", "dense-negative", "sparse-negative"],
+)
+def test_broken_determinant_raises_a_typed_error(monkeypatch, g, fake):
+    monkeypatch.setattr(exact, "_bareiss_determinant", lambda matrix: fake)
+    with pytest.raises(ExactInvariantError):
+        spanning_tree_count(g)
 
 
 def test_spanning_trees_rejects_directed():
