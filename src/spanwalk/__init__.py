@@ -1,10 +1,10 @@
 """spanwalk: exact graph complexity from closed walks.
 
 The package computes exact spanning-tree counts of graphs and of complements
-of regular graphs (the latter through an alternating closed-walk series with
-rigorous integer identification), evaluates a suite of closed-form lower and
-upper bounds, constructs triangle-minimal regular families and seeded random
-regular graphs, and measures threshold-spreading synchrony.
+of regular graphs (the latter also from closed-walk counts alone, which close
+the paper's alternating series at order n), evaluates a suite of closed-form
+lower and upper bounds, constructs triangle-minimal regular families and
+seeded random regular graphs, and measures threshold-spreading synchrony.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ from .errors import (
     EdgeListParseError,
     ExhaustiveBudgetError,
     InputReadError,
-    PrecisionExhaustedError,
     RegularityRequiredError,
     RetryBudgetError,
     ToolkitError,
+    WorkBudgetError,
 )
 from .exact import (
     LaplacianTraceTable,
@@ -71,13 +71,13 @@ __all__ = [
     "IdentificationReport",
     "InputReadError",
     "LaplacianTraceTable",
-    "PrecisionExhaustedError",
     "RegularityRequiredError",
     "RetryBudgetError",
     "SeriesEvaluation",
     "SynchronyOutcome",
     "ToolkitError",
     "WalkTable",
+    "WorkBudgetError",
     "bipartition",
     "closed_walk_counts",
     "complement",

@@ -50,10 +50,10 @@ class ConvergenceDomainError(ToolkitError):
     code = "convergence-domain"
 
 
-class PrecisionExhaustedError(ToolkitError):
-    """Integer identification would need more terms or precision than its fixed budgets."""
+class WorkBudgetError(ToolkitError):
+    """A computation would exceed its fixed work budget; raised before the work starts."""
 
-    code = "precision-exhausted"
+    code = "work-budget"
 
 
 class BipartiteRequiredError(ToolkitError):

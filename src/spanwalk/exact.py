@@ -132,23 +132,23 @@ def _frobenius_walks(nbrs: list[list[int]]) -> Iterator[int]:
         power = nxt
 
 
-def _recurrence_coefficients(head: list[int]) -> list[int]:
-    """Coefficients c_1..c_n with w_k = sum_i c_i w_(k-i) for every k > n.
+def elementary_symmetric(power_sums: list[int]) -> list[int]:
+    """e_0..e_n of a spectrum from its power sums p_1..p_n (here w_1..w_n).
 
-    Newton's identities k e_k = sum_(i<=k) (-1)^(i-1) e_(k-i) w_i turn the power
-    sums w_1..w_n into the elementary symmetric polynomials e_i of the
-    adjacency spectrum; by Cayley-Hamilton, c_i = (-1)^(i-1) e_i.
+    Newton's identities k e_k = sum_(i<=k) (-1)^(i-1) e_(k-i) p_i, with
+    e_0 = 1.  Every division is exact for the power sums of an integer
+    matrix; a remainder raises ExactInvariantError.
     """
     e = [1]
-    for k in range(1, len(head) + 1):
-        total = sum((-1) ** (i - 1) * e[k - i] * head[i - 1] for i in range(1, k + 1))
+    for k in range(1, len(power_sums) + 1):
+        total = sum((-1) ** (i - 1) * e[k - i] * power_sums[i - 1] for i in range(1, k + 1))
         quotient, remainder = divmod(total, k)
         if remainder:
             raise ExactInvariantError(
                 f"Newton's identity at order {k} leaves a remainder: inconsistent walk counts"
             )
         e.append(quotient)
-    return [(-1) ** (i - 1) * e[i] for i in range(1, len(head) + 1)]
+    return e
 
 
 def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
@@ -156,8 +156,9 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
 
     Orders k <= n come from Frobenius inner products of adjacency powers.  Past
     order n the characteristic polynomial, found from w_1..w_n by Newton's
-    identities, gives each w_k by the Cayley-Hamilton recurrence over the last
-    n counts.  All arithmetic is on exact integers.
+    identities, gives each w_k by the Cayley-Hamilton recurrence
+    w_k = sum_i c_i w_(k-i), c_i = (-1)^(i-1) e_i, over the last n counts.
+    All arithmetic is on exact integers.
     """
     if g.directed:
         raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
@@ -167,7 +168,9 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     for w in islice(_frobenius_walks([sorted(s) for s in g.neighbor_sets()]), n):
         head.append(w)
         yield w
-    coeffs = _recurrence_coefficients(head)[::-1]  # aligned oldest-first with the window
+    e = elementary_symmetric(head)
+    # c_n..c_1, aligned oldest-first with the window
+    coeffs = [(-1) ** (i - 1) * e[i] for i in range(n, 0, -1)]
     nonzero = [c != 0 for c in coeffs]
     coeffs = [c for c in coeffs if c]
     window = deque(head, maxlen=n)

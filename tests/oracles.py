@@ -4,7 +4,9 @@ Nothing here touches the package's exact engines: walk counts come from DFS
 enumeration or dense matrix powers, Laplacian traces from dense Laplacian
 powers, triangles from vertex-triple scans, and spanning-tree counts from
 deletion-contraction on explicit multigraph edge lists or from rational
-Gaussian elimination on the Laplacian minor in natural vertex order.
+Gaussian elimination on the Laplacian minor in natural vertex order.  The
+series bracket takes walk counts from its caller and encloses t(complement)
+with the paper's truncated series and an outward-rounded exponential.
 """
 
 from __future__ import annotations
@@ -12,6 +14,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from typing import Iterable
+
+from mpmath.libmp import from_rational, mpf_exp, mpf_mul, round_ceiling, round_floor
 
 from spanwalk import Graph
 
@@ -141,6 +147,57 @@ def kirchhoff_tree_count(g: Graph) -> int:
                 for j in range(k + 1, size):
                     m[i][j] -= factor * m[k][j]
     return int(det)
+
+
+def _mpf_to_fraction(x: tuple) -> Fraction:
+    sign, man, exp, _ = x
+    if man == 0:
+        return Fraction(0)
+    fr = Fraction(man) * Fraction(2) ** exp
+    return -fr if sign else fr
+
+
+def _tail_bound(n: int, d: int, k: int) -> Fraction:
+    """n q^(k+1) / ((k+1)(1-q)), q = d/(n-d): the absolute sum of the terms past order k.
+
+    It holds because w_k <= n d^k.
+    """
+    return Fraction(n * d ** (k + 1), (k + 1) * (n - d) ** k * (n - 2 * d))
+
+
+def series_bracket(n: int, d: int, walks: Iterable[int]) -> tuple[Fraction, Fraction]:
+    """Exact enclosure of t(complement) from the truncated log series.
+
+    walks yields w_1, w_2, ... of a d-regular graph on n vertices, 2d < n.
+    AM-GM on the complement's Laplacian spectrum gives t <= 2^b.  K is the
+    smallest order whose tail bound is at most 2^-(b+5), the precision is
+    max(64, b + 16) bits, and c exp(S -+ tail), c = (n-d)^n / n^2, is
+    evaluated with every conversion and product rounded outward and the ends
+    widened by 2^(6 - prec) for the exponential's own error.  Truncation then
+    widens the enclosure by at most 1/16 and rounding by at most 2^-9.
+    """
+    b = 0
+    if n > 2:
+        num, den = (n * (n - 1 - d)) ** (n - 1), n * (n - 1) ** (n - 1)
+        b = max(0, num.bit_length() - den.bit_length() + 1)
+    prec = max(64, b + 16)
+    big_k = 1
+    while _tail_bound(n, d, big_k) > Fraction(1, 2 ** (b + 5)):
+        big_k += 1
+    acc = sum(
+        (Fraction(w if k % 2 else -w, k * (n - d) ** k)
+         for k, w in enumerate(islice(walks, 1, big_k), start=2)),
+        Fraction(0),
+    )
+    tail = _tail_bound(n, d, big_k)
+    c_fr = Fraction((n - d) ** n, n * n)
+    eps = Fraction(1, 2 ** (prec - 6))
+    ends = []
+    for arg, rnd, widen in ((acc - tail, round_floor, 1 - eps), (acc + tail, round_ceiling, 1 + eps)):
+        c = from_rational(c_fr.numerator, c_fr.denominator, prec, rnd)
+        x = from_rational(arg.numerator, arg.denominator, prec, rnd)
+        ends.append(_mpf_to_fraction(mpf_mul(c, mpf_exp(x, prec, rnd), prec, rnd)) * widen)
+    return ends[0], ends[1]
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

@@ -5,11 +5,13 @@ from __future__ import annotations
 import io
 import json
 import math
+import time
 
 import pytest
 
-from spanwalk import cli
+from spanwalk import cli, complement, spanning_tree_count
 from spanwalk.cli import run
+from oracles import cycle
 
 
 def _run(argv):
@@ -27,9 +29,9 @@ def _reject_non_finite(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
 
 
-def _write_cycle_150(tmp_path):
-    path = tmp_path / "c150.txt"
-    path.write_text("150\n" + "".join(f"{i} {(i + 1) % 150}\n" for i in range(150)))
+def _write_cycle(tmp_path, n):
+    path = tmp_path / f"c{n}.txt"
+    path.write_text(f"{n}\n" + "".join(f"{i} {(i + 1) % n}\n" for i in range(n)))
     return path
 
 
@@ -89,10 +91,7 @@ def test_series_eval_output():
 def test_series_identify_output():
     code, doc = _run_json(["series", "--identify", "--named", "paper-bipartite"])
     assert code == 0
-    assert doc["t_complement"] == "2034010"
-    assert doc["terms_used"] >= 4
-    assert doc["precision_bits"] >= 64
-    assert 0 < doc["bracket_width"] < 1
+    assert doc == {"t_complement": "2034010", "terms_used": 10, "bracket_width": 0.0, "precision_bits": 0}
 
 
 def test_bounds_subcommands(tmp_path):
@@ -131,8 +130,8 @@ def test_bounds_precondition_failure_reports_without_values():
 
 def test_overflowing_bound_prints_null_linear_value(tmp_path):
     # t(complement of C_150) is near 10^321, beyond the float range
-    cycle = _write_cycle_150(tmp_path)
-    code, text = _run(["bounds", "thm2", "--edge-list", str(cycle), "--m", "2"])
+    path = _write_cycle(tmp_path, 150)
+    code, text = _run(["bounds", "thm2", "--edge-list", str(path), "--m", "2"])
     assert code == 0
     doc = json.loads(text, parse_constant=_reject_non_finite)
     assert doc["preconditions_ok"] is True
@@ -141,13 +140,24 @@ def test_overflowing_bound_prints_null_linear_value(tmp_path):
 
 
 def test_identify_beyond_the_float_range_prints_valid_json(tmp_path):
-    cycle = _write_cycle_150(tmp_path)
-    code, text = _run(["series", "--identify", "--edge-list", str(cycle)])
+    path = _write_cycle(tmp_path, 150)
+    code, text = _run(["series", "--identify", "--edge-list", str(path)])
     assert code == 0
     doc = json.loads(text, parse_constant=_reject_non_finite)
     assert set(doc) == {"t_complement", "terms_used", "bracket_width", "precision_bits"}
+    assert doc["t_complement"] == str(spanning_tree_count(complement(cycle(150))))
     assert int(doc["t_complement"]) > 10**320
-    assert 0 < doc["bracket_width"] < 0.125
+    assert doc["terms_used"] == 150
+    assert doc["precision_bits"] == 0 and doc["bracket_width"] == 0.0
+
+
+def test_identify_over_the_work_budget_exits_2_at_once(tmp_path):
+    path = _write_cycle(tmp_path, 500)
+    start = time.perf_counter()
+    code, doc = _run_json(["series", "--identify", "--edge-list", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
 
 
 @pytest.mark.parametrize(

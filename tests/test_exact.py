@@ -27,7 +27,7 @@ from spanwalk import (
 )
 from spanwalk import exact
 from spanwalk.errors import ExactInvariantError
-from spanwalk.exact import _recurrence_coefficients
+from spanwalk.exact import elementary_symmetric
 from oracles import (
     circulant,
     complete,
@@ -168,7 +168,17 @@ def test_walk_engine_matches_dense_powers_across_the_phase_switch(name):
 def test_inconsistent_power_sums_raise_a_typed_error():
     # no integer matrix has tr A = 1 and tr A^2 = 0, because 2 e_2 = 1 - 0 is odd
     with pytest.raises(ExactInvariantError):
-        _recurrence_coefficients([1, 0])
+        elementary_symmetric([1, 0])
+
+
+def test_newton_closes_the_petersen_spectrum():
+    # spectrum 3, 1 (five times), -2 (four times): det(xI + A) = (x + 3)(x + 1)^5 (x - 2)^4
+    want = [1]
+    for lam in [3] + [1] * 5 + [-2] * 4:
+        want = [a + lam * b for a, b in zip(want + [0], [0] + want)]
+    e = elementary_symmetric(list(closed_walk_counts(named_graph("petersen"), 10).counts))
+    assert e == want
+    assert sum(e_j * 7 ** (10 - j) for j, e_j in enumerate(e)) == 204_800_000 == 10 * 8**5 * 5**4
 
 
 def test_package_has_no_assert_statements():

@@ -15,21 +15,23 @@ from spanwalk import (
     ConvergenceDomainError,
     DirectedUnsupportedError,
     Graph,
-    PrecisionExhaustedError,
     RegularityRequiredError,
+    WorkBudgetError,
     closed_walk_counts,
     complement,
     evaluate_series,
     identify_complexity,
     identify_complexity_report,
+    iter_closed_walk_counts,
     named_graph,
     random_regular,
+    regular_degree,
     series_term,
     spanning_tree_count,
 )
 from spanwalk import families, graph, series
 from spanwalk.errors import ExactInvariantError
-from oracles import circulant, cycle, path
+from oracles import circulant, cycle, path, series_bracket
 
 # Partial sums for the Petersen graph through k = 6, frozen to 5 decimals.
 PETERSEN_PARTIALS = (14.85393, 14.54781, 14.54781, 14.53219, 14.53362, 14.53221)
@@ -110,35 +112,17 @@ def test_identify_edgeless_graph():
 def test_identify_report_diagnostics():
     report = identify_complexity_report(named_graph("petersen"))
     assert report.value == 2048000
-    assert report.terms_used >= 4
-    assert report.bracket_low <= 2048000 <= report.bracket_high
-    assert report.bracket_width < 1.0
-    assert report.precision_bits == 64  # b = 23: the 64-bit floor, not b + 16
+    assert report.terms_used == 10  # w_1..w_n
+    assert report.precision_bits == 0 and report.bracket_width == 0.0
 
 
-@pytest.fixture(scope="module")
-def cycle_150():
-    """C_150, whose complement has about 10^321 spanning trees, beyond the float range."""
+def test_identify_beyond_the_float_range_matches_bareiss():
+    # t(complement of C_150) is about 10^321, beyond the float range
     g = cycle(150)
-    return g, identify_complexity_report(g)
-
-
-def test_identify_beyond_the_float_range_matches_bareiss(cycle_150):
-    g, report = cycle_150
+    report = identify_complexity_report(g)
     assert report.value == spanning_tree_count(complement(g))
     assert report.value > 10**320
-    assert isinstance(report.bracket_low, Fraction) and isinstance(report.bracket_high, Fraction)
-    assert report.bracket_low <= report.value <= report.bracket_high
-    assert math.isfinite(report.bracket_width) and 0 < report.bracket_width < 0.125
-    assert report.precision_bits == 1084  # b + 16
-
-
-def test_report_separates_tail_and_rounding_widths(cycle_150):
-    for report in (identify_complexity_report(named_graph("petersen")), cycle_150[1]):
-        for share in (report.tail_bound, report.rounding_bound):
-            assert isinstance(share, Fraction)
-            assert 0 <= share < Fraction(1, 8)
-        assert report.rounding_bound == report.bracket_high / 2 ** (report.precision_bits - 7)
+    assert report.terms_used == 150
 
 
 def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
@@ -146,26 +130,30 @@ def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
         raise AssertionError("walks counted before the budget check")
 
     monkeypatch.setattr(series, "iter_closed_walk_counts", no_walks)
-    # d = 200, n - d = 201: the tail bound needs about 427 000 terms
-    dense = circulant(401, tuple(range(1, 101)))
-    start = time.perf_counter()
-    with pytest.raises(PrecisionExhaustedError, match="terms"):
-        identify_complexity(dense)
-    assert time.perf_counter() - start < 1.0
-    # t(complement of C_500) may need b + 16 = 4479 bits, above the 4096-bit cap
-    start = time.perf_counter()
-    with pytest.raises(PrecisionExhaustedError, match="bits"):
-        identify_complexity(cycle(500))
-    assert time.perf_counter() - start < 1.0
+    # C_500: 250 * 500^2 * 4 = 2.5e8 operations; C_401(1..100), d = 200: about 6.5e9
+    for g in (cycle(500), circulant(401, tuple(range(1, 101)))):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError, match="budget"):
+            identify_complexity(g)
+        assert time.perf_counter() - start < 1.0
 
 
-def test_enclosure_without_a_unique_integer_raises(monkeypatch):
-    monkeypatch.setattr(series, "_bracket", lambda *args: (Fraction(2047999), Fraction(2048001)))
-    with pytest.raises(ExactInvariantError):
+def test_corrupted_walk_counts_raise_a_typed_error(monkeypatch):
+    true_walks = closed_walk_counts(named_graph("petersen"), 10).counts
+
+    def corrupt(k, delta):
+        walks = list(true_walks)
+        walks[k - 1] += delta
+        monkeypatch.setattr(series, "iter_closed_walk_counts", lambda g: iter(walks))
+
+    corrupt(2, 1)  # 2 e_2 = -31 is odd: Newton's identity leaves a remainder
+    with pytest.raises(ExactInvariantError, match="Newton"):
         identify_complexity(named_graph("petersen"))
-    monkeypatch.setattr(series, "_bracket", lambda *args: (Fraction(41, 10), Fraction(49, 10)))
-    with pytest.raises(ExactInvariantError):
-        identify_complexity(named_graph("petersen"))
+    # 10 e_10 carries -w_10, so raising w_10 by 10 m lowers det(7I + A) = 204 800 000 by m
+    for m in (1, 204_800_100):  # a remainder mod n^2 = 100; then det = -100
+        corrupt(10, 10 * m)
+        with pytest.raises(ExactInvariantError, match="nonnegative multiple"):
+            identify_complexity(named_graph("petersen"))
 
 
 def test_identify_matches_exact_count_on_the_bench_ladder():
@@ -176,17 +164,20 @@ def test_identify_matches_exact_count_on_the_bench_ladder():
 
     mods = SimpleNamespace(families=families, graph=graph)
     graphs = {gid: workloads.build_graph(mods, gid) for gid in workloads.identify_gids()}
-    small = {gid: g for gid, g in graphs.items() if g.n <= 60}
-    assert "circ:25:1,2,3,4,5,6" in small and len(small) == 36
-    for gid, g in small.items():
-        assert identify_complexity(g) == spanning_tree_count(complement(g)), gid
+    assert "circ:25:1,2,3,4,5,6" in graphs and "circ:150:1" in graphs and len(graphs) == 41
+    for gid, g in graphs.items():
+        # the paper's claim: the truncated series encloses exactly one integer
+        lo, hi = series_bracket(g.n, regular_degree(g), iter_closed_walk_counts(g))
+        assert math.ceil(lo) == math.floor(hi), gid
+        assert identify_complexity(g) == spanning_tree_count(complement(g)) == math.ceil(lo), gid
 
 
 def test_identify_matches_exact_count_on_random_regulars():
     cases = [(8, 2), (9, 2), (10, 3), (11, 4), (12, 4), (13, 4), (14, 5)]
-    for idx, (n, d) in enumerate(cases):
-        g = random_regular(n, d, seed=300 + idx)
-        assert identify_complexity(g) == spanning_tree_count(complement(g)), (n, d)
+    graphs = [random_regular(n, d, seed=300 + idx) for idx, (n, d) in enumerate(cases)]
+    graphs.append(circulant(61, tuple(range(1, 16))))  # d = 30: at the 2d < n edge
+    for g in graphs:
+        assert identify_complexity(g) == spanning_tree_count(complement(g)), (g.n, g.size)
 
 
 def test_bipartite_inputs_have_zero_odd_terms():
@@ -210,8 +201,8 @@ def test_trailing_partial_pairs_enclose_the_limit_for_petersen():
 
 def test_zero_odd_terms_break_consecutive_partial_bracketing():
     # bipartite inputs have zero odd terms, so consecutive partials can
-    # coincide away from the limit; identification therefore brackets with a
-    # geometric tail bound instead of relying on partial-sum pairs
+    # coincide away from the limit: partial-sum pairs do not bracket it, and
+    # the series bracket in tests/oracles.py uses a geometric tail bound
     ev = evaluate_series(named_graph("paper-bipartite"), 3)
     limit = math.log(2034010)
     assert ev.partials[1] == ev.partials[2]
