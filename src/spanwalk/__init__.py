@@ -15,7 +15,6 @@ from .errors import (
     ConvergenceDomainError,
     DirectedUnsupportedError,
     EdgeListParseError,
-    ExhaustiveBudgetError,
     InputReadError,
     RegularityRequiredError,
     RetryBudgetError,
@@ -66,7 +65,6 @@ __all__ = [
     "ConvergenceDomainError",
     "DirectedUnsupportedError",
     "EdgeListParseError",
-    "ExhaustiveBudgetError",
     "Graph",
     "IdentificationReport",
     "InputReadError",

@@ -54,6 +54,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _format_real(x: float) -> str:
     return format(x, ".17g")
 
@@ -144,14 +154,14 @@ def build_parser() -> _Parser:
 
     walks = sub.add_parser("walks", help="closed-walk counts w_1..w_K")
     _add_graph_source(walks)
-    walks.add_argument("--max-k", type=int, required=True, metavar="K")
+    walks.add_argument("--max-k", type=_positive_int, required=True, metavar="K")
 
     series_parser = sub.add_parser("series", help="log-complexity series of the complement")
     _add_graph_source(series_parser)
     mode = series_parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--eval", action="store_true", help="partial sums through --max-k")
     mode.add_argument("--identify", action="store_true", help="exact integer identification")
-    series_parser.add_argument("--max-k", type=int, metavar="K")
+    series_parser.add_argument("--max-k", type=_positive_int, metavar="K")
 
     bounds_parser = sub.add_parser("bounds", help="closed-form bound families")
     bounds_sub = bounds_parser.add_subparsers(dest="bound", required=True)
@@ -229,31 +239,27 @@ def _bound_doc(report: bounds_mod.BoundReport) -> dict:
     return doc
 
 
-def _cmd_graph(args, parser) -> str:
+def _cmd_graph(args) -> str:
     g = _load_graph(args)
     if args.graph_command == "info":
         return _json(_graph_summary(g)) + "\n"
     return _json({"edge_list": to_edge_list_text(g)}) + "\n"
 
 
-def _cmd_complexity(args, parser) -> str:
+def _cmd_complexity(args) -> str:
     g = _load_graph(args)
     return _json({"n": g.n, "spanning_trees": str(spanning_tree_count(g))}) + "\n"
 
 
-def _cmd_walks(args, parser) -> str:
-    if args.max_k < 1:
-        parser.error("--max-k must be at least 1")
+def _cmd_walks(args) -> str:
     g = _load_graph(args)
     table = closed_walk_counts(g, args.max_k)
     return _json({"max_k": table.max_k, "counts": [str(w) for w in table.counts]}) + "\n"
 
 
-def _cmd_series(args, parser) -> str:
+def _cmd_series(args) -> str:
     g = _load_graph(args)
     if args.eval:
-        if args.max_k < 1:
-            parser.error("--max-k must be at least 1")
         ev = series.evaluate_series(g, args.max_k)
         doc = {
             "n": ev.n,
@@ -274,7 +280,7 @@ def _cmd_series(args, parser) -> str:
     return _json(doc) + "\n"
 
 
-def _cmd_bounds(args, parser) -> str:
+def _cmd_bounds(args) -> str:
     g = _load_graph(args)
     if args.bound == "prop1":
         d = regular_degree(g)
@@ -296,7 +302,7 @@ def _cmd_bounds(args, parser) -> str:
     return _json({"lower": _bound_doc(lower), "upper": _bound_doc(upper)}) + "\n"
 
 
-def _cmd_construct(args, parser) -> str:
+def _cmd_construct(args) -> str:
     if args.g_family is not None:
         k, l = args.g_family
         g = families.g_family(k, l)
@@ -312,7 +318,7 @@ def _cmd_construct(args, parser) -> str:
     return _json(doc) + "\n"
 
 
-def _cmd_synchrony(args, parser) -> str:
+def _cmd_synchrony(args) -> str:
     g = _load_graph(args)
     mode = "exhaustive" if args.mode == "exhaustive" else "monte-carlo"
     outcome = synchrony.measure_synchrony(
@@ -351,7 +357,23 @@ _COMMANDS = {
 
 
 def run(argv: list[str], out=None) -> int:
-    """Parse argv, execute, and write the result; returns the process exit code."""
+    """Parse argv, execute, and write the result; returns the process exit code.
+
+    Exact integers print in full: the interpreter's limit on the digits of an
+    int-to-str conversion is lifted while the command runs and restored after.
+    """
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is None:
+        return _run(argv, out)
+    saved = sys.get_int_max_str_digits()
+    set_digits(0)
+    try:
+        return _run(argv, out)
+    finally:
+        set_digits(saved)
+
+
+def _run(argv: list[str], out) -> int:
     out = out if out is not None else sys.stdout
     parser = build_parser()
     try:
@@ -360,9 +382,7 @@ def run(argv: list[str], out=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _COMMANDS[args.command](args, parser)
-    except SystemExit as exc:  # late parser.error calls (option value checks)
-        return int(exc.code or 0)
+        text = _COMMANDS[args.command](args)
     except ToolkitError as exc:
         code, message = exc.code, str(exc)
     except ValueError as exc:

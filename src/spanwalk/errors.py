@@ -62,12 +62,6 @@ class BipartiteRequiredError(ToolkitError):
     code = "bipartite-required"
 
 
-class ExhaustiveBudgetError(ToolkitError):
-    """An exhaustive sweep would exceed the configured subset budget."""
-
-    code = "exhaustive-budget"
-
-
 class RetryBudgetError(ToolkitError):
     """A rejection sampler ran out of attempts before producing a valid graph."""
 

@@ -13,10 +13,17 @@ from math import comb
 from operator import add, mul
 from typing import Iterator
 
-from .errors import DirectedUnsupportedError, ExactInvariantError, RegularityRequiredError
+from .errors import (
+    DirectedUnsupportedError,
+    ExactInvariantError,
+    RegularityRequiredError,
+    WorkBudgetError,
+)
 from .graph import Graph, regular_degree
 
 Matrix = list[list[int]]
+
+_MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 
 
 def _bareiss_determinant(matrix: Matrix) -> int:
@@ -151,23 +158,15 @@ def elementary_symmetric(power_sums: list[int]) -> list[int]:
     return e
 
 
-def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
-    """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
+def _power_sums_past(head: list[int]) -> Iterator[int]:
+    """Yield p_(n+1), p_(n+2), ... of n values from their power sums p_1..p_n.
 
-    Orders k <= n come from Frobenius inner products of adjacency powers.  Past
-    order n the characteristic polynomial, found from w_1..w_n by Newton's
-    identities, gives each w_k by the Cayley-Hamilton recurrence
-    w_k = sum_i c_i w_(k-i), c_i = (-1)^(i-1) e_i, over the last n counts.
-    All arithmetic is on exact integers.
+    Newton's identities give the elementary symmetric polynomials e_i of the
+    values, and the Cayley-Hamilton recurrence p_k = sum_i c_i p_(k-i),
+    c_i = (-1)^(i-1) e_i, continues over the last n sums.  Nothing is
+    computed until the first value is asked for.
     """
-    if g.directed:
-        raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
-    n = g.n
-    head = []
-    # the phase-one generator, and with it every matrix, is released when islice stops
-    for w in islice(_frobenius_walks([sorted(s) for s in g.neighbor_sets()]), n):
-        head.append(w)
-        yield w
+    n = len(head)
     e = elementary_symmetric(head)
     # c_n..c_1, aligned oldest-first with the window
     coeffs = [(-1) ** (i - 1) * e[i] for i in range(n, 0, -1)]
@@ -175,9 +174,50 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     coeffs = [c for c in coeffs if c]
     window = deque(head, maxlen=n)
     while True:
-        w = sum(map(mul, coeffs, compress(window, nonzero)))
-        window.append(w)
+        p = sum(map(mul, coeffs, compress(window, nonzero)))
+        window.append(p)
+        yield p
+
+
+def check_table_price(g: Graph, count: int) -> int:
+    """The price of `count` power sums of g's adjacency or Laplacian spectrum.
+
+    The price is counted in integer operations from integers alone.  Orders
+    up to n take ceil(min(count, n)/2) matrix products of n(2|E| + 2n)
+    operations, n^2 (d+2) for a d-regular graph.  Past order n each order adds
+    the size of its integers: walk counts, Laplacian traces and the series
+    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor n,
+    about k bit_length(2n) bits.  Raises WorkBudgetError, before any work,
+    when the price exceeds _MAX_WALK_WORK.
+    """
+    n = g.n
+    price = -(-min(count, n) // 2) * n * (2 * g.size + 2 * n)
+    if count > n:
+        price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
+    if price > _MAX_WALK_WORK:
+        raise WorkBudgetError(
+            f"{count} power sums of a graph on {n} vertices cost about {price} "
+            f"integer operations; the budget is {_MAX_WALK_WORK}"
+        )
+    return price
+
+
+def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
+    """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
+
+    Orders k <= n come from Frobenius inner products of adjacency powers, and
+    later orders from the characteristic polynomial of A by the Cayley-Hamilton
+    recurrence (_power_sums_past).  All arithmetic is on exact integers.
+    Callers that stop at a known order price the table first (check_table_price).
+    """
+    if g.directed:
+        raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
+    head = []
+    # the phase-one generator, and with it every matrix, is released when islice stops
+    for w in islice(_frobenius_walks([sorted(s) for s in g.neighbor_sets()]), g.n):
+        head.append(w)
         yield w
+    yield from _power_sums_past(head)
 
 
 @dataclass(frozen=True)
@@ -200,6 +240,7 @@ def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
     """Closed-walk counts up to order max_k."""
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
+    check_table_price(g, max_k)
     return WalkTable(tuple(islice(iter_closed_walk_counts(g), max_k)))
 
 
@@ -228,18 +269,22 @@ class LaplacianTraceTable:
 def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     """Traces tr(L^r) for r = 1..max_r of a regular graph.
 
-    Computed from closed-walk counts through the binomial expansion of (dI - A)^r.
+    Powers up to n come from closed-walk counts through the binomial expansion
+    of (dI - A)^r; later powers continue from those n traces by the
+    Cayley-Hamilton recurrence of L.
     """
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
     d = regular_degree(g)
     if d is None:
         raise RegularityRequiredError("Laplacian trace tables are built for regular graphs")
-    walks = closed_walk_counts(g, max_r)
-    traces = []
-    for r in range(1, max_r + 1):
-        total = comb(r, 0) * d**r * g.n  # i = 0 term uses tr(A^0) = n
-        for i in range(1, r + 1):
-            total += (-1) ** i * comb(r, i) * d ** (r - i) * walks.w(i)
-        traces.append(total)
+    check_table_price(g, max_r)
+    n = g.n
+    walks = (n,) + closed_walk_counts(g, min(max_r, n)).counts  # tr(A^0) = n
+    traces = [
+        sum((-1) ** i * comb(r, i) * d ** (r - i) * walks[i] for i in range(r + 1))
+        for r in range(1, len(walks))
+    ]
+    if max_r > n:
+        traces += islice(_power_sums_past(traces[:]), max_r - n)
     return LaplacianTraceTable(degree=d, traces=tuple(traces))

@@ -8,6 +8,8 @@ import random
 from .errors import RetryBudgetError
 from .graph import Graph
 
+_MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
+
 # Bundled example graphs, given as literal edge sets on vertices 0..9.
 _PETERSEN_EDGES = (
     # outer 5-cycle, inner 5-cycle stepping by two, and the five spokes
@@ -77,7 +79,7 @@ def g_family(k: int, l: int) -> Graph:
     return Graph(2 * side + 1, frozenset(edges))
 
 
-def random_regular(n: int, d: int, seed: int, max_attempts: int = 200_000) -> Graph:
+def random_regular(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular simple graph on n vertices, by pairing with rejection.
 
     Each attempt shuffles the nd degree stubs and pairs them consecutively;
@@ -91,7 +93,7 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 200_000) -> Gr
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rng.shuffle(stubs)
         edges: set[tuple[int, int]] = set()
         ok = True
@@ -108,11 +110,11 @@ def random_regular(n: int, d: int, seed: int, max_attempts: int = 200_000) -> Gr
         if ok:
             return Graph(n, frozenset(edges))
     raise RetryBudgetError(
-        f"no simple {d}-regular pairing on {n} vertices within {max_attempts} attempts"
+        f"no simple {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )
 
 
-def random_regular_bipartite(n: int, d: int, seed: int, max_attempts: int = 200_000) -> Graph:
+def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular bipartite simple graph with parts 0..n/2-1 and n/2..n-1.
 
     Same rejection scheme as random_regular, pairing left stubs with shuffled
@@ -126,11 +128,11 @@ def random_regular_bipartite(n: int, d: int, seed: int, max_attempts: int = 200_
     rng = random.Random(seed)
     left = [v for v in range(half) for _ in range(d)]
     right = [half + v for v in range(half) for _ in range(d)]
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         rng.shuffle(right)
         edges = set(zip(left, right))
         if len(edges) == half * d:
             return Graph(n, frozenset(edges))
     raise RetryBudgetError(
-        f"no simple bipartite {d}-regular pairing on {n} vertices within {max_attempts} attempts"
+        f"no simple bipartite {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )

@@ -25,13 +25,16 @@ from .errors import (
     DirectedUnsupportedError,
     ExactInvariantError,
     RegularityRequiredError,
-    WorkBudgetError,
 )
-from .exact import closed_walk_counts, elementary_symmetric, iter_closed_walk_counts
+from .exact import (
+    check_table_price,
+    closed_walk_counts,
+    elementary_symmetric,
+    iter_closed_walk_counts,
+)
 from .graph import Graph, regular_degree
 
 _EVAL_PREC = 96  # working significand bits for partial-sum evaluation
-_MAX_WALK_WORK = 2**26  # integer operations identification may spend on walk counts
 
 
 def _checked_parameters(g: Graph) -> tuple[int, int]:
@@ -142,17 +145,12 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     divided by n^2 exactly.  A remainder or a negative value raises
     ExactInvariantError.
 
-    Raises WorkBudgetError, before any walk is counted, when the walk
-    engine's matrix phase, about ceil(n/2) n^2 (d+2) integer operations,
-    would exceed _MAX_WALK_WORK.
+    Raises WorkBudgetError, before any walk is counted, when w_1..w_n,
+    about ceil(n/2) n^2 (d+2) integer operations, are over the walk engine's
+    price limit (exact.check_table_price).
     """
     n, d = _checked_parameters(g)
-    work = -(-n // 2) * n * n * (d + 2)
-    if work > _MAX_WALK_WORK:
-        raise WorkBudgetError(
-            f"w_1..w_{n} need about {work} integer operations (n={n}, d={d}); "
-            f"the budget is {_MAX_WALK_WORK}"
-        )
+    check_table_price(g, n)
     det = 0
     for e_j in elementary_symmetric(list(islice(iter_closed_walk_counts(g), n))):
         det = det * (n - d) + e_j

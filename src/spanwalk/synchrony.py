@@ -24,10 +24,10 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import ExhaustiveBudgetError
+from .errors import WorkBudgetError
 from .graph import Graph
 
-EXHAUSTIVE_BUDGET = 2_000_000
+EXHAUSTIVE_BUDGET = 2_000_000  # most k-subsets an exhaustive sweep visits
 
 
 def _in_neighbor_masks(g: Graph) -> list[int]:
@@ -139,14 +139,17 @@ def measure_synchrony(
     mode: str = "exhaustive",
     samples: int | None = None,
     seed64: int | None = None,
-    budget: int = EXHAUSTIVE_BUDGET,
 ) -> SynchronyOutcome:
-    """Measure p_k and e_k over k-subsets, exhaustively or by Monte Carlo."""
+    """Measure p_k and e_k over k-subsets, exhaustively or by Monte Carlo.
+
+    An exhaustive sweep over more than EXHAUSTIVE_BUDGET subsets raises
+    WorkBudgetError before any seed is evaluated.
+    """
     _check_threshold(t)
     if not 1 <= k <= g.n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
     if mode == "exhaustive":
-        return _measure_exhaustive(g, t, k, budget)
+        return _measure_exhaustive(g, t, k)
     if mode == "monte-carlo":
         if samples is None or samples < 1:
             raise ValueError("monte-carlo mode needs samples >= 1")
@@ -181,11 +184,12 @@ def _mean_contribution(histogram: dict[int, int], total: int) -> Fraction:
     return sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total
 
 
-def _measure_exhaustive(g: Graph, t: int, k: int, budget: int) -> SynchronyOutcome:
+def _measure_exhaustive(g: Graph, t: int, k: int) -> SynchronyOutcome:
     total = comb(g.n, k)
-    if total > budget:
-        raise ExhaustiveBudgetError(
-            f"C({g.n}, {k}) = {total} subsets exceeds the budget of {budget}; use monte-carlo mode"
+    if total > EXHAUSTIVE_BUDGET:
+        raise WorkBudgetError(
+            f"C({g.n}, {k}) = {total} subsets exceeds the budget of {EXHAUSTIVE_BUDGET}; "
+            "use monte-carlo mode"
         )
     histogram, stalled = _sweep(g, t, map(_subset_mask, combinations(range(g.n), k)))
     return SynchronyOutcome(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 from math import comb, exp, log
 
 import pytest
@@ -223,6 +224,16 @@ def test_thm3_sandwich_on_random_bipartite_regulars():
             assert exact <= hi.linear_value * (1 + 1e-12), (n, d, m)
             if lo.preconditions_ok:
                 assert lo.linear_value <= exact * (1 + 1e-12), (n, d, m)
+
+
+def test_thm2_at_high_order_is_fast():
+    # traces past order n come from the recurrence, not r-term binomial sums
+    start = time.perf_counter()
+    r = thm2_lower(named_graph("petersen"), 1000)
+    assert time.perf_counter() - start < 1.0
+    # few distinct Laplacian eigenvalues: at m = 1000 the bound meets t = 2 048 000
+    assert r.preconditions_ok
+    assert r.log_value == pytest.approx(math.log(2048000), rel=1e-12)
 
 
 def test_linear_value_is_exp_of_log_value():

@@ -5,13 +5,14 @@ from __future__ import annotations
 import io
 import json
 import math
+import sys
 import time
 
 import pytest
 
-from spanwalk import cli, complement, spanning_tree_count
+from spanwalk import cli, complement, exact, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
-from oracles import cycle
+from oracles import complete, cycle
 
 
 def _run(argv):
@@ -161,6 +162,52 @@ def test_identify_over_the_work_budget_exits_2_at_once(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["walks", "--named", "petersen", "--max-k", "200000"],
+        ["series", "--eval", "--named", "petersen", "--max-k", "200000"],
+        ["bounds", "thm2", "--named", "petersen", "--m", "200000"],
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", "100000", "--k", "2"],
+    ],
+)
+def test_walk_tables_over_the_price_exit_2_at_once(monkeypatch, argv):
+    def no_walks(g):
+        raise AssertionError("walks counted before the price check")
+
+    monkeypatch.setattr(exact, "iter_closed_walk_counts", no_walks)
+    start = time.perf_counter()
+    code, doc = _run_json(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
+def test_exhaustive_synchrony_over_the_budget_exits_2(monkeypatch, tmp_path):
+    def no_sweep(*args):
+        raise AssertionError("seeds evaluated before the budget check")
+
+    monkeypatch.setattr(synchrony, "_sweep", no_sweep)
+    path = _write_cycle(tmp_path, 40)  # C(40, 20) k-subsets
+    code, doc = _run_json(["synchrony", "--edge-list", str(path), "--t", "1", "--k", "20"])
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+    assert "monte-carlo" in doc["error"]["message"]
+
+
+def test_walk_counts_print_in_full_past_the_digit_limit(tmp_path):
+    path = tmp_path / "k30.txt"
+    path.write_text(to_edge_list_text(complete(30)))
+    limit = sys.get_int_max_str_digits()
+    code, doc = _run_json(["walks", "--edge-list", str(path), "--max-k", "3000"])
+    assert sys.get_int_max_str_digits() == limit  # the caller's limit is restored
+    assert code == 0 and doc["max_k"] == 3000
+    # spectrum of K_30: 29 once, -1 29 times, so w_3000 = 29^3000 + 29, 4388 digits
+    last = doc["counts"][-1]
+    assert len(last) == 4388 > limit
+    assert int(last[-6:]) == (pow(29, 3000, 10**6) + 29) % 10**6
+
+
+@pytest.mark.parametrize(
     "failure",
     [
         OverflowError("int too large to convert to float"),
@@ -169,7 +216,7 @@ def test_identify_over_the_work_budget_exits_2_at_once(tmp_path):
     ],
 )
 def test_numeric_failures_exit_2_with_error_document(monkeypatch, failure):
-    def raising(args, parser):
+    def raising(args):
         raise failure
 
     monkeypatch.setitem(cli._COMMANDS, "walks", raising)

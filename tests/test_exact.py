@@ -255,10 +255,29 @@ def test_laplacian_traces_frozen_value():
 
 
 def test_laplacian_traces_high_orders_cross_check():
+    # powers past n come from the Cayley-Hamilton recurrence of L, not the binomial sum
+    cases = [named_graph("petersen"), named_graph("paper-h")]
     for idx, (n, d) in enumerate([(6, 2), (8, 3), (10, 3), (12, 4)]):
-        g = random_regular(n, d, seed=7000 + idx)
-        table = laplacian_traces(g, 8)
-        assert list(table.traces) == direct_laplacian_traces(g, 8)
+        cases.append(random_regular(n, d, seed=7000 + idx))
+    for g in cases:
+        max_r = 3 * g.n + 3
+        assert list(laplacian_traces(g, max_r).traces) == direct_laplacian_traces(g, max_r)
+    # the Laplacian spectrum of the Petersen graph: 0 once, 2 five times, 5 four times
+    table = laplacian_traces(named_graph("petersen"), 1000)
+    assert list(table.traces) == [5 * 2**r + 4 * 5**r for r in range(1, 1001)]
+
+
+@pytest.mark.parametrize(
+    "g", [named_graph("petersen"), named_graph("paper-h"), cycle(150), circulant(25, (1, 2, 3))]
+)
+def test_table_price_at_order_n_is_the_matrix_phase(g):
+    n, d = g.n, 2 * g.size // g.n
+    assert exact.check_table_price(g, n) == -(-n // 2) * n * n * (d + 2)
+    assert exact.check_table_price(g, n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
+    # order k past n adds k bit_length(2n), the bits of its integers
+    bits = (2 * n).bit_length()
+    past = exact.check_table_price(g, n + 3) - exact.check_table_price(g, n)
+    assert past == bits * (3 * n + 6)
 
 
 def test_laplacian_traces_requires_regular():

@@ -22,6 +22,7 @@ from spanwalk import (
     to_edge_list_text,
     triangle_count,
 )
+from spanwalk import families
 from oracles import brute_force_triangles
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -121,14 +122,15 @@ def test_random_regular_determinism():
     assert a != c  # overwhelmingly likely for distinct seeds; frozen here
 
 
-def test_random_regular_forced_outcomes_and_errors():
+def test_random_regular_forced_outcomes_and_errors(monkeypatch):
     assert random_regular(4, 3, seed=0).size == 6  # only K_4 is 3-regular on 4 vertices
     with pytest.raises(ValueError, match="even"):
         random_regular(5, 3, seed=0)
     with pytest.raises(ValueError):
         random_regular(4, 4, seed=0)
+    monkeypatch.setattr(families, "_MAX_ATTEMPTS", 1)
     with pytest.raises(RetryBudgetError):
-        random_regular(6, 5, seed=0, max_attempts=1)
+        random_regular(6, 5, seed=0)
 
 
 def test_random_regular_bipartite_properties():

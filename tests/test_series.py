@@ -130,8 +130,9 @@ def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
         raise AssertionError("walks counted before the budget check")
 
     monkeypatch.setattr(series, "iter_closed_walk_counts", no_walks)
-    # C_500: 250 * 500^2 * 4 = 2.5e8 operations; C_401(1..100), d = 200: about 6.5e9
-    for g in (cycle(500), circulant(401, tuple(range(1, 101)))):
+    # C_323: 162 * 323^2 * 4 = 67 605 192 > 2^26 operations (C_322 is admitted);
+    # C_500: 250 * 500^2 * 4 = 2.5e8; C_401(1..100), d = 200: about 6.5e9
+    for g in (cycle(323), cycle(500), circulant(401, tuple(range(1, 101)))):
         start = time.perf_counter()
         with pytest.raises(WorkBudgetError, match="budget"):
             identify_complexity(g)

@@ -9,8 +9,8 @@ from itertools import combinations
 import pytest
 
 from spanwalk import (
-    ExhaustiveBudgetError,
     Graph,
+    WorkBudgetError,
     fixed_point,
     measure_synchrony,
     named_graph,
@@ -109,8 +109,9 @@ def test_petersen_single_seed_sweep():
 
 
 def test_exhaustive_budget():
-    with pytest.raises(ExhaustiveBudgetError, match="monte-carlo"):
-        measure_synchrony(Graph(40), t=1, k=20, budget=1000)
+    # C(40, 20) = 137 846 528 820 subsets, far past EXHAUSTIVE_BUDGET
+    with pytest.raises(WorkBudgetError, match="monte-carlo"):
+        measure_synchrony(Graph(40), t=1, k=20)
 
 
 def test_measure_validation():
