@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import random
 
-from .errors import RetryBudgetError
+from .errors import RetryBudgetError, WorkBudgetError
 from .graph import Graph
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
+_MAX_FAMILY_PAIRS = 1 << 16  # most x-y pairs g_family lays out before WorkBudgetError
 
 # Bundled example graphs, given as literal edge sets on vertices 0..9.
 _PETERSEN_EDGES = (
@@ -58,10 +59,21 @@ def g_family(k: int, l: int) -> Graph:
     hub z.  Join every x to every y, then delete an (l+1)-regular cyclic-shift
     factor between {x_0..x_{k-1}} and {y_0..y_{k-1}} and an l-regular
     cyclic-shift factor between the remaining x's and y's.  Finally join z to
-    x_0..x_{k-1} and y_0..y_{k-1}.  Requires k > l >= 0.
+    x_0..x_{k-1} and y_0..y_{k-1}.  Requires k > l >= 0.  Laying out more
+    than _MAX_FAMILY_PAIRS x-y pairs raises WorkBudgetError before any edge
+    is built.
     """
     if l < 0 or k <= l:
         raise ValueError(f"need k > l >= 0, got k={k}, l={l}")
+    side = 2 * k + l
+    if side * side > _MAX_FAMILY_PAIRS:
+        raise WorkBudgetError(
+            f"g_family({k}, {l}) lays out {side * side} x-y pairs, over the budget of {_MAX_FAMILY_PAIRS}"
+        )
+    return Graph(2 * side + 1, frozenset(_g_family_edges(k, l)))
+
+
+def _g_family_edges(k: int, l: int) -> set[tuple[int, int]]:
     side = 2 * k + l
     xs = list(range(side))
     ys = [side + i for i in range(side)]
@@ -76,7 +88,7 @@ def g_family(k: int, l: int) -> Graph:
     for i in range(k):
         edges.add((xs[i], hub))
         edges.add((ys[i], hub))
-    return Graph(2 * side + 1, frozenset(edges))
+    return edges
 
 
 def random_regular(n: int, d: int, seed: int) -> Graph:

@@ -28,32 +28,44 @@ from .errors import WorkBudgetError
 from .graph import Graph
 
 EXHAUSTIVE_BUDGET = 2_000_000  # most k-subsets an exhaustive sweep visits
+_MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of seeds holds
+
+# The engine is bit-sliced (Biham, FSE 1997): every vertex holds one int whose
+# bit s says "active under seed s", so one round advances every seed (lane) of
+# a block at once.
 
 
-def _in_neighbor_masks(g: Graph) -> list[int]:
-    masks = [0] * g.n
-    for u, v in g.edges:
-        masks[v] |= 1 << u
-        if not g.directed:
-            masks[u] |= 1 << v
-    return masks
+def _live_sources(g: Graph, t: int) -> list[tuple[int, tuple[int, ...]]]:
+    """(v, in-neighbours of v) for each v with at least t in-neighbours: no other vertex can turn on."""
+    return [(v, tuple(src)) for v, src in enumerate(g.in_neighbor_sets()) if len(src) >= t]
 
 
-def _step_mask(masks: list[int], active: int, t: int, n: int) -> int:
-    new = active
-    for v in range(n):
-        if not (active >> v) & 1 and (masks[v] & active).bit_count() >= t:
-            new |= 1 << v
-    return new
+def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
+    """One synchronous round on every lane: v turns on where at least t in-neighbours are on."""
+    nxt = x[:]
+    for v, src in live:
+        # c[j] holds the lanes with more than j active in-neighbours among those seen
+        c = [0] * t
+        for seen, u in enumerate(src):
+            xu = x[u]
+            for j in range(min(t - 1, seen), 0, -1):
+                c[j] |= c[j - 1] & xu
+            c[0] |= xu
+        nxt[v] |= c[-1]
+    return nxt
 
 
-def _check_seed(g: Graph, seed: Iterable[int]) -> int:
-    mask = 0
+def _one_lane(g: Graph, seed: Iterable[int]) -> list[int]:
+    x = [0] * g.n
     for v in seed:
         if not 0 <= v < g.n:
             raise ValueError(f"seed vertex {v} out of range for n={g.n}")
-        mask |= 1 << v
-    return mask
+        x[v] = 1
+    return x
+
+
+def _active(x: list[int]) -> frozenset[int]:
+    return frozenset(v for v, xv in enumerate(x) if xv)
 
 
 def _check_threshold(t: int) -> None:
@@ -64,42 +76,24 @@ def _check_threshold(t: int) -> None:
 def spread_step(g: Graph, active: Iterable[int], t: int) -> frozenset[int]:
     """One synchronous round: the active set together with every newly activated vertex."""
     _check_threshold(t)
-    mask = _step_mask(_in_neighbor_masks(g), _check_seed(g, active), t, g.n)
-    return frozenset(v for v in range(g.n) if (mask >> v) & 1)
+    return _active(_round(_live_sources(g, t), t, _one_lane(g, active)))
 
 
 def fixed_point(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
     """The limit of repeated spreading from seed (reached within n rounds)."""
     _check_threshold(t)
-    masks = _in_neighbor_masks(g)
-    cur = _check_seed(g, seed)
-    while True:
-        nxt = _step_mask(masks, cur, t, g.n)
-        if nxt == cur:
-            return frozenset(v for v in range(g.n) if (cur >> v) & 1)
-        cur = nxt
-
-
-def _index_mask(masks: list[int], seed_mask: int, t: int, n: int) -> int | float:
-    full = (1 << n) - 1
-    if seed_mask == full:
-        return 0
-    cur = seed_mask
-    rounds = 0
-    while True:
-        nxt = _step_mask(masks, cur, t, n)
-        if nxt == full:
-            return rounds + 1
-        if nxt == cur:
-            return math.inf
-        cur = nxt
-        rounds += 1
+    live = _live_sources(g, t)
+    x = _one_lane(g, seed)
+    while (nxt := _round(live, t, x)) != x:
+        x = nxt
+    return _active(x)
 
 
 def synchrony_index(g: Graph, seed: Iterable[int], t: int) -> int | float:
     """Rounds until full activation: 0 for the full seed, math.inf when spreading stalls."""
     _check_threshold(t)
-    return _index_mask(_in_neighbor_masks(g), _check_seed(g, seed), t, g.n)
+    histogram, stalled = _sweep(g, t, [(_one_lane(g, seed), 1)])
+    return math.inf if stalled else next(iter(histogram))
 
 
 @dataclass(frozen=True)
@@ -159,25 +153,109 @@ def measure_synchrony(
     raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
 
 
-def _subset_mask(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
+def _sweep(
+    g: Graph, t: int, blocks: Iterable[tuple[list[int], int]]
+) -> tuple[dict[int, int], int]:
+    """Histogram of the finite synchrony indices over every lane of blocks, and the stalled count.
 
-
-def _sweep(g: Graph, t: int, seed_masks: Iterable[int]) -> tuple[dict[int, int], int]:
-    """Histogram of the finite synchrony indices over seed_masks, and the stalled count."""
-    masks = _in_neighbor_masks(g)
+    A block is (x, lanes): x[v] is vertex v's lane int.  A lane's index is the
+    round at which the AND of all x first sets its bit; a block stops when all
+    its lanes are full or a round changes no int.  Keys come in ascending order.
+    """
+    live = _live_sources(g, t)
     histogram: dict[int, int] = {}
     stalled = 0
-    for seed_mask in seed_masks:
-        index = _index_mask(masks, seed_mask, t, g.n)
-        if index == math.inf:
-            stalled += 1
-        else:
-            histogram[index] = histogram.get(index, 0) + 1
-    return histogram, stalled
+    for x, lanes in blocks:
+        ones = (1 << lanes) - 1
+        counted = 0  # lanes whose index is known
+        rounds = 0
+        while True:
+            full = ones
+            for xv in x:
+                full &= xv
+                if not full:
+                    break
+            if full != counted:
+                histogram[rounds] = histogram.get(rounds, 0) + (full ^ counted).bit_count()
+                counted = full
+            if counted == ones:
+                break
+            nxt = _round(live, t, x)
+            if nxt == x:
+                break
+            x = nxt
+            rounds += 1
+        stalled += lanes - counted.bit_count()
+    return dict(sorted(histogram.items())), stalled
+
+
+def _tail_lanes(top: int, j: int):
+    """(m, X(m, j)) for m = j..top, where X(m, j)[v] has bit s set when v is in
+    the s-th tuple of combinations(range(m), j).
+
+    The j-subsets of m vertices are those holding vertex 0, then the rest, so
+    X(m, i)[0] = ones(C(m-1, i-1)) and X(m, i)[v] = X(m-1, i-1)[v-1] |
+    X(m-1, i)[v-1] << C(m-1, i-1).  Built bottom-up, keeping one level of the
+    i that a later X(m', j) still needs: its lanes number at most C(top, j).
+    """
+    level = {0: []}  # X(0, 0): no vertices, one lane (the empty subset)
+    for m in range(top + 1):
+        if m:
+            new = {}
+            for i in range(max(0, j - (top - m)), min(m, j) + 1):
+                if i == 0:
+                    new[0] = [0] * m
+                    continue
+                shift = comb(m - 1, i - 1)
+                rest = level.get(i, [0] * (m - 1))  # X(m-1, i) holds no lane when i = m
+                new[i] = [(1 << shift) - 1] + [a | b << shift for a, b in zip(level[i - 1], rest)]
+            level = new
+        if m >= j:
+            yield m, level[j]
+
+
+def _exhaustive_blocks(n: int, k: int):
+    """Every k-subset of range(n) once, as blocks (x, lanes) with n × lanes <= _MAX_BLOCK_BITS.
+
+    A block is the set of subsets with one fixed prefix of r smallest
+    vertices, r as small as fits (at r = k a block is one subset), in
+    combinations order; with r = 0 the one block is combinations(range(n), k)
+    itself.
+    """
+    r = next(r for r in range(k + 1) if r == k or n * comb(n - r, k - r) <= _MAX_BLOCK_BITS)
+    vertices = tuple(range(n))  # sliced below, so that no level rebuilds the pool of prefixes
+    for m, tail in _tail_lanes(n - r, k - r):
+        lanes = comb(m, k - r)
+        head = n - m  # vertices before the tail; the prefix ends at head - 1
+        if r == 0:
+            if m == n:
+                yield tail, lanes
+            continue
+        ones = (1 << lanes) - 1
+        for prefix in combinations(vertices[: head - 1], r - 1):
+            x = [0] * head + tail
+            for v in prefix:
+                x[v] = ones
+            x[head - 1] = ones
+            yield x, lanes
+
+
+def _sampled_blocks(n: int, k: int, samples: int, rng: random.Random):
+    """samples draws of rng.sample(range(n), k), in draw order, as blocks (x, lanes).
+
+    Each block streams its draws into per-vertex bytearray rows, one bit per
+    lane, and converts each row once.
+    """
+    per_block = max(1, _MAX_BLOCK_BITS // n)
+    vertices = range(n)
+    for first in range(0, samples, per_block):
+        lanes = min(per_block, samples - first)
+        rows = [bytearray((lanes + 7) // 8) for _ in vertices]
+        for s in range(lanes):
+            byte, bit = s >> 3, 1 << (s & 7)
+            for v in rng.sample(vertices, k):
+                rows[v][byte] |= bit
+        yield [int.from_bytes(row, "little") for row in rows], lanes
 
 
 def _mean_contribution(histogram: dict[int, int], total: int) -> Fraction:
@@ -191,7 +269,7 @@ def _measure_exhaustive(g: Graph, t: int, k: int) -> SynchronyOutcome:
             f"C({g.n}, {k}) = {total} subsets exceeds the budget of {EXHAUSTIVE_BUDGET}; "
             "use monte-carlo mode"
         )
-    histogram, stalled = _sweep(g, t, map(_subset_mask, combinations(range(g.n), k)))
+    histogram, stalled = _sweep(g, t, _exhaustive_blocks(g.n, k))
     return SynchronyOutcome(
         k=k,
         t=t,
@@ -209,10 +287,7 @@ def _measure_exhaustive(g: Graph, t: int, k: int) -> SynchronyOutcome:
 def _measure_monte_carlo(g: Graph, t: int, k: int, samples: int, seed64: int) -> SynchronyOutcome:
     # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
     rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
-    vertices = range(g.n)
-    histogram, stalled = _sweep(
-        g, t, (_subset_mask(rng.sample(vertices, k)) for _ in range(samples))
-    )
+    histogram, stalled = _sweep(g, t, _sampled_blocks(g.n, k, samples, rng))
     p_hat = (samples - stalled) / samples
     e_exact = _mean_contribution(histogram, samples)
     p_stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)

@@ -6,11 +6,14 @@ powers, triangles from vertex-triple scans, and spanning-tree counts from
 deletion-contraction on explicit multigraph edge lists or from rational
 Gaussian elimination on the Laplacian minor in natural vertex order.  The
 series bracket takes walk counts from its caller and encloses t(complement)
-with the paper's truncated series and an outward-rounded exponential.
+with the paper's truncated series and an outward-rounded exponential.  The
+synchrony sweep spreads one seed at a time with a Python loop over the
+vertices per round.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -200,6 +203,51 @@ def series_bracket(n: int, d: int, walks: Iterable[int]) -> tuple[Fraction, Frac
     return ends[0], ends[1]
 
 
+def _step_mask(masks: list[int], active: int, t: int, n: int) -> int:
+    new = active
+    for v in range(n):
+        if not (active >> v) & 1 and (masks[v] & active).bit_count() >= t:
+            new |= 1 << v
+    return new
+
+
+def _index_mask(masks: list[int], seed_mask: int, t: int, n: int) -> int | float:
+    full = (1 << n) - 1
+    if seed_mask == full:
+        return 0
+    cur = seed_mask
+    rounds = 0
+    while True:
+        nxt = _step_mask(masks, cur, t, n)
+        if nxt == full:
+            return rounds + 1
+        if nxt == cur:
+            return math.inf
+        cur = nxt
+        rounds += 1
+
+
+def synchrony_sweep(g: Graph, t: int, seeds: Iterable[Iterable[int]]) -> tuple[dict[int, int], int]:
+    """Histogram of the finite synchrony indices over seeds, and the stalled count.
+
+    Each seed is a collection of vertices, spread on its own: a vertex
+    activates once at least t of its in-neighbours are active.
+    """
+    masks = [0] * g.n
+    for v, sources in enumerate(g.in_neighbor_sets()):
+        for u in sources:
+            masks[v] |= 1 << u
+    histogram: dict[int, int] = {}
+    stalled = 0
+    for seed in seeds:
+        index = _index_mask(masks, sum(1 << v for v in set(seed)), t, g.n)
+        if index == math.inf:
+            stalled += 1
+        else:
+            histogram[index] = histogram.get(index, 0) + 1
+    return histogram, stalled
+
+
 def gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi sample, independent of the package's generators."""
     rng = random.Random(seed)
@@ -210,6 +258,13 @@ def gnp(n: int, p: float, seed: int) -> Graph:
         if rng.random() < p
     }
     return Graph(n, frozenset(edges))
+
+
+def directed_gnp(n: int, p: float, seed: int) -> Graph:
+    """Random digraph: each ordered pair u != v is an arc with probability p."""
+    rng = random.Random(seed)
+    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+    return Graph(n, frozenset(arcs), directed=True)
 
 
 def cycle(n: int) -> Graph:

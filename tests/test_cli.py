@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from spanwalk import cli, complement, exact, spanning_tree_count, synchrony, to_edge_list_text
+from spanwalk import cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
 from oracles import complete, cycle
 
@@ -183,10 +183,11 @@ def test_walk_tables_over_the_price_exit_2_at_once(monkeypatch, argv):
 
 
 def test_exhaustive_synchrony_over_the_budget_exits_2(monkeypatch, tmp_path):
-    def no_sweep(*args):
-        raise AssertionError("seeds evaluated before the budget check")
+    def no_seeds(*args):
+        raise AssertionError("seeds built or evaluated before the budget check")
 
-    monkeypatch.setattr(synchrony, "_sweep", no_sweep)
+    monkeypatch.setattr(synchrony, "_exhaustive_blocks", no_seeds)
+    monkeypatch.setattr(synchrony, "_sweep", no_seeds)
     path = _write_cycle(tmp_path, 40)  # C(40, 20) k-subsets
     code, doc = _run_json(["synchrony", "--edge-list", str(path), "--t", "1", "--k", "20"])
     assert code == 2
@@ -246,6 +247,18 @@ def test_construct_g_family():
     assert doc["n"] == 9 and doc["regular_degree"] == 4
     assert doc["origin"] == {"family": "g", "k": 2, "l": 0}
     assert len(doc["edges"]) == 9 * 4 // 2
+
+
+def test_construct_g_family_over_the_budget_exits_2_at_once(monkeypatch):
+    def no_edges(k, l):
+        raise AssertionError("edges built before the price check")
+
+    monkeypatch.setattr(families, "_g_family_edges", no_edges)
+    start = time.perf_counter()
+    code, doc = _run_json(["construct", "--g-family", "200", "0"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
 
 
 def test_construct_random_is_deterministic():

@@ -9,6 +9,7 @@ import pytest
 
 from spanwalk import (
     RetryBudgetError,
+    WorkBudgetError,
     bipartition,
     complement,
     g_family,
@@ -105,6 +106,21 @@ def test_g_family_parameter_validation():
         g_family(1, 3)
     with pytest.raises(ValueError):
         g_family(3, -1)
+
+
+def test_g_family_is_priced_before_any_edge_is_built(monkeypatch):
+    # side = 2k + l = 256 is the largest admitted: 256^2 = _MAX_FAMILY_PAIRS
+    g = g_family(100, 56)
+    assert g.n == 513 and regular_degree(g) == 200
+    assert g.size == 100 * 513
+
+    def no_edges(k, l):
+        raise AssertionError("edges built before the price check")
+
+    monkeypatch.setattr(families, "_g_family_edges", no_edges)
+    for k, l in ((100, 57), (129, 0), (10**9, 0)):
+        with pytest.raises(WorkBudgetError, match="x-y pairs"):
+            g_family(k, l)
 
 
 def test_random_regular_basic_properties():

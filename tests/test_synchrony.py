@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import io
 import math
+import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -10,14 +14,17 @@ import pytest
 
 from spanwalk import (
     Graph,
+    SynchronyOutcome,
     WorkBudgetError,
     fixed_point,
     measure_synchrony,
     named_graph,
+    random_regular,
     spread_step,
     synchrony_index,
 )
-from oracles import complete, cycle, gnp, path
+from spanwalk import cli, synchrony
+from oracles import circulant, complete, cycle, directed_gnp, gnp, path, synchrony_sweep
 
 
 def test_spread_step_examples():
@@ -185,3 +192,149 @@ def test_seed_monotonicity_of_synchrony_index():
                 for b, ib in indices.items():
                     if a < b and ia != math.inf:
                         assert ib != math.inf and ib <= ia, (a, b, t)
+
+
+def _oracle_cases():
+    graphs = [Graph(6), complete(5), cycle(7)]
+    graphs += [gnp(n, p, 900 + n) for n in (5, 7, 9) for p in (0.3, 0.6)]
+    graphs += [directed_gnp(n, p, 950 + n) for n in (5, 7, 9) for p in (0.25, 0.5)]
+    for g in graphs:
+        top = max(map(len, g.in_neighbor_sets()))
+        for t in sorted({1, 2, 3, top + 1}):
+            yield g, t
+
+
+@pytest.mark.parametrize("g,t", list(_oracle_cases()), ids=repr)
+def test_exhaustive_sweeps_match_the_per_seed_oracle(g, t):
+    for k in range(1, g.n + 1):
+        out = measure_synchrony(g, t=t, k=k)
+        histogram, stalled = synchrony_sweep(g, t, combinations(range(g.n), k))
+        assert (out.i_star_histogram, out.non_synchronizing) == (histogram, stalled), k
+        assert list(out.i_star_histogram) == sorted(out.i_star_histogram)
+    assert measure_synchrony(g, t=t, k=g.n).i_star_histogram == {0: 1}
+
+
+@pytest.mark.parametrize("g", [gnp(9, 0.4, 31), directed_gnp(8, 0.45, 32)], ids=repr)
+def test_monte_carlo_sweeps_match_the_per_seed_oracle(g):
+    for t, k, seed64 in ((1, 2, 5), (2, 3, 6), (2, 4, -7)):
+        out = measure_synchrony(g, t=t, k=k, mode="monte-carlo", samples=700, seed64=seed64)
+        rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
+        draws = [rng.sample(range(g.n), k) for _ in range(700)]
+        assert (out.i_star_histogram, out.non_synchronizing) == synchrony_sweep(g, t, draws)
+
+
+def test_exhaustive_lanes_follow_combinations_order():
+    for n in range(1, 9):
+        for k in range(1, n + 1):
+            (lanes, count), = synchrony._exhaustive_blocks(n, k)
+            subsets = list(combinations(range(n), k))
+            assert count == len(subsets)
+            for v in range(n):
+                assert lanes[v] == sum(1 << s for s, subset in enumerate(subsets) if v in subset)
+
+
+# Outcomes of three fixed-seed Monte Carlo runs under the one-seed-at-a-time
+# engine: the bit-sliced sweep draws the same samples, so it must reproduce
+# them exactly.
+_MONTE_CARLO_PINS = [
+    (
+        named_graph("petersen"), 2, 3, 20_000, 20251018,
+        SynchronyOutcome(
+            k=3, t=2, mode="monte-carlo", samples=20000, p_k=0.168, e_k=0.056,
+            p_k_stderr=0.002643633862697329, e_k_stderr=0.0008812333186741355,
+            i_star_histogram={3: 3360}, non_synchronizing=16640,
+        ),
+    ),
+    (
+        directed_gnp(9, 0.5, 8101), 2, 3, 4000, 77,
+        SynchronyOutcome(
+            k=3, t=2, mode="monte-carlo", samples=4000, p_k=0.089, e_k=0.037875,
+            p_k_stderr=0.004502193909640055, e_k_stderr=0.0019556632928869563,
+            i_star_histogram={2: 197, 3: 159}, non_synchronizing=3644,
+        ),
+    ),
+    (
+        circulant(24, (1, 2)), 2, 6, 5000, 2**64 - 5,
+        SynchronyOutcome(
+            k=6, t=2, mode="monte-carlo", samples=5000, p_k=1.0, e_k=0.19028460317460316,
+            p_k_stderr=0.0, e_k_stderr=0.0006365062667382338,
+            i_star_histogram={3: 102, 4: 1077, 5: 1389, 6: 1191, 7: 941, 8: 296, 9: 4},
+            non_synchronizing=0,
+        ),
+    ),
+]
+
+
+@pytest.mark.parametrize("g,t,k,samples,seed64,want", _MONTE_CARLO_PINS, ids=["petersen", "directed", "circ24"])
+def test_monte_carlo_outcomes_are_pinned(g, t, k, samples, seed64, want):
+    assert measure_synchrony(g, t=t, k=k, mode="monte-carlo", samples=samples, seed64=seed64) == want
+
+
+def test_monte_carlo_cli_bytes_are_pinned():
+    argv = ["synchrony", "--named", "paper-h", "--t", "2", "--k", "4", "--mode", "mc", "--samples", "3000", "--seed", "7"]
+    out = io.StringIO()
+    assert cli.run(argv, out) == 0
+    assert out.getvalue() == (
+        '{\n  "e_k": 0.18583333333333332,\n  "e_k_stderr": 0.0037246357326344423,\n'
+        '  "i_star_histogram": {\n    "2": 511,\n    "3": 906\n  },\n  "k": 4,\n'
+        '  "mode": "monte-carlo",\n  "non_synchronizing": 1583,\n  "p_k": 0.47233333333333333,\n'
+        '  "p_k_stderr": 0.0091147235386041837,\n  "samples": 3000,\n  "t": 2\n}\n'
+    )
+    out = io.StringIO()
+    assert cli.run(argv + ["--format", "csv"], out) == 0
+    assert out.getvalue() == "i_star,count\n2,511\n3,906\ninf,1583\n"
+
+
+@pytest.mark.parametrize(
+    "g,t,k",
+    [(circulant(12, (1, 2)), 2, 4), (directed_gnp(9, 0.5, 8101), 2, 3), (gnp(9, 0.4, 33), 1, 6)],
+    ids=repr,
+)
+def test_small_blocks_give_the_unblocked_outcomes(monkeypatch, g, t, k):
+    mc = dict(mode="monte-carlo", samples=1001, seed64=404)
+    whole = measure_synchrony(g, t=t, k=k), measure_synchrony(g, t=t, k=k, **mc)
+    monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", 64)
+    assert (measure_synchrony(g, t=t, k=k), measure_synchrony(g, t=t, k=k, **mc)) == whole
+    # the blocks still hold every k-subset exactly once
+    blocks = list(synchrony._exhaustive_blocks(g.n, k))
+    assert len(blocks) > 1
+    seen = [
+        tuple(v for v in range(g.n) if lanes[v] >> s & 1)
+        for lanes, count in blocks
+        for s in range(count)
+    ]
+    assert sorted(seen) == list(combinations(range(g.n), k))
+
+
+def test_large_exhaustive_sweeps_stay_in_bounded_memory():
+    tracemalloc.start()
+    try:
+        out = measure_synchrony(Graph(2000), t=1, k=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.samples == 1_999_000 and out.non_synchronizing == 1_999_000
+    assert peak < 64 * 2**20, peak
+
+
+def test_exhaustive_sweep_near_the_budget(monkeypatch):
+    g = random_regular(28, 4, 5)
+    start = time.perf_counter()
+    out = measure_synchrony(g, t=2, k=7)  # C(28, 7) = 1 184 040 subsets, in several blocks
+    assert time.perf_counter() - start < 2.0
+    assert len(list(synchrony._exhaustive_blocks(28, 7))) > 1
+    assert out.samples == 1_184_040
+    monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", 28 * 1_184_040)
+    assert len(list(synchrony._exhaustive_blocks(28, 7))) == 1
+    assert measure_synchrony(g, t=2, k=7) == out
+
+
+def test_huge_threshold_needs_no_counter_per_unit_of_t():
+    petersen = named_graph("petersen")
+    start = time.perf_counter()
+    outs = [measure_synchrony(petersen, t=10**9, k=k) for k in range(1, 11)]
+    assert time.perf_counter() - start < 1.0
+    assert [out.p_k for out in outs] == [0] * 9 + [1]
+    assert outs[-1].i_star_histogram == {0: 1}
+    assert spread_step(petersen, {0, 1, 2}, 10**9) == frozenset({0, 1, 2})
+    assert synchrony_index(petersen, range(9), 10**9) == math.inf
