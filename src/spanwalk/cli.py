@@ -19,6 +19,7 @@ command (a JSON error document is still printed), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -199,6 +200,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser every run of this process shares, built on first use."""
+    return build_parser()
+
+
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
     if args.command == "series":
         if args.eval and args.max_k is None:
@@ -359,6 +366,8 @@ _COMMANDS = {
 def run(argv: list[str], out=None) -> int:
     """Parse argv, execute, and write the result; returns the process exit code.
 
+    Every call in a process parses with one shared parser, built on the first
+    call; parsing leaves it unchanged, so calls may repeat and nest freely.
     Exact integers print in full: the interpreter's limit on the digits of an
     int-to-str conversion is lifted while the command runs and restored after.
     """
@@ -375,7 +384,7 @@ def run(argv: list[str], out=None) -> int:
 
 def _run(argv: list[str], out) -> int:
     out = out if out is not None else sys.stdout
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
         _validate(args, parser)

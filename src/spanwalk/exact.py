@@ -6,7 +6,7 @@ point enters any value returned by this module.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import OrderedDict, deque
 from dataclasses import dataclass
 from itertools import compress, islice
 from math import comb
@@ -24,6 +24,10 @@ from .graph import Graph, regular_degree
 Matrix = list[list[int]]
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
+_WALK_CACHE_GRAPHS = 8  # graphs whose walk prefix closed_walk_counts keeps
+
+# Graph -> its longest counted prefix (w_1, w_2, ...), least recently used first
+_walk_cache: OrderedDict[Graph, tuple[int, ...]] = OrderedDict()
 
 
 def _bareiss_determinant(matrix: Matrix) -> int:
@@ -237,11 +241,25 @@ class WalkTable:
 
 
 def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
-    """Closed-walk counts up to order max_k."""
+    """Closed-walk counts up to order max_k.
+
+    The last _WALK_CACHE_GRAPHS graphs keep their longest counted prefix, so
+    repeated tables of one graph are counted once.  The key is the labelled
+    graph: a relabelled copy is a miss.  A refusal comes before any lookup;
+    a prefix too short is counted afresh to max_k and replaces the old one.
+    """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
+    if g.directed:
+        raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
     check_table_price(g, max_k)
-    return WalkTable(tuple(islice(iter_closed_walk_counts(g), max_k)))
+    counts = _walk_cache.get(g)
+    if counts is None or len(counts) < max_k:
+        counts = _walk_cache[g] = tuple(islice(iter_closed_walk_counts(g), max_k))
+    _walk_cache.move_to_end(g)
+    if len(_walk_cache) > _WALK_CACHE_GRAPHS:
+        _walk_cache.popitem(last=False)
+    return WalkTable(counts[:max_k])
 
 
 def triangle_count(g: Graph) -> int:

@@ -25,6 +25,7 @@ from .errors import (
     DirectedUnsupportedError,
     ExactInvariantError,
     RegularityRequiredError,
+    WorkBudgetError,
 )
 from .exact import (
     check_table_price,
@@ -35,6 +36,7 @@ from .exact import (
 from .graph import Graph, regular_degree
 
 _EVAL_PREC = 96  # working significand bits for partial-sum evaluation
+_MAX_SUM_WORK = 2**24  # bit operations the exact partial sums of one evaluation may cost
 
 
 def _checked_parameters(g: Graph) -> tuple[int, int]:
@@ -87,11 +89,31 @@ class SeriesEvaluation:
     rounding_bound: float
 
 
+def _check_sum_price(n: int, d: int, max_k: int) -> None:
+    """Refuse exact partial sums through order max_k that cost more than _MAX_SUM_WORK.
+
+    The common denominator lcm(2..K) (n-d)^K of the sums through order K has
+    about K log2(n-d) + 1.45 K bits, and each of the K orders adds a term to
+    a sum of that size.  Raises WorkBudgetError before any walk is counted.
+    """
+    price = max_k * (max_k * (n - d).bit_length() + 3 * max_k // 2)
+    if price > _MAX_SUM_WORK:
+        raise WorkBudgetError(
+            f"exact partial sums through order {max_k} with n - d = {n - d} cost about "
+            f"{price} bit operations; the budget is {_MAX_SUM_WORK}"
+        )
+
+
 def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
-    """Evaluate the base term and all partial sums through walk order max_k."""
+    """Evaluate the base term and all partial sums through walk order max_k.
+
+    Raises WorkBudgetError, before any walk is counted, when the exact sums
+    (_check_sum_price) or the walk table (exact.check_table_price) cost too much.
+    """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
     n, d = _checked_parameters(g)
+    _check_sum_price(n, d, max_k)
     walks = closed_walk_counts(g, max_k) if max_k >= 2 else None
     base_fr = Fraction((n - d) ** n, n * n)
     with mpmath.workprec(_EVAL_PREC):

@@ -208,6 +208,9 @@ def _tail_lanes(top: int, j: int):
                     continue
                 shift = comb(m - 1, i - 1)
                 rest = level.get(i, [0] * (m - 1))  # X(m-1, i) holds no lane when i = m
+                if i == 1:  # X(m-1, 0) is all zeros
+                    new[1] = [(1 << shift) - 1] + [b << shift for b in rest]
+                    continue
                 new[i] = [(1 << shift) - 1] + [a | b << shift for a, b in zip(level[i - 1], rest)]
             level = new
         if m >= j:
@@ -217,27 +220,38 @@ def _tail_lanes(top: int, j: int):
 def _exhaustive_blocks(n: int, k: int):
     """Every k-subset of range(n) once, as blocks (x, lanes) with n × lanes <= _MAX_BLOCK_BITS.
 
-    A block is the set of subsets with one fixed prefix of r smallest
-    vertices, r as small as fits (at r = k a block is one subset), in
-    combinations order; with r = 0 the one block is combinations(range(n), k)
-    itself.
+    The subsets fall into groups by their prefix of r smallest vertices, r as
+    small as lets one group fit in a block (at r = k a group is one subset);
+    a group's lanes follow combinations order.  Each block packs consecutive
+    groups while they fit: a group's tail lanes are shifted past the lanes
+    before it, and its prefix vertices are set on its own lanes only.  With
+    r = 0 the one block is combinations(range(n), k) itself.
     """
-    r = next(r for r in range(k + 1) if r == k or n * comb(n - r, k - r) <= _MAX_BLOCK_BITS)
+    per_block = _MAX_BLOCK_BITS // n
+    r = next(r for r in range(k + 1) if r == k or comb(n - r, k - r) <= per_block)
     vertices = tuple(range(n))  # sliced below, so that no level rebuilds the pool of prefixes
+    x, lanes = [], 0
     for m, tail in _tail_lanes(n - r, k - r):
-        lanes = comb(m, k - r)
+        size = comb(m, k - r)
         head = n - m  # vertices before the tail; the prefix ends at head - 1
         if r == 0:
             if m == n:
-                yield tail, lanes
+                yield tail, size
             continue
-        ones = (1 << lanes) - 1
+        ones = (1 << size) - 1
         for prefix in combinations(vertices[: head - 1], r - 1):
-            x = [0] * head + tail
-            for v in prefix:
-                x[v] = ones
-            x[head - 1] = ones
-            yield x, lanes
+            if lanes and lanes + size > per_block:
+                yield x, lanes
+                lanes = 0
+            if lanes:
+                x[head:] = [a | b << lanes for a, b in zip(x[head:], tail)]
+            else:
+                x = [0] * head + tail  # the first group of a block needs no shift
+            for v in (*prefix, head - 1):
+                x[v] |= ones << lanes
+            lanes += size
+    if lanes:
+        yield x, lanes
 
 
 def _sampled_blocks(n: int, k: int, samples: int, rng: random.Random):

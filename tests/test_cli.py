@@ -5,8 +5,11 @@ from __future__ import annotations
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +180,20 @@ def test_walk_tables_over_the_price_exit_2_at_once(monkeypatch, argv):
     monkeypatch.setattr(exact, "iter_closed_walk_counts", no_walks)
     start = time.perf_counter()
     code, doc = _run_json(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
+def test_series_eval_over_the_sum_price_exits_2_at_once(monkeypatch, tmp_path):
+    # the walk table of C_62 through order 4363 is within its price; the exact sums are not
+    def no_walks(g):
+        raise AssertionError("walks counted before the price check")
+
+    path = _write_cycle(tmp_path, 62)
+    monkeypatch.setattr(exact, "iter_closed_walk_counts", no_walks)
+    start = time.perf_counter()
+    code, doc = _run_json(["series", "--eval", "--edge-list", str(path), "--max-k", "4363"])
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert doc["error"]["code"] == "work-budget"
@@ -372,3 +389,34 @@ def test_reals_serialize_with_17_significant_digits():
     printed = text.split('"log_value": ')[1].split(",")[0].strip()
     assert float(printed) == doc["log_value"]
     assert len(printed.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_one_parser_serves_every_call_with_fresh_interpreter_bytes(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps at the terminal width
+    argvs = [
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", "2"],  # missing --k: exit 64
+        ["bounds", "--help"],
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", "3", "--k", "4"],
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", "3", "--k", "4"],
+    ]
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._shared_parser.cache_clear()
+    try:
+        in_process = []
+        for argv in argvs:
+            code = run(argv)
+            captured = capsys.readouterr()
+            in_process.append((code, captured.out, captured.err))
+    finally:
+        cli._shared_parser.cache_clear()
+    assert len(builds) == 1
+    assert [code for code, _, _ in in_process] == [64, 0, 0, 0]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    for argv, want in zip(argvs, in_process):
+        proc = subprocess.run(
+            [sys.executable, "-m", "spanwalk.cli", *argv], capture_output=True, text=True, env=env
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == want, argv

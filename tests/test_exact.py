@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
-from itertools import product
+from itertools import islice, product
 from math import comb
 from pathlib import Path
 
@@ -15,14 +15,18 @@ from spanwalk import (
     DirectedUnsupportedError,
     Graph,
     RegularityRequiredError,
+    WorkBudgetError,
     closed_walk_counts,
     complement,
+    evaluate_series,
     iter_closed_walk_counts,
     laplacian_traces,
     named_graph,
     random_regular,
     random_regular_bipartite,
     spanning_tree_count,
+    thm2_lower,
+    thm3_bounds,
     triangle_count,
 )
 from spanwalk import exact
@@ -283,3 +287,75 @@ def test_table_price_at_order_n_is_the_matrix_phase(g):
 def test_laplacian_traces_requires_regular():
     with pytest.raises(RegularityRequiredError):
         laplacian_traces(path(4), 2)
+
+
+@pytest.fixture
+def counted_engine(monkeypatch):
+    """An empty walk cache, and the graphs the walk engine is started on, in order."""
+    monkeypatch.setattr(exact, "_walk_cache", type(exact._walk_cache)())
+    started = []
+    engine = exact.iter_closed_walk_counts
+
+    def counted(g):
+        started.append(g)
+        return engine(g)
+
+    monkeypatch.setattr(exact, "iter_closed_walk_counts", counted)
+    return started
+
+
+def _no_walks(g):
+    raise AssertionError("the walk engine ran")
+
+
+@pytest.mark.parametrize("g", [named_graph("petersen"), named_graph("paper-bipartite"), cycle(150)], ids=repr)
+def test_cached_walk_prefixes_equal_a_fresh_count(counted_engine, g):
+    n = g.n
+    # below, at and past order n; a shorter prefix is extended, a longer one is sliced
+    fresh = tuple(islice(iter_closed_walk_counts(g), 2 * n + 5))
+    for max_k in (5, 3, n, n, 2 * n + 5, 4, n + 1):
+        assert closed_walk_counts(g, max_k).counts == fresh[:max_k], max_k
+    assert len(counted_engine) == 3  # orders 5, n and 2n + 5 count; every other call is a hit
+
+
+def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
+    cap = exact._WALK_CACHE_GRAPHS
+    graphs = [cycle(n) for n in range(5, 5 + cap + 3)]
+    for g in graphs[:cap]:
+        closed_walk_counts(g, 4)
+    closed_walk_counts(graphs[0], 4)  # a hit makes graphs[0] the most recent
+    for g in graphs[cap:]:
+        closed_walk_counts(g, 4)
+    assert len(exact._walk_cache) == cap
+    assert list(exact._walk_cache) == [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
+    assert counted_engine == graphs  # the hit started no count
+
+
+def test_walk_cache_is_keyed_on_labels(counted_engine):
+    g = cycle(7)
+    relabelled = Graph(7, frozenset(((3 * u) % 7, (3 * v) % 7) for u, v in g.edges))
+    assert closed_walk_counts(g, 6) == closed_walk_counts(relabelled, 6)
+    assert closed_walk_counts(Graph(7, g.edges), 6) == closed_walk_counts(g, 6)
+    assert counted_engine == [g, relabelled]
+
+
+def test_refusals_come_before_the_walk_cache(monkeypatch, counted_engine):
+    g = named_graph("petersen")
+    closed_walk_counts(g, 5)
+    monkeypatch.setattr(exact, "iter_closed_walk_counts", _no_walks)
+    with pytest.raises(WorkBudgetError):
+        closed_walk_counts(g, 200_000)
+    with pytest.raises(ValueError):
+        closed_walk_counts(g, 0)
+    with pytest.raises(DirectedUnsupportedError):
+        closed_walk_counts(Graph(3, frozenset({(0, 1), (1, 2), (2, 0)}), directed=True), 2)
+    assert closed_walk_counts(g, 5).counts == (0, 30, 0, 150, 120)
+
+
+def test_bound_tables_share_one_walk_prefix(monkeypatch, counted_engine):
+    g = named_graph("paper-bipartite")
+    want = (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8))
+    closed_walk_counts(g, 20)
+    monkeypatch.setattr(exact, "iter_closed_walk_counts", _no_walks)
+    assert (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8)) == want
+    assert laplacian_traces(g, 30).traces == tuple(direct_laplacian_traces(g, 30))

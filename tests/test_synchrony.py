@@ -306,6 +306,24 @@ def test_small_blocks_give_the_unblocked_outcomes(monkeypatch, g, t, k):
     assert sorted(seen) == list(combinations(range(g.n), k))
 
 
+def test_blocks_pack_consecutive_prefix_groups(monkeypatch):
+    # 60 lanes a block: one prefix vertex (r = 1), groups of C(m, 2) = 1, 3, 6, ..., 55 lanes
+    n, k = 12, 3
+    g = random_regular(n, 3, 12)
+    whole = measure_synchrony(g, t=2, k=k)
+    monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", n * 60)
+    blocks = list(synchrony._exhaustive_blocks(n, k))
+    assert [count for _, count in blocks] == [1 + 3 + 6 + 10 + 15 + 21, 28, 36, 45, 55]
+    seen = [
+        tuple(v for v in range(n) if lanes[v] >> s & 1)
+        for lanes, count in blocks
+        for s in range(count)
+    ]
+    # prefix vertices descending, each group's subsets in combinations order
+    assert seen == [s for p in reversed(range(n)) for s in combinations(range(n), k) if s[0] == p]
+    assert measure_synchrony(g, t=2, k=k) == whole
+
+
 def test_large_exhaustive_sweeps_stay_in_bounded_memory():
     tracemalloc.start()
     try:
