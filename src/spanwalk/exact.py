@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import comb
 from operator import add, mul
@@ -21,72 +22,108 @@ from .errors import (
 )
 from .graph import Graph, regular_degree
 
-Matrix = list[list[int]]
-
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
+_MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
 _WALK_CACHE_GRAPHS = 8  # graphs whose walk prefix closed_walk_counts keeps
 
 # Graph -> its longest counted prefix (w_1, w_2, ...), least recently used first
 _walk_cache: OrderedDict[Graph, tuple[int, ...]] = OrderedDict()
 
 
-def _bareiss_determinant(matrix: Matrix) -> int:
-    """Fraction-free determinant of a square integer matrix.
-
-    One-step Bareiss elimination: intermediate entries stay integers and every
-    division is exact.  Row swaps handle zero pivots; a fully zero pivot
-    column means the determinant is zero.
-    """
-    m = [row[:] for row in matrix]
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            row_k = m[k]
-            factor = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
-def _minimum_degree_order(nbrs: list[set[int]]) -> list[int]:
-    """Greedy minimum-degree elimination order of the graph with these neighbour sets.
+def _minimum_degree_order(nbrs: list[set[int]], bits: int) -> list[int]:
+    """Greedy minimum-degree elimination order of the graph with these neighbour sets, priced as it goes.
 
     Each step takes the vertex of least degree in the elimination graph, the
     smallest label on ties, joins its remaining neighbours pairwise (the fill
     edges) and removes it.  Low fill keeps the entries that elimination turns
     into big integers few.
+
+    The f remaining neighbours of the vertex taken at step k (from 0) are its
+    front: elimination updates f(f+1)/2 entries of one triangle there, each a
+    minor of order k+1 of a positive semidefinite matrix, so by Hadamard's
+    inequality of at most (k+1)*bits bits when `bits` is the bit length of the
+    largest diagonal entry.  The price sums f(f+1)/2 * (k+1) * bits over the
+    steps, from integers alone; as soon as it passes _MAX_ELIMINATION_WORK,
+    WorkBudgetError is raised, before the rest of the order or any big-integer
+    work.
     """
     adj = [set(s) for s in nbrs]
-    remaining = set(range(len(adj)))
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (len(adj[u]), u))
-        remaining.remove(v)
+    # (degree, vertex) entries; an entry whose degree is out of date is skipped
+    heap = [(len(s), v) for v, s in enumerate(adj)]
+    heapify(heap)
+    taken = [False] * len(adj)
+    order: list[int] = []
+    price = 0
+    while heap:
+        degree, v = heappop(heap)
+        if taken[v] or degree != len(adj[v]):
+            continue
+        taken[v] = True
+        front = adj[v]
+        f = len(front)
+        price += f * (f + 1) // 2 * (len(order) + 1) * bits
+        if price > _MAX_ELIMINATION_WORK:
+            raise WorkBudgetError(
+                f"eliminating a matrix of order {len(adj)} costs over {price} bit operations "
+                f"by step {len(order)}; the budget is {_MAX_ELIMINATION_WORK}"
+            )
         order.append(v)
-        for u in adj[v]:
-            adj[u] |= adj[v]
+        for u in front:
+            adj[u] |= front
             adj[u] -= {u, v}
+            heappush(heap, (len(adj[u]), u))
     return order
 
 
-def _symmetric_matrix(nbrs: list[set[int]], order: list[int], diagonal: list[int], off: int) -> Matrix:
-    """Rows and columns indexed by `order`: diagonal[v] on the diagonal, `off` at each edge, else 0."""
-    return [[diagonal[u] if u == v else off if v in nbrs[u] else 0 for v in order] for u in order]
+def _sparse_determinant(nbrs: list[set[int]], order: list[int], diagonal: list[int], off: int) -> int:
+    """Determinant of a positive semidefinite integer matrix, by fraction-free elimination of its fill.
+
+    The matrix has rows and columns indexed by `order` (a subset of the
+    vertices), diagonal[v] on the diagonal, `off` at each edge and 0
+    elsewhere.  One-step Bareiss elimination (Bareiss 1968) leaves at step s
+    the minors a_ij^(s) over the leading s rows and columns bordered by row i
+    and column j; they are integers, symmetric in i and j, and the pivot p_s
+    is the leading principal minor of order s.  So each row keeps only its
+    upper triangle, as column -> (value, step) pairs, and step s updates only
+    the pairs i <= j in the pattern of the pivot row k = s-1 (Lourenco,
+    Chen, Moreno-Centeno and Davis 2019):
+
+        a_ij^(s) = (p_s a_ij^(s-1) - a_ki^(s-1) a_kj^(s-1)) / p_(s-1).
+
+    An entry that no step touched since step t is stale: it is brought to
+    step s-1 as v * p_(s-1) // p_t only when it is read, an exact division by
+    Sylvester's identity.  A zero pivot returns 0 with no row swap: a singular
+    leading principal block of a positive semidefinite matrix makes the whole
+    matrix singular.  The determinant is the last pivot.
+    """
+    pos = {v: k for k, v in enumerate(order)}
+    rows = []
+    for k, v in enumerate(order):
+        row = {k: (diagonal[v], 0)}
+        for u in nbrs[v]:
+            if pos.get(u, -1) > k:
+                row[pos[u]] = (off, 0)
+        rows.append(row)
+    pivots = [1]  # p_0 = 1, then p_1, p_2, ...
+    for s, row in enumerate(rows, 1):
+        prev = pivots[-1]
+        fresh = {j: v if t == s - 1 else v * prev // pivots[t] for j, (v, t) in row.items()}
+        pivot = fresh.pop(s - 1)
+        if pivot == 0:
+            return 0
+        pivots.append(pivot)
+        cols = sorted(fresh)
+        fill = (0, s - 1)  # an entry not yet in the pattern
+        vals = [fresh[j] for j in cols]
+        for a, i in enumerate(cols):
+            target = rows[i]
+            ai = vals[a]
+            for j, aj in zip(cols[a:], vals[a:]):
+                v, t = target.get(j, fill)
+                if t != s - 1:
+                    v = v * prev // pivots[t]
+                target[j] = ((pivot * v - ai * aj) // prev, s)
+    return pivots[-1]
 
 
 def spanning_tree_count(g: Graph) -> int:
@@ -98,23 +135,29 @@ def spanning_tree_count(g: Graph) -> int:
     equals L(g) + J and has determinant n^2 t(g) (Temperley 1964; Kelmans
     1965); it has as many off-diagonal nonzeros as the complement has edges.
     Either way rows and columns follow one minimum-degree order of the sparse
-    graph, which does not change the determinant.  Disconnected graphs give 0
-    and the single-vertex graph gives 1.
+    graph, which does not change the determinant, and the elimination
+    touches only the fill of that order.  Both matrices are positive
+    semidefinite, so a zero pivot ends it with determinant 0: disconnected
+    graphs give 0 and the single-vertex graph gives 1.  The order's price
+    (_minimum_degree_order) refuses with WorkBudgetError before any
+    big-integer work.
     """
     if g.directed:
         raise DirectedUnsupportedError("the Laplacian is defined here for undirected graphs")
     n = g.n
     nbrs = g.neighbor_sets()
     if 4 * g.size <= n * (n - 1):
-        order = _minimum_degree_order(nbrs)[:-1]
-        det = _bareiss_determinant(_symmetric_matrix(nbrs, order, [len(s) for s in nbrs], -1))
+        degrees = [len(s) for s in nbrs]
+        order = _minimum_degree_order(nbrs, max(degrees).bit_length())[:-1]
+        det = _sparse_determinant(nbrs, order, degrees, -1)
         if det < 0:
             raise ExactInvariantError("a Laplacian minor of an undirected graph came out negative")
         return det
     everyone = set(range(n))
     sparse = [everyone - s - {v} for v, s in enumerate(nbrs)]
-    order = _minimum_degree_order(sparse)
-    det = _bareiss_determinant(_symmetric_matrix(sparse, order, [n - len(s) for s in sparse], 1))
+    diagonal = [n - len(s) for s in sparse]
+    order = _minimum_degree_order(sparse, max(diagonal).bit_length())
+    det = _sparse_determinant(sparse, order, diagonal, 1)
     count, remainder = divmod(det, n * n)
     if remainder or count < 0:
         raise ExactInvariantError(f"det(L + J) is not a nonnegative multiple of n^2 = {n * n}")

@@ -4,7 +4,8 @@ Nothing here touches the package's exact engines: walk counts come from DFS
 enumeration or dense matrix powers, Laplacian traces from dense Laplacian
 powers, triangles from vertex-triple scans, and spanning-tree counts from
 deletion-contraction on explicit multigraph edge lists or from rational
-Gaussian elimination on the Laplacian minor in natural vertex order.  The
+Gaussian elimination on the Laplacian minor in natural vertex order, and
+determinants from dense Bareiss elimination with row swaps.  The
 series bracket takes walk counts from its caller and encloses t(complement)
 with the paper's truncated series and an outward-rounded exponential.  The
 synchrony sweep spreads one seed at a time with a Python loop over the
@@ -150,6 +151,39 @@ def kirchhoff_tree_count(g: Graph) -> int:
                 for j in range(k + 1, size):
                     m[i][j] -= factor * m[k][j]
     return int(det)
+
+
+def dense_bareiss_determinant(matrix: list[list[int]]) -> int:
+    """Fraction-free determinant of a square integer matrix, every entry updated at every step.
+
+    One-step Bareiss elimination: intermediate entries stay integers and every
+    division is exact.  Row swaps handle zero pivots; a fully zero pivot
+    column means the determinant is zero.
+    """
+    m = [row[:] for row in matrix]
+    size = len(m)
+    if size == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(size - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, size):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, size):
+            row_i = m[i]
+            row_k = m[k]
+            factor = row_i[k]
+            for j in range(k + 1, size):
+                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
+        prev = pivot
+    return sign * m[size - 1][size - 1]
 
 
 def _mpf_to_fraction(x: tuple) -> Fraction:

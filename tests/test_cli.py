@@ -258,6 +258,20 @@ def test_bounds_thm3_csv():
     assert trailer == ""
 
 
+def test_complexity_over_the_elimination_price_exits_2_at_once(monkeypatch, tmp_path):
+    def no_elimination(nbrs, order, diagonal, off):
+        raise AssertionError("eliminated before the price check")
+
+    path = tmp_path / "rr2000.txt"
+    path.write_text(to_edge_list_text(families.random_regular(2000, 3, seed=13)))
+    monkeypatch.setattr(exact, "_sparse_determinant", no_elimination)
+    start = time.perf_counter()
+    code, doc = _run_json(["complexity", "--edge-list", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
 def test_construct_g_family():
     code, doc = _run_json(["construct", "--g-family", "2", "0"])
     assert code == 0

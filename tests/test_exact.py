@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import random
+import time
 from itertools import islice, product
 from math import comb
 from pathlib import Path
@@ -38,6 +39,7 @@ from oracles import (
     complete_bipartite,
     cycle,
     deletion_contraction_tree_count,
+    dense_bareiss_determinant,
     dense_closed_walks,
     dfs_closed_walks,
     direct_laplacian_traces,
@@ -107,6 +109,72 @@ def test_complement_counts_match_kirchhoff_oracle_under_relabelling():
         assert spanning_tree_count(complement(_relabelled(g, 300 + idx))) == expected, g
 
 
+def _eliminated_matrix(g: Graph):
+    """The sparse pattern, diagonal and off-diagonal value that spanning_tree_count eliminates for g."""
+    n = g.n
+    nbrs = g.neighbor_sets()
+    if 4 * g.size <= n * (n - 1):
+        return nbrs, [len(s) for s in nbrs], -1, True
+    sparse = [set(range(n)) - s - {v} for v, s in enumerate(nbrs)]
+    return sparse, [n - len(s) for s in sparse], 1, False
+
+
+def _sparse_and_dense_determinants(g: Graph, shuffle_seed: int | None = None) -> tuple[int, int]:
+    """The sparse elimination over the minimum-degree (or a shuffled) order, and the dense oracle."""
+    nbrs, diagonal, off, minor = _eliminated_matrix(g)
+    order = exact._minimum_degree_order(nbrs, max(diagonal).bit_length())
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(order)
+    if minor:
+        order = order[:-1]
+    labels = sorted(order)
+    dense = [[diagonal[u] if u == v else off if v in nbrs[u] else 0 for v in labels] for u in labels]
+    return exact._sparse_determinant(nbrs, order, diagonal, off), dense_bareiss_determinant(dense)
+
+
+def _random_tree(n: int, seed: int) -> Graph:
+    rng = random.Random(seed)
+    return Graph(n, frozenset((rng.randrange(v), v) for v in range(1, n)))
+
+
+def _disjoint_union(*parts: Graph) -> Graph:
+    edges, shift = set(), 0
+    for part in parts:
+        edges |= {(u + shift, v + shift) for u, v in part.edges}
+        shift += part.n
+    return Graph(shift, frozenset(edges))
+
+
+def test_sparse_elimination_matches_dense_bareiss():
+    graphs = []
+    # the exact-count shape: complements of sparse regular graphs, and relabelled copies
+    for idx, (n, d) in enumerate(product(range(10, 61, 10), (3, 4))):
+        g = complement(random_regular(n, d, seed=8100 + n + d))
+        graphs += [g, _relabelled(g, 400 + idx)]
+    # Laplacian minors: sparse random graphs, trees, cycles
+    graphs += [gnp(n, p, 900 + n) for n in range(2, 25, 3) for p in (0.15, 0.3, 0.45)]
+    graphs += [_random_tree(n, 950 + n) for n in (3, 7, 15, 30)] + [path(9)]
+    graphs += [cycle(n) for n in (3, 4, 11, 24)]
+    # K_n: the sparse side is empty, so only the diagonal is eliminated
+    graphs += [complete(n) for n in range(2, 12)]
+    graphs += [Graph(1), Graph(2), Graph(2, frozenset({(0, 1)}))]
+    # disconnected, on both branches: a zero pivot ends the elimination
+    disconnected = [
+        Graph(8, complete(7).edges),
+        Graph(8, complete(6).edges),
+        _disjoint_union(cycle(5), cycle(4)),
+        _disjoint_union(cycle(6), cycle(7), Graph(1)),
+        _disjoint_union(complete(9), complete(2)),
+    ]
+    for g in graphs + disconnected:
+        sparse, dense = _sparse_and_dense_determinants(g)
+        assert sparse == dense, g
+        assert _sparse_and_dense_determinants(g, shuffle_seed=g.n + g.size) == (dense, dense), g
+    assert sum(4 * g.size > g.n * (g.n - 1) for g in disconnected) == 3
+    for g in disconnected:
+        assert spanning_tree_count(g) == 0, g
+
+
 @pytest.mark.parametrize(
     "g, fake",
     [
@@ -117,9 +185,22 @@ def test_complement_counts_match_kirchhoff_oracle_under_relabelling():
     ids=["dense-remainder", "dense-negative", "sparse-negative"],
 )
 def test_broken_determinant_raises_a_typed_error(monkeypatch, g, fake):
-    monkeypatch.setattr(exact, "_bareiss_determinant", lambda matrix: fake)
+    monkeypatch.setattr(exact, "_sparse_determinant", lambda nbrs, order, diagonal, off: fake)
     with pytest.raises(ExactInvariantError):
         spanning_tree_count(g)
+
+
+def test_spanning_trees_over_the_elimination_price_refuse_at_once(monkeypatch):
+    def no_elimination(nbrs, order, diagonal, off):
+        raise AssertionError("eliminated before the price check")
+
+    monkeypatch.setattr(exact, "_sparse_determinant", no_elimination)
+    # a Laplacian minor, and nI - L(complement) of a dense graph
+    for g in (random_regular(2000, 3, seed=11), complement(random_regular(400, 3, seed=12))):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError):
+            spanning_tree_count(g)
+        assert time.perf_counter() - start < 1.0, g
 
 
 def test_spanning_trees_rejects_directed():
