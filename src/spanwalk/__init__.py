@@ -39,6 +39,7 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
     regular_degree,
+    require_regular,
     to_edge_list_text,
 )
 from .series import (
@@ -96,6 +97,7 @@ __all__ = [
     "random_regular",
     "random_regular_bipartite",
     "regular_degree",
+    "require_regular",
     "series_term",
     "spanning_tree_count",
     "spread_step",

@@ -19,9 +19,9 @@ from math import comb
 
 import mpmath
 
-from .errors import BipartiteRequiredError, DirectedUnsupportedError, RegularityRequiredError
+from .errors import BipartiteRequiredError
 from .exact import closed_walk_counts, laplacian_traces
-from .graph import Graph, bipartition, regular_degree
+from .graph import Graph, bipartition, require_regular
 
 _PREC = 96
 
@@ -106,13 +106,9 @@ def thm2_lower(g: Graph, m: int) -> BoundReport:
       ln bound = (n-2) ln n + ln(1-y)
                  - sum_{k=1}^{m-1} (tr(L^k) - tr(L^m)^(k/m)) / (k n^k)
     """
-    if g.directed:
-        raise DirectedUnsupportedError("this bound is defined for undirected graphs")
     if m < 2:
         raise ValueError("m must be at least 2")
-    d = regular_degree(g)
-    if d is None:
-        raise RegularityRequiredError("this bound needs a regular input graph")
+    d = require_regular(g)
     n = g.n
     table = laplacian_traces(g, m)
     params = {"n": n, "d": d, "m": m}
@@ -179,13 +175,9 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
 
     The lower bound needs y < 1, tested exactly as w_2m < (n-d)^(2m).
     """
-    if g.directed:
-        raise DirectedUnsupportedError("these bounds are defined for undirected graphs")
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
-    d = regular_degree(g)
-    if d is None:
-        raise RegularityRequiredError("these bounds need a regular input graph")
+    d = require_regular(g)
     if bipartition(g) is None:
         raise BipartiteRequiredError("these bounds need a bipartite input graph")
     n = g.n

@@ -27,12 +27,7 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import families, series, synchrony
-from .errors import (
-    InputReadError,
-    NumericFailureError,
-    RegularityRequiredError,
-    ToolkitError,
-)
+from .errors import InputReadError, NumericFailureError, ToolkitError
 from .exact import closed_walk_counts, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
@@ -41,10 +36,9 @@ from .graph import (
     parse_edge_list,
     parse_graph6,
     regular_degree,
+    require_regular,
     to_edge_list_text,
 )
-
-_NAMED_CHOICES = ("petersen", "paper-h", "paper-bipartite")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -109,7 +103,7 @@ def _rational(x: Fraction | float) -> Any:
 
 def _add_graph_source(parser: argparse.ArgumentParser, directed_ok: bool = False) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--named", choices=_NAMED_CHOICES, help="bundled example graph")
+    group.add_argument("--named", choices=families.NAMED_GRAPHS, help="bundled example graph")
     group.add_argument("--edge-list", metavar="PATH", help="path to an edge-list file")
     group.add_argument("--graph6", metavar="STRING", help="short-form graph6 string")
     parser.add_argument(
@@ -290,14 +284,9 @@ def _cmd_series(args) -> str:
 def _cmd_bounds(args) -> str:
     g = _load_graph(args)
     if args.bound == "prop1":
-        d = regular_degree(g)
-        if d is None:
-            raise RegularityRequiredError("prop1 needs a regular input graph")
-        return _json(_bound_doc(bounds_mod.prop1_lower(g.n, d))) + "\n"
+        return _json(_bound_doc(bounds_mod.prop1_lower(g.n, require_regular(g)))) + "\n"
     if args.bound == "prop2":
-        d = regular_degree(g)
-        if d is None:
-            raise RegularityRequiredError("prop2 needs a regular input graph")
+        d = require_regular(g)
         return _json(_bound_doc(bounds_mod.prop2_lower(g.n, d, triangle_count(g)))) + "\n"
     if args.bound == "thm2":
         return _json(_bound_doc(bounds_mod.thm2_lower(g, args.m))) + "\n"

@@ -14,13 +14,8 @@ from math import comb
 from operator import add, mul
 from typing import Iterator
 
-from .errors import (
-    DirectedUnsupportedError,
-    ExactInvariantError,
-    RegularityRequiredError,
-    WorkBudgetError,
-)
-from .graph import Graph, regular_degree
+from .errors import DirectedUnsupportedError, ExactInvariantError, WorkBudgetError
+from .graph import Graph, require_regular
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -142,8 +137,6 @@ def spanning_tree_count(g: Graph) -> int:
     (_minimum_degree_order) refuses with WorkBudgetError before any
     big-integer work.
     """
-    if g.directed:
-        raise DirectedUnsupportedError("the Laplacian is defined here for undirected graphs")
     n = g.n
     nbrs = g.neighbor_sets()
     if 4 * g.size <= n * (n - 1):
@@ -257,8 +250,6 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     recurrence (_power_sums_past).  All arithmetic is on exact integers.
     Callers that stop at a known order price the table first (check_table_price).
     """
-    if g.directed:
-        raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
     head = []
     # the phase-one generator, and with it every matrix, is released when islice stops
     for w in islice(_frobenius_walks([sorted(s) for s in g.neighbor_sets()]), g.n):
@@ -336,9 +327,7 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     """
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
-    d = regular_degree(g)
-    if d is None:
-        raise RegularityRequiredError("Laplacian trace tables are built for regular graphs")
+    d = require_regular(g)
     check_table_price(g, max_r)
     n = g.n
     walks = (n,) + closed_walk_counts(g, min(max_r, n)).counts  # tr(A^0) = n

@@ -36,6 +36,7 @@ _NAMED = {
     "paper-h": (10, _PAPER_H_EDGES),
     "paper-bipartite": (10, _PAPER_BIPARTITE_EDGES),
 }
+NAMED_GRAPHS = tuple(_NAMED)  # the bundled graph names, in the order they are offered
 
 
 def named_graph(name: str) -> Graph:
@@ -48,7 +49,7 @@ def named_graph(name: str) -> Graph:
     try:
         n, edges = _NAMED[name]
     except KeyError:
-        raise ValueError(f"unknown graph name {name!r}; choose from {sorted(_NAMED)}") from None
+        raise ValueError(f"unknown graph name {name!r}; choose from {list(NAMED_GRAPHS)}") from None
     return Graph(n, frozenset(edges))
 
 

@@ -11,7 +11,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import DirectedUnsupportedError, EdgeListParseError
+from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequiredError
 
 Edge = tuple[int, int]
 
@@ -53,7 +53,7 @@ class Graph:
         return (min(u, v), max(u, v)) in self.edges
 
     def neighbor_sets(self) -> list[set[int]]:
-        """Adjacency as a list of neighbor sets; undirected graphs only."""
+        """Adjacency as a list of neighbor sets; the gate every undirected-only operation passes first."""
         if self.directed:
             raise DirectedUnsupportedError("neighbor sets are defined for undirected graphs")
         nbrs: list[set[int]] = [set() for _ in range(self.n)]
@@ -163,21 +163,13 @@ def parse_graph6(text: str) -> Graph:
 
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; an involution."""
-    if g.directed:
-        raise DirectedUnsupportedError("complement is defined for undirected graphs")
-    edges = {
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edges
-    }
+    nbrs = g.neighbor_sets()
+    edges = {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in nbrs[u]}
     return Graph(g.n, frozenset(edges))
 
 
 def regular_degree(g: Graph) -> int | None:
     """Common degree when the graph is regular, else None."""
-    if g.directed:
-        raise DirectedUnsupportedError("regularity is checked on undirected graphs")
     degrees = g.degree_sequence()
     first = degrees[0]
     if all(d == first for d in degrees):
@@ -185,10 +177,19 @@ def regular_degree(g: Graph) -> int | None:
     return None
 
 
+def require_regular(g: Graph) -> int:
+    """Common degree of a regular graph; RegularityRequiredError, naming the degree range, otherwise."""
+    d = regular_degree(g)
+    if d is None:
+        degrees = g.degree_sequence()
+        raise RegularityRequiredError(
+            f"a regular graph is required; degrees range from {min(degrees)} to {max(degrees)}"
+        )
+    return d
+
+
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A two-coloring (smaller-rooted side first per component) or None if an odd cycle exists."""
-    if g.directed:
-        raise DirectedUnsupportedError("bipartition is checked on undirected graphs")
     nbrs = g.neighbor_sets()
     color = [-1] * g.n
     for start in range(g.n):
@@ -210,10 +211,6 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.directed:
-        raise DirectedUnsupportedError("connectivity is checked on undirected graphs")
-    if g.n == 1:
-        return True
     nbrs = g.neighbor_sets()
     seen = {0}
     queue = deque([0])

@@ -20,31 +20,21 @@ from typing import ClassVar
 
 import mpmath
 
-from .errors import (
-    ConvergenceDomainError,
-    DirectedUnsupportedError,
-    ExactInvariantError,
-    RegularityRequiredError,
-    WorkBudgetError,
-)
+from .errors import ConvergenceDomainError, ExactInvariantError, WorkBudgetError
 from .exact import (
     check_table_price,
     closed_walk_counts,
     elementary_symmetric,
     iter_closed_walk_counts,
 )
-from .graph import Graph, regular_degree
+from .graph import Graph, require_regular
 
 _EVAL_PREC = 96  # working significand bits for partial-sum evaluation
 _MAX_SUM_WORK = 2**24  # bit operations the exact partial sums of one evaluation may cost
 
 
 def _checked_parameters(g: Graph) -> tuple[int, int]:
-    if g.directed:
-        raise DirectedUnsupportedError("the series is defined for undirected graphs")
-    d = regular_degree(g)
-    if d is None:
-        raise RegularityRequiredError("the series needs a regular input graph")
+    d = require_regular(g)
     if 2 * d >= g.n:
         raise ConvergenceDomainError(
             f"guaranteed convergence needs 2d < n; got n={g.n}, d={d}"

@@ -79,7 +79,8 @@ def test_paper_bipartite_structure():
 
 
 def test_named_graph_rejects_unknown_names():
-    with pytest.raises(ValueError, match="unknown graph name"):
+    assert families.NAMED_GRAPHS == ("petersen", "paper-h", "paper-bipartite")
+    with pytest.raises(ValueError, match=r"unknown graph name .*\['petersen', 'paper-h', 'paper-bipartite'\]$"):
         named_graph("heawood")
 
 

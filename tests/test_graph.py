@@ -10,12 +10,14 @@ from spanwalk import (
     DirectedUnsupportedError,
     EdgeListParseError,
     Graph,
+    RegularityRequiredError,
     bipartition,
     complement,
     is_connected,
     parse_edge_list,
     parse_graph6,
     regular_degree,
+    require_regular,
     to_edge_list_text,
 )
 from oracles import complete, complete_bipartite, cycle, gnp, path
@@ -98,11 +100,14 @@ def test_graph6_rejects_bad_input():
 
 
 def test_complement_involution_and_size():
+    graphs = [Graph(1), Graph(2), Graph(6), complete(6), path(5), cycle(7), complete_bipartite(2, 3)]
     for seed in range(20):
         rng = random.Random(1000 + seed)
-        n = rng.randint(1, 12)
-        g = gnp(n, rng.choice([0.1, 0.4, 0.7]), seed)
+        graphs.append(gnp(rng.randint(1, 12), rng.choice([0.1, 0.4, 0.7]), seed))
+    for g in graphs:
+        n = g.n
         cg = complement(g)
+        assert cg.edges == {(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges}
         assert complement(cg) == g
         assert g.size + cg.size == n * (n - 1) // 2
 
@@ -122,6 +127,12 @@ def test_regular_degree():
     assert regular_degree(complete(7)) == 6
     assert regular_degree(Graph(4)) == 0
     assert regular_degree(path(4)) is None  # degrees 1,2,2,1
+    assert require_regular(cycle(6)) == 2
+    assert require_regular(Graph(4)) == 0
+    with pytest.raises(RegularityRequiredError, match="degrees range from 1 to 2"):
+        require_regular(path(4))
+    with pytest.raises(RegularityRequiredError, match="degrees range from 0 to 1"):
+        require_regular(Graph(3, frozenset({(0, 1)})))
 
 
 def test_regular_degree_complement_relation():
