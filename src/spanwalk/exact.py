@@ -14,8 +14,8 @@ from math import comb
 from operator import add, mul
 from typing import Iterator
 
-from .errors import DirectedUnsupportedError, ExactInvariantError, WorkBudgetError
-from .graph import Graph, require_regular
+from .errors import ExactInvariantError, WorkBudgetError
+from .graph import Adjacency, Graph, complement, require_regular
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -25,8 +25,8 @@ _WALK_CACHE_GRAPHS = 8  # graphs whose walk prefix closed_walk_counts keeps
 _walk_cache: OrderedDict[Graph, tuple[int, ...]] = OrderedDict()
 
 
-def _minimum_degree_order(nbrs: list[set[int]], bits: int) -> list[int]:
-    """Greedy minimum-degree elimination order of the graph with these neighbour sets, priced as it goes.
+def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
+    """Greedy minimum-degree elimination order of the graph with these neighbours, priced as it goes.
 
     Each step takes the vertex of least degree in the elimination graph, the
     smallest label on ties, joins its remaining neighbours pairwise (the fill
@@ -70,7 +70,7 @@ def _minimum_degree_order(nbrs: list[set[int]], bits: int) -> list[int]:
     return order
 
 
-def _sparse_determinant(nbrs: list[set[int]], order: list[int], diagonal: list[int], off: int) -> int:
+def _sparse_determinant(nbrs: Adjacency, order: list[int], diagonal: list[int], off: int) -> int:
     """Determinant of a positive semidefinite integer matrix, by fraction-free elimination of its fill.
 
     The matrix has rows and columns indexed by `order` (a subset of the
@@ -138,16 +138,15 @@ def spanning_tree_count(g: Graph) -> int:
     big-integer work.
     """
     n = g.n
-    nbrs = g.neighbor_sets()
     if 4 * g.size <= n * (n - 1):
+        nbrs = g.adjacency()
         degrees = [len(s) for s in nbrs]
         order = _minimum_degree_order(nbrs, max(degrees).bit_length())[:-1]
         det = _sparse_determinant(nbrs, order, degrees, -1)
         if det < 0:
             raise ExactInvariantError("a Laplacian minor of an undirected graph came out negative")
         return det
-    everyone = set(range(n))
-    sparse = [everyone - s - {v} for v, s in enumerate(nbrs)]
+    sparse = complement(g).adjacency()
     diagonal = [n - len(s) for s in sparse]
     order = _minimum_degree_order(sparse, max(diagonal).bit_length())
     det = _sparse_determinant(sparse, order, diagonal, 1)
@@ -157,7 +156,7 @@ def spanning_tree_count(g: Graph) -> int:
     return count
 
 
-def _frobenius_walks(nbrs: list[list[int]]) -> Iterator[int]:
+def _frobenius_walks(nbrs: Adjacency) -> Iterator[int]:
     """Yield w_1, w_2, ... from adjacency powers, two counts per product.
 
     A is symmetric, so w_(2j+1) = <A^j, A^(j+1)>_F and w_(2j+2) = <A^(j+1), A^(j+1)>_F.
@@ -252,7 +251,7 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     """
     head = []
     # the phase-one generator, and with it every matrix, is released when islice stops
-    for w in islice(_frobenius_walks([sorted(s) for s in g.neighbor_sets()]), g.n):
+    for w in islice(_frobenius_walks(g.adjacency()), g.n):
         head.append(w)
         yield w
     yield from _power_sums_past(head)
@@ -284,8 +283,7 @@ def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    if g.directed:
-        raise DirectedUnsupportedError("closed-walk counts are computed for undirected graphs")
+    g.adjacency()  # refuses a directed graph before the cache
     check_table_price(g, max_k)
     counts = _walk_cache.get(g)
     if counts is None or len(counts) < max_k:

@@ -2,18 +2,21 @@
 
 Vertices are always 0..n-1.  Undirected edges are stored once as (u, v) with
 u < v; directed graphs (accepted only by the spreading dynamics) store arcs
-as ordered (tail, head) pairs.
+as (tail, head) pairs.  Each Graph keeps one adjacency: ascending tuples.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequiredError
+from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequiredError, WorkBudgetError
 
 Edge = tuple[int, int]
+Adjacency = tuple[tuple[int, ...], ...]
+
+_MAX_COMPLEMENT_PAIRS = 2**20  # most vertex pairs one complement may hold as edges
 
 
 @dataclass(frozen=True, repr=False)
@@ -23,21 +26,30 @@ class Graph:
     n: int
     edges: frozenset[Edge] = frozenset()
     directed: bool = False
+    # ascending in-neighbours of each vertex (neighbours when undirected), built once from edges
+    in_adjacency: Adjacency = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
+        n, directed = self.n, self.directed  # locals: both loops run once per edge
+        if n < 1:
             raise ValueError("vertex count must be at least 1")
         normalized = set()
         for edge in self.edges:
             u, v = edge
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if not self.directed and u > v:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if not directed and u > v:
                 u, v = v, u
             normalized.add((u, v))
+        nbrs: list[list[int]] = [[] for _ in range(n)]
+        for u, v in normalized:
+            nbrs[v].append(u)
+            if not directed:
+                nbrs[u].append(v)
         object.__setattr__(self, "edges", frozenset(normalized))
+        object.__setattr__(self, "in_adjacency", tuple(tuple(sorted(s)) for s in nbrs))
 
     def __repr__(self) -> str:
         kind = "directed " if self.directed else ""
@@ -52,27 +64,22 @@ class Graph:
             return (u, v) in self.edges
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbor_sets(self) -> list[set[int]]:
-        """Adjacency as a list of neighbor sets; the gate every undirected-only operation passes first."""
+    def adjacency(self) -> Adjacency:
+        """Ascending neighbours of each vertex; the gate every undirected-only operation passes first."""
         if self.directed:
             raise DirectedUnsupportedError("neighbor sets are defined for undirected graphs")
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
-        return nbrs
+        return self.in_adjacency
+
+    def neighbor_sets(self) -> list[set[int]]:
+        """A fresh neighbour set per vertex, undirected graphs only."""
+        return [set(s) for s in self.adjacency()]
 
     def in_neighbor_sets(self) -> list[set[int]]:
-        """Vertices with an arc into each vertex; equals neighbor_sets() when undirected."""
-        if not self.directed:
-            return self.neighbor_sets()
-        nbrs: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
-            nbrs[v].add(u)
-        return nbrs
+        """A fresh set per vertex of the vertices with an arc into it; neighbour sets when undirected."""
+        return [set(s) for s in self.in_adjacency]
 
     def degree_sequence(self) -> list[int]:
-        return [len(s) for s in self.neighbor_sets()]
+        return [len(s) for s in self.adjacency()]
 
 
 def parse_edge_list(text: str, directed: bool = False) -> Graph:
@@ -110,8 +117,6 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"edge ({u}, {v}) out of range for n={n}", lineno)
-        if not directed and u > v:
-            u, v = v, u
         edges.add((u, v))
     if n is None:
         raise EdgeListParseError("missing vertex count line")
@@ -162,9 +167,18 @@ def parse_graph6(text: str) -> Graph:
 
 
 def complement(g: Graph) -> Graph:
-    """Complement on the same vertex set; an involution."""
-    nbrs = g.neighbor_sets()
-    edges = {(u, v) for u in range(g.n) for v in range(u + 1, g.n) if v not in nbrs[u]}
+    """Complement on the same vertex set; an involution.
+
+    Its n(n-1)/2 - |E| edges are priced before any is built: past
+    _MAX_COMPLEMENT_PAIRS, WorkBudgetError is raised.
+    """
+    pairs = g.n * (g.n - 1) // 2 - g.size
+    if pairs > _MAX_COMPLEMENT_PAIRS:
+        raise WorkBudgetError(
+            f"the complement of a graph on {g.n} vertices has {pairs} edges; "
+            f"the budget is {_MAX_COMPLEMENT_PAIRS}"
+        )
+    edges = {(u, v) for u, s in enumerate(g.adjacency()) for v in set(range(u + 1, g.n)).difference(s)}
     return Graph(g.n, frozenset(edges))
 
 
@@ -190,7 +204,7 @@ def require_regular(g: Graph) -> int:
 
 def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     """A two-coloring (smaller-rooted side first per component) or None if an odd cycle exists."""
-    nbrs = g.neighbor_sets()
+    nbrs = g.adjacency()
     color = [-1] * g.n
     for start in range(g.n):
         if color[start] != -1:
@@ -211,7 +225,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
 
 
 def is_connected(g: Graph) -> bool:
-    nbrs = g.neighbor_sets()
+    nbrs = g.adjacency()
     seen = {0}
     queue = deque([0])
     while queue:

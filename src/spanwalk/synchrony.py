@@ -28,6 +28,7 @@ from .errors import WorkBudgetError
 from .graph import Graph
 
 EXHAUSTIVE_BUDGET = 2_000_000  # most k-subsets an exhaustive sweep visits
+_MAX_SAMPLED_WORK = 2**24  # most samples × (n + |E|) a Monte Carlo sweep may cost
 _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of seeds holds
 
 # The engine is bit-sliced (Biham, FSE 1997): every vertex holds one int whose
@@ -37,7 +38,7 @@ _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of
 
 def _live_sources(g: Graph, t: int) -> list[tuple[int, tuple[int, ...]]]:
     """(v, in-neighbours of v) for each v with at least t in-neighbours: no other vertex can turn on."""
-    return [(v, tuple(src)) for v, src in enumerate(g.in_neighbor_sets()) if len(src) >= t]
+    return [(v, src) for v, src in enumerate(g.in_adjacency) if len(src) >= t]
 
 
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
@@ -136,8 +137,9 @@ def measure_synchrony(
 ) -> SynchronyOutcome:
     """Measure p_k and e_k over k-subsets, exhaustively or by Monte Carlo.
 
-    An exhaustive sweep over more than EXHAUSTIVE_BUDGET subsets raises
-    WorkBudgetError before any seed is evaluated.
+    An exhaustive sweep over more than EXHAUSTIVE_BUDGET subsets, or a Monte
+    Carlo sweep whose samples × (n + |E|) exceeds _MAX_SAMPLED_WORK, raises
+    WorkBudgetError before any seed is drawn or evaluated.
     """
     _check_threshold(t)
     if not 1 <= k <= g.n:
@@ -299,6 +301,12 @@ def _measure_exhaustive(g: Graph, t: int, k: int) -> SynchronyOutcome:
 
 
 def _measure_monte_carlo(g: Graph, t: int, k: int, samples: int, seed64: int) -> SynchronyOutcome:
+    price = samples * (g.n + g.size)
+    if price > _MAX_SAMPLED_WORK:
+        raise WorkBudgetError(
+            f"{samples} samples on {g.n} vertices and {g.size} edges cost {price}; "
+            f"the budget is {_MAX_SAMPLED_WORK}"
+        )
     # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
     rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
     histogram, stalled = _sweep(g, t, _sampled_blocks(g.n, k, samples, rng))

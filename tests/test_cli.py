@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from spanwalk import cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
+from spanwalk import Graph, cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
 from oracles import complete, cycle
 
@@ -267,6 +267,20 @@ def test_complexity_over_the_elimination_price_exits_2_at_once(monkeypatch, tmp_
     monkeypatch.setattr(exact, "_sparse_determinant", no_elimination)
     start = time.perf_counter()
     code, doc = _run_json(["complexity", "--edge-list", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
+def test_complement_over_its_price_exits_2_at_once(monkeypatch, tmp_path):
+    def no_pairs(g):
+        raise AssertionError("complement pairs built before the price check")
+
+    path = tmp_path / "isolated200000.txt"
+    path.write_text("200000\n0 1\n1 2\n")
+    monkeypatch.setattr(Graph, "adjacency", no_pairs)
+    start = time.perf_counter()
+    code, doc = _run_json(["graph", "info", "--complement", "--edge-list", str(path)])
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert doc["error"]["code"] == "work-budget"

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import OrderedDict
 
 import pytest
 
@@ -12,6 +14,7 @@ from spanwalk import (
     Graph,
     RegularityRequiredError,
     bipartition,
+    closed_walk_counts,
     complement,
     is_connected,
     parse_edge_list,
@@ -20,6 +23,7 @@ from spanwalk import (
     require_regular,
     to_edge_list_text,
 )
+from spanwalk import exact
 from oracles import complete, complete_bipartite, cycle, gnp, path
 
 
@@ -99,17 +103,28 @@ def test_graph6_rejects_bad_input():
         parse_graph6("C\x19")
 
 
-def test_complement_involution_and_size():
+def _complement_inputs() -> list[Graph]:
     graphs = [Graph(1), Graph(2), Graph(6), complete(6), path(5), cycle(7), complete_bipartite(2, 3)]
     for seed in range(20):
         rng = random.Random(1000 + seed)
         graphs.append(gnp(rng.randint(1, 12), rng.choice([0.1, 0.4, 0.7]), seed))
-    for g in graphs:
+    return graphs
+
+
+def test_complement_involution_and_size():
+    for g in _complement_inputs():
         n = g.n
         cg = complement(g)
         assert cg.edges == {(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges}
         assert complement(cg) == g
         assert g.size + cg.size == n * (n - 1) // 2
+
+
+def test_complement_adjacency_is_the_set_builder_complement():
+    for g in _complement_inputs():
+        everyone = set(range(g.n))
+        want = tuple(tuple(sorted(everyone - s - {v})) for v, s in enumerate(g.neighbor_sets()))
+        assert complement(g).adjacency() == want
 
 
 def test_complement_of_complete_graph_is_empty():
@@ -160,3 +175,50 @@ def test_is_connected():
     assert is_connected(Graph(1))
     assert not is_connected(Graph(2))
     assert not is_connected(Graph(4, frozenset({(0, 1), (2, 3)})))
+
+
+def test_graphs_from_the_same_edges_are_one_graph(monkeypatch):
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+    rng = random.Random(12)
+    graphs = [parse_edge_list("4\n" + "".join(f"{v} {u}\n" for u, v in edges))]
+    for _ in range(5):
+        arcs = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(arcs)
+        graphs.append(Graph(4, frozenset(arcs + [(v, u) for u, v in arcs[:2]])))  # both orientations
+    first = graphs[0]
+    assert first.adjacency() == ((1, 2, 3), (0, 2), (0, 1, 3), (0, 2))
+    for g in graphs:
+        assert g == first and hash(g) == hash(first) and g.adjacency() == first.adjacency()
+    monkeypatch.setattr(exact, "_walk_cache", OrderedDict())
+    for g in graphs:
+        closed_walk_counts(g, 4)
+    assert len(exact._walk_cache) == 1
+    with pytest.raises(TypeError):
+        Graph(2, in_adjacency=((), ()))  # derived from the edges, never passed in
+
+
+def test_neighbor_sets_are_fresh_on_every_call():
+    g = cycle(5)
+    d = Graph(3, frozenset({(0, 1), (2, 1)}), directed=True)
+    assert d.in_neighbor_sets() == [set(), {0, 2}, set()]
+    for graph, read in ((g, g.neighbor_sets), (g, g.in_neighbor_sets), (d, d.in_neighbor_sets)):
+        adjacency = graph.in_adjacency
+        scratch = read()
+        scratch[0].add(2)
+        scratch[1].clear()
+        assert read() == [set(s) for s in adjacency]
+        assert graph.in_adjacency is adjacency
+
+
+def test_adjacency_memory_stays_linear():
+    # one int bitset per vertex would hold about n^2/16 bytes here: about 150 MB
+    tracemalloc.start()
+    try:
+        g = cycle(50_000)
+        assert regular_degree(g) == 2
+        assert bipartition(g) is not None
+        assert is_connected(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20, peak

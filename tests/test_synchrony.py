@@ -270,6 +270,20 @@ def test_monte_carlo_outcomes_are_pinned(g, t, k, samples, seed64, want):
     assert measure_synchrony(g, t=t, k=k, mode="monte-carlo", samples=samples, seed64=seed64) == want
 
 
+def test_monte_carlo_over_its_price_exits_2_at_once(monkeypatch):
+    def no_draws(n, k, samples, rng):
+        raise AssertionError("seeds drawn before the price check")
+
+    monkeypatch.setattr(synchrony, "_sampled_blocks", no_draws)
+    argv = ["synchrony", "--named", "petersen", "--t", "2", "--k", "3", "--mode", "mc", "--samples", "1000000000", "--seed", "1"]
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = cli.run(argv, out)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert '"code": "work-budget"' in out.getvalue()
+
+
 def test_monte_carlo_cli_bytes_are_pinned():
     argv = ["synchrony", "--named", "paper-h", "--t", "2", "--k", "4", "--mode", "mc", "--samples", "3000", "--seed", "7"]
     out = io.StringIO()
