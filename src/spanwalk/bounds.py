@@ -8,12 +8,27 @@ Four bound families are provided, reported uniformly through BoundReport:
   thm3        two-sided bounds on t(complement) for regular bipartite g,
               from even closed-walk counts
 
+Every lower bound is one lemma.  For reals x_i in [0, 1) with power sums
+p_k = sum_i x_i^k and any m >= 1,
+
+  sum_i ln(1 - x_i) >= ln(1 - p_m^(1/m)) - sum_{k=1}^{m-1} (p_k - p_m^(k/m)) / k,
+
+evaluated once, in _power_sum_lower.  thm2 applies it to x_i = mu_i / n, the
+Laplacian eigenvalues of the input over n, so p_k = tr(L^k) / n^k.  prop1 and
+prop2 are thm2 at m = 2 and m = 3 on the complement of the bounded d-regular
+graph, whose traces are closed forms in n, d and the triangle count: with
+c = n-1-d, tr L = nc and tr L^2 = nc(c+1), and tr L^3 follows from Goodman's
+identity.  thm3's lower bound is the lemma on the squared adjacency spectrum,
+p_s = w_2s / (n-d)^(2s), halved because the spectrum of a bipartite graph is
+symmetric.
+
 Preconditions are tested exactly on integers; the returned log and linear
 values are evaluated with a 96-bit working significand.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb
 
@@ -78,24 +93,52 @@ def _failed(name: str, target: str, reason: str, parameters: dict) -> BoundRepor
     )
 
 
+def _power_sum_lower(sums: Sequence[int], scale: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """The power-sum lemma behind every lower bound, at the caller's working precision.
+
+    For reals x_i in [0, 1) given through P_k = scale^k sum_i x_i^k as
+    sums = (P_1, ..., P_m), with y = P_m^(1/m) / scale < 1 (which the caller
+    tests exactly on integers), returns (value, y) such that
+
+      sum_i ln(1 - x_i) >= value = ln(1-y) - sum_{k=1}^{m-1} (P_k - P_m^(k/m)) / (k scale^k)
+    """
+    m = len(sums)
+    p_m = mpmath.mpf(sums[-1])
+    y = p_m ** (mpmath.mpf(1) / m) / scale
+    correction = mpmath.mpf(0)
+    for k in range(1, m):
+        correction += (sums[k - 1] - p_m ** (mpmath.mpf(k) / m)) / (k * scale**k)
+    return mpmath.log(1 - y) - correction, y
+
+
+def _trace_lower(
+    name: str, target: str, n: int, traces: Sequence[int], params: dict, key: str
+) -> BoundReport:
+    """ln n^(n-2) plus the lemma on tr(L^k) / n^k.
+
+    traces are tr(L^1..L^m) of the complement of the bounded graph.
+    """
+    with mpmath.workprec(_PREC):
+        value, y = _power_sum_lower(traces, n)
+        params[key] = _sig7(y)
+        return _finish(name, target, (n - 2) * mpmath.log(n) + value, params)
+
+
 def prop1_lower(n: int, d: int) -> BoundReport:
     """Degree-only lower bound on the spanning-tree count of a d-regular graph.
 
     Requires (n-1-d)(n-d) < n (so d is within about sqrt(n) of n-1); the
     bound is n^(n-2) (1 - r) exp(r - (n-1-d)) with r = sqrt((n-1-d)(n-d)/n),
-    exact for the complete graph.
+    exact for the complete graph.  It is thm2 at m = 2 on the complement.
     """
     if n < 1 or not 0 <= d <= n - 1:
         raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n}, d={d}")
     params = {"n": n, "d": d}
-    prod = (n - 1 - d) * (n - d)
+    c = n - 1 - d
+    prod = c * (n - d)
     if prod >= n:
         return _failed("prop1", "t(G)", f"(n-1-d)(n-d) = {prod} >= n = {n}", params)
-    with mpmath.workprec(_PREC):
-        root = mpmath.sqrt(mpmath.mpf(prod) / n)
-        log_value = (n - 2) * mpmath.log(n) + mpmath.log(1 - root) + (root - (n - 1 - d))
-        params["root"] = _sig7(root)
-        return _finish("prop1", "t(G)", log_value, params)
+    return _trace_lower("prop1", "t(G)", n, (n * c, n * prod), params, "root")
 
 
 def thm2_lower(g: Graph, m: int) -> BoundReport:
@@ -116,15 +159,8 @@ def thm2_lower(g: Graph, m: int) -> BoundReport:
         return _failed(
             "thm2", "t(complement)", f"tr(L^{m}) = {table.trace(m)} >= n^{m} = {n ** m}", params
         )
-    with mpmath.workprec(_PREC):
-        tr_m = mpmath.mpf(table.trace(m))
-        y = tr_m ** (mpmath.mpf(1) / m) / n
-        correction = mpmath.mpf(0)
-        for k in range(1, m):
-            correction += (table.trace(k) - tr_m ** (mpmath.mpf(k) / m)) / (k * n**k)
-        log_value = (n - 2) * mpmath.log(n) + mpmath.log(1 - y) - correction
-        params["y"] = _sig7(y)
-        return _finish("thm2", "t(complement)", log_value, params)
+    traces = [table.trace(k) for k in range(1, m + 1)]
+    return _trace_lower("thm2", "t(complement)", n, traces, params, "y")
 
 
 def prop2_lower(n: int, d: int, triangles: int) -> BoundReport:
@@ -135,33 +171,20 @@ def prop2_lower(n: int, d: int, triangles: int) -> BoundReport:
     and the bound, valid for 0 <= s < 1, is
 
       ln bound = (n-2) ln n + ln(1-s) + s - (n-1-d) + s^2/2 - (n-d)(n-d-1)/(2n)
+
+    It is thm2 at m = 3 on the complement, whose tr(L^3) is n^3 s^3.
     """
     if n < 1 or not 0 <= d <= n - 1 or triangles < 0:
         raise ValueError(f"need n >= 1, 0 <= d <= n-1, triangles >= 0; got {n}, {d}, {triangles}")
     params = {"n": n, "d": d, "triangles": triangles}
-    # 6 (C(n,3) - n d (n-1-d)/2 - triangles) expands to an exact integer.
-    cube_scaled = (
-        n * (n - 1 - d) ** 2 * (n + 2 - d)
-        - 6 * comb(n, 3)
-        + 3 * n * d * (n - 1 - d)
-        + 6 * triangles
-    )
+    c = n - 1 - d
+    # 6 (C(n,3) - n d c/2 - triangles) expands to an exact integer.
+    cube_scaled = n * c**2 * (n + 2 - d) - 6 * comb(n, 3) + 3 * n * d * c + 6 * triangles
     if cube_scaled < 0:
         return _failed("prop2", "t(G)", f"cube argument {cube_scaled}/n^3 is negative", params)
     if cube_scaled >= n**3:
         return _failed("prop2", "t(G)", f"s >= 1 (cube argument {cube_scaled} >= n^3 = {n ** 3})", params)
-    with mpmath.workprec(_PREC):
-        s = (mpmath.mpf(cube_scaled) / n**3) ** (mpmath.mpf(1) / 3)
-        log_value = (
-            (n - 2) * mpmath.log(n)
-            + mpmath.log(1 - s)
-            + s
-            - (n - 1 - d)
-            + s**2 / 2
-            - mpmath.mpf((n - d) * (n - d - 1)) / (2 * n)
-        )
-        params["s"] = _sig7(s)
-        return _finish("prop2", "t(G)", log_value, params)
+    return _trace_lower("prop2", "t(G)", n, (n * c, n * c * (c + 1), cube_scaled), params, "s")
 
 
 def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
@@ -202,14 +225,7 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
                 lower_params,
             )
         else:
-            w2m_mp = mpmath.mpf(w2m)
-            y = w2m_mp ** (mpmath.mpf(1) / (2 * m)) / nd
-            correction = mpmath.mpf(0)
-            for s in range(1, m):
-                correction += (walks.w(2 * s) - w2m_mp ** (mpmath.mpf(s) / m)) / (
-                    2 * s * nd ** (2 * s)
-                )
-            log_value = base + mpmath.log(1 - y**2) / 2 - correction
-            lower_params["y"] = _sig7(y)
-            lower = _finish("thm3_lower", "t(complement)", log_value, lower_params)
+            value, y2 = _power_sum_lower([walks.w(2 * s) for s in range(1, m + 1)], nd**2)
+            lower_params["y"] = _sig7(mpmath.sqrt(y2))
+            lower = _finish("thm3_lower", "t(complement)", base + value / 2, lower_params)
     return lower, upper

@@ -3,12 +3,14 @@ and seeded random regular generators."""
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import RetryBudgetError, WorkBudgetError
 from .graph import Graph
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
+_MAX_PAIRING_WORK = 1 << 22  # most expected stub placements a random regular request may price
 _MAX_FAMILY_PAIRS = 1 << 16  # most x-y pairs g_family lays out before WorkBudgetError
 
 # Bundled example graphs, given as literal edge sets on vertices 0..9.
@@ -92,18 +94,43 @@ def _g_family_edges(k: int, l: int) -> set[tuple[int, int]]:
     return edges
 
 
+def _check_pairing_price(n: int, d: int, bipartite: bool) -> None:
+    """Refuse a hopeless random regular request before its first shuffle.
+
+    The price is the n*d stubs of one attempt times the expected number of
+    attempts: exp((d^2-1)/4 + d^3/(12n)) for random_regular (McKay and
+    Wormald 1991) and exp((d-1)^2/2) for random_regular_bipartite (O'Neil
+    1969).  It is compared in the log domain, so no degree overflows a float;
+    past _MAX_PAIRING_WORK, WorkBudgetError is raised.
+    """
+    stubs = n * d
+    if not stubs:
+        return
+    log_price = math.log(stubs)
+    if stubs <= _MAX_PAIRING_WORK:  # else the stubs alone are over, and d may not fit a float
+        log_price += (d - 1) ** 2 / 2 if bipartite else (d * d - 1) / 4 + d**3 / (12 * n)
+    if log_price > math.log(_MAX_PAIRING_WORK):
+        kind = "bipartite " if bipartite else ""
+        raise WorkBudgetError(
+            f"a random {kind}{d}-regular pairing on {n} vertices expects about e^{log_price:.1f} "
+            f"stub placements, over the budget of {_MAX_PAIRING_WORK}"
+        )
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular simple graph on n vertices, by pairing with rejection.
 
     Each attempt shuffles the nd degree stubs and pairs them consecutively;
     any self-pair or repeated pair rejects the whole attempt, which keeps the
     accepted distribution uniform over simple d-regular graphs.  Deterministic
-    for a fixed seed.
+    for a fixed seed.  A request whose expected work is over _MAX_PAIRING_WORK
+    stub placements raises WorkBudgetError before the first shuffle.
     """
     if not 0 <= d < n:
         raise ValueError(f"need 0 <= d < n, got n={n}, d={d}")
     if n * d % 2:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
+    _check_pairing_price(n, d, bipartite=False)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     for _ in range(_MAX_ATTEMPTS):
@@ -131,13 +158,15 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular bipartite simple graph with parts 0..n/2-1 and n/2..n-1.
 
     Same rejection scheme as random_regular, pairing left stubs with shuffled
-    right stubs; a repeated pair rejects the attempt.
+    right stubs; a repeated pair rejects the attempt.  Priced before the first
+    shuffle as random_regular is.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and at least 2, got {n}")
     half = n // 2
     if not 0 <= d <= half:
         raise ValueError(f"need 0 <= d <= n/2, got n={n}, d={d}")
+    _check_pairing_price(n, d, bipartite=True)
     rng = random.Random(seed)
     left = [v for v in range(half) for _ in range(d)]
     right = [half + v for v in range(half) for _ in range(d)]

@@ -130,6 +130,25 @@ def test_prop2_matches_thm2_through_the_trace_identity():
     r2 = thm2_lower(named_graph("paper-h"), 3)
     rp = prop2_lower(10, 6, 27)
     assert rp.log_value == pytest.approx(r2.log_value, abs=1e-12)
+    # prop1 and prop2 on G = complement(H) are thm2 at m = 2 and 3 on H, with
+    # H's traces in closed form, so the two evaluations agree exactly
+    for n in range(6, 61, 3):
+        for d0 in range(min(5, n - 1) + 1):
+            if n * d0 % 2:
+                continue
+            for seed in (1, 2):
+                h = random_regular(n, d0, seed)
+                g = complement(h)
+                pairs = (
+                    (prop1_lower(n, n - 1 - d0), thm2_lower(h, 2)),
+                    (prop2_lower(n, n - 1 - d0, triangle_count(g)), thm2_lower(h, 3)),
+                )
+                for closed, traced in pairs:
+                    cell = (n, d0, seed, closed.name)
+                    assert closed.preconditions_ok == traced.preconditions_ok, cell
+                    if closed.preconditions_ok:
+                        assert closed.log_value == traced.log_value, cell
+                        assert closed.linear_value == traced.linear_value, cell
 
 
 def test_prop2_petersen_complement():

@@ -306,6 +306,18 @@ def test_construct_g_family_over_the_budget_exits_2_at_once(monkeypatch):
     assert doc["error"]["code"] == "work-budget"
 
 
+def test_construct_random_over_the_pairing_price_exits_2_at_once(monkeypatch):
+    def no_sampler(seed):
+        raise AssertionError("sampler seeded before the price check")
+
+    monkeypatch.setattr(families.random, "Random", no_sampler)
+    start = time.perf_counter()
+    code, doc = _run_json(["construct", "--random", "100", "8", "1"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
 def test_construct_random_is_deterministic():
     code1, doc1 = _run_json(["construct", "--random", "10", "3", "42"])
     code2, doc2 = _run_json(["construct", "--random", "10", "3", "42"])
@@ -448,3 +460,39 @@ def test_one_parser_serves_every_call_with_fresh_interpreter_bytes(monkeypatch, 
             [sys.executable, "-m", "spanwalk.cli", *argv], capture_output=True, text=True, env=env
         )
         assert (proc.returncode, proc.stdout, proc.stderr) == want, argv
+
+
+BOUNDS_GOLDEN = Path(__file__).parent / "golden" / "bounds"
+
+
+def _bounds_transcript() -> str:
+    """Every bounds document on a fixed matrix of graphs, with its exit code.
+
+    The sources are the three bundled graphs and their complements, two
+    random regular bipartite edge lists, and the dense complements of two
+    sparse random regular edge lists, all stored beside the transcript.
+    """
+    sources = []
+    for name in ("petersen", "paper-h", "paper-bipartite"):
+        sources += [["--named", name], ["--named", name, "--complement"]]
+    for stem in ("rrb-20-3-1", "rrb-30-4-2"):
+        sources.append(["--edge-list", f"{stem}.txt"])
+    for stem in ("rr-12-2-1", "rr-20-3-1"):
+        sources.append(["--edge-list", f"{stem}.txt", "--complement"])
+    commands = [["prop1"], ["prop2"]]
+    commands += [["thm2", "--m", str(m)] for m in (1, 2, 3, 5)]
+    for m, k in ((1, 1), (2, 3), (4, 2), (6, 6), (10, 10)):
+        for fmt in ("json", "csv"):
+            commands.append(["thm3", "--m", str(m), "--k", str(k), "--format", fmt])
+    parts = []
+    for source in sources:
+        located = [str(BOUNDS_GOLDEN / a) if a.endswith(".txt") else a for a in source]
+        for command in commands:
+            code, text = _run(["bounds", command[0], *located, *command[1:]])
+            shown = " ".join(["spanwalk", "bounds", command[0], *source, *command[1:]])
+            parts.append(f"$ {shown}\nexit {code}\n{text}")
+    return "".join(parts)
+
+
+def test_bounds_documents_match_the_golden_transcript():
+    assert _bounds_transcript() == (BOUNDS_GOLDEN / "transcript.txt").read_text()

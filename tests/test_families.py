@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 from collections import deque
 from pathlib import Path
 
@@ -148,6 +149,30 @@ def test_random_regular_forced_outcomes_and_errors(monkeypatch):
     monkeypatch.setattr(families, "_MAX_ATTEMPTS", 1)
     with pytest.raises(RetryBudgetError):
         random_regular(6, 5, seed=0)
+
+
+def test_random_regular_is_priced_before_the_first_shuffle(monkeypatch):
+    # the largest tier-1 and bench inputs, (13, 6) and (14, 6), price about
+    # 2.0e6 and 1.9e6 expected stub placements: admitted below 2^22
+    for n, d in ((13, 6), (14, 6), (6, 5), (2000, 3)):
+        families._check_pairing_price(n, d, bipartite=False)
+    families._check_pairing_price(14, 5, bipartite=True)
+
+    def no_sampler(seed):
+        raise AssertionError("sampler seeded before the price check")
+
+    monkeypatch.setattr(families.random, "Random", no_sampler)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="8-regular pairing on 100 vertices"):
+        random_regular(100, 8, 1)
+    assert time.perf_counter() - start < 1.0
+    # the price stays in the log domain: no degree raises OverflowError
+    for n, d in ((2000, 1000), (2 * 10**400, 10**400), (2_000_000, 3)):
+        with pytest.raises(WorkBudgetError):
+            random_regular(n, d, 1)
+    for n, d in ((100, 10), (2 * 10**400, 10**400)):
+        with pytest.raises(WorkBudgetError, match="bipartite"):
+            random_regular_bipartite(n, d, 1)
 
 
 def test_random_regular_bipartite_properties():
