@@ -20,10 +20,12 @@ graph, whose traces are closed forms in n, d and the triangle count: with
 c = n-1-d, tr L = nc and tr L^2 = nc(c+1), and tr L^3 follows from Goodman's
 identity.  thm3's lower bound is the lemma on the squared adjacency spectrum,
 p_s = w_2s / (n-d)^(2s), halved because the spectrum of a bipartite graph is
-symmetric.
+symmetric.  thm3's upper bound is the alternating series' partial sum, read
+from series._partial_sums, the one evaluation of that series.
 
 Preconditions are tested exactly on integers; the returned log and linear
-values are evaluated with a 96-bit working significand.
+values are evaluated with the series' 96-bit working significand
+(series._PREC).
 """
 
 from __future__ import annotations
@@ -37,8 +39,7 @@ import mpmath
 from .errors import BipartiteRequiredError
 from .exact import closed_walk_counts, laplacian_traces
 from .graph import Graph, bipartition, require_regular
-
-_PREC = 96
+from .series import _PREC, _partial_sums
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,10 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
       ln lower = n ln(n-d) - 2 ln n + ln(1-y^2)/2
                  - sum_{s=1}^{m-1} (w_2s - w_2m^(s/m)) / (2s (n-d)^(2s))
 
-    The lower bound needs y < 1, tested exactly as w_2m < (n-d)^(2m).
+    The upper bound is the series' partial sum through order 2k
+    (series._partial_sums): the odd walks vanish, so every term is negative
+    and each partial sum lies above the limit.  The lower bound needs y < 1,
+    tested exactly as w_2m < (n-d)^(2m).
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
@@ -208,14 +212,9 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
     nd = n - d
     lower_params = {"n": n, "d": d, "m": m}
     upper_params = {"n": n, "d": d, "k": k}
+    partials = _partial_sums(n, d, walks.counts, 2 * k)
+    upper = _finish("thm3_upper", "t(complement)", partials[-1], upper_params)
     with mpmath.workprec(_PREC):
-        base = n * mpmath.log(nd) - 2 * mpmath.log(n)
-
-        upper_sum = mpmath.mpf(0)
-        for s in range(1, k + 1):
-            upper_sum += mpmath.mpf(walks.w(2 * s)) / (2 * s * nd ** (2 * s))
-        upper = _finish("thm3_upper", "t(complement)", base - upper_sum, upper_params)
-
         w2m = walks.w(2 * m)
         if w2m >= nd ** (2 * m):
             lower = _failed(
@@ -227,5 +226,5 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
         else:
             value, y2 = _power_sum_lower([walks.w(2 * s) for s in range(1, m + 1)], nd**2)
             lower_params["y"] = _sig7(mpmath.sqrt(y2))
-            lower = _finish("thm3_lower", "t(complement)", base + value / 2, lower_params)
+            lower = _finish("thm3_lower", "t(complement)", partials[0] + value / 2, lower_params)
     return lower, upper

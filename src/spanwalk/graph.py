@@ -16,6 +16,7 @@ from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequ
 Edge = tuple[int, int]
 Adjacency = tuple[tuple[int, ...], ...]
 
+_MAX_VERTICES = 2**20  # most vertices one Graph may hold: one adjacency list each
 _MAX_COMPLEMENT_PAIRS = 2**20  # most vertex pairs one complement may hold as edges
 
 
@@ -33,6 +34,8 @@ class Graph:
         n, directed = self.n, self.directed  # locals: both loops run once per edge
         if n < 1:
             raise ValueError("vertex count must be at least 1")
+        if n > _MAX_VERTICES:
+            raise WorkBudgetError(f"a graph on {n} vertices is over the budget of {_MAX_VERTICES} vertices")
         normalized = set()
         for edge in self.edges:
             u, v = edge

@@ -5,22 +5,24 @@ complement's spanning-tree count expands as
 
     ln t = ln((n - d)^n / n^2) + sum_{k >= 2} (-1)^(k-1) w_k / (k (n - d)^k)
 
-where w_k counts closed k-walks of g.  This module evaluates partial sums,
-and identifies t exactly by closing the series at order n: it is the Taylor
+where w_k counts closed k-walks of g.  This module evaluates partial sums
+once, in _partial_sums, which also gives thm3's upper bound: for bipartite g
+the odd terms vanish and every partial sum lies above the limit.  It
+identifies t exactly by closing the series at order n: it is the Taylor
 expansion of ln det(I + A/(n - d)), so w_1..w_n fix t through the
 characteristic polynomial of the adjacency matrix A.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import islice
 from typing import ClassVar
 
 import mpmath
 
-from .errors import ConvergenceDomainError, ExactInvariantError, WorkBudgetError
+from .errors import ConvergenceDomainError, ExactInvariantError
 from .exact import (
     check_table_price,
     closed_walk_counts,
@@ -29,8 +31,7 @@ from .exact import (
 )
 from .graph import Graph, require_regular
 
-_EVAL_PREC = 96  # working significand bits for partial-sum evaluation
-_MAX_SUM_WORK = 2**24  # bit operations the exact partial sums of one evaluation may cost
+_PREC = 96  # working significand bits of every partial sum and bound
 
 
 def _checked_parameters(g: Graph) -> tuple[int, int]:
@@ -42,16 +43,10 @@ def _checked_parameters(g: Graph) -> tuple[int, int]:
     return g.n, d
 
 
-def _term_fraction(n: int, d: int, w_k: int, k: int) -> Fraction:
-    sign = 1 if k % 2 else -1
-    return Fraction(sign * w_k, k * (n - d) ** k)
-
-
 def series_term(n: int, d: int, w_k: int, k: int) -> float:
-    """Signed series term (-1)^(k-1) w_k / (k (n-d)^k).
+    """Signed series term (-1)^(k-1) w_k / (k (n-d)^k), correctly rounded.
 
-    Formed exactly as a rational and converted to float once, so the result
-    carries only the final rounding.
+    Integer true division rounds the exact quotient once.
     """
     if k < 2:
         raise ValueError("series terms start at k = 2")
@@ -59,7 +54,7 @@ def series_term(n: int, d: int, w_k: int, k: int) -> float:
         raise ValueError(f"need 0 <= d < n, got n={n}, d={d}")
     if w_k < 0:
         raise ValueError("walk counts are nonnegative")
-    return float(_term_fraction(n, d, w_k, k))
+    return (w_k if k % 2 else -w_k) / (k * (n - d) ** k)
 
 
 @dataclass(frozen=True)
@@ -67,8 +62,10 @@ class SeriesEvaluation:
     """Partial sums of the log-complexity series.
 
     partials[0] is the base term alone; partials[j - 1] for j >= 2 includes
-    the walk terms through order j.  rounding_bound bounds the accumulated
-    floating-point error of every partial sum.
+    the walk terms through order j.  rounding_bound = mag 2^-50, with mag the
+    base's and terms' absolute sum, bounds the floating-point error of every
+    partial sum through order K: its at most 3K + 3 roundings at 96 bits each
+    err by at most 2^-96 mag, and the final conversion to float by 2^-53 mag.
     """
 
     n: int
@@ -79,55 +76,57 @@ class SeriesEvaluation:
     rounding_bound: float
 
 
-def _check_sum_price(n: int, d: int, max_k: int) -> None:
-    """Refuse exact partial sums through order max_k that cost more than _MAX_SUM_WORK.
+def _partial_sums(n: int, d: int, counts: Sequence[int], max_k: int) -> list[mpmath.mpf]:
+    """The partial sums through orders 1..max_k at _PREC bits; the first is the base.
 
-    The common denominator lcm(2..K) (n-d)^K of the sums through order K has
-    about K log2(n-d) + 1.45 K bits, and each of the K orders adds a term to
-    a sum of that size.  Raises WorkBudgetError before any walk is counted.
+    counts holds w_1, w_2, ... at least through w_max_k.  The base is
+    n ln(n-d) - 2 ln n.  The signed terms mpf(w_k) / (k (n-d)^k) are
+    accumulated in order, and each later partial is the base plus that running
+    sum; a zero term is skipped and repeats the partial before it.  With
+    n - d = 2^a o, o odd, w_k is read as w_k 2^(-a k) and divided by k o^k:
+    rounding commutes with a power-of-two scale, so the result is the same
+    mpf, and the divisor carries no trailing zero bits to convert.
     """
-    price = max_k * (max_k * (n - d).bit_length() + 3 * max_k // 2)
-    if price > _MAX_SUM_WORK:
-        raise WorkBudgetError(
-            f"exact partial sums through order {max_k} with n - d = {n - d} cost about "
-            f"{price} bit operations; the budget is {_MAX_SUM_WORK}"
-        )
+    nd = n - d
+    a = (nd & -nd).bit_length() - 1
+    o = nd >> a
+    with mpmath.workprec(_PREC):
+        base = n * mpmath.log(nd) - 2 * mpmath.log(n)
+        acc = mpmath.mpf(0)
+        partials = [base]
+        for k, w_k in enumerate(counts[1:max_k], start=2):
+            if w_k:
+                term = mpmath.mpf((w_k, -a * k)) / (k * o**k)
+                acc = acc + term if k % 2 else acc - term
+                partials.append(base + acc)
+            else:
+                partials.append(partials[-1])
+    return partials
 
 
 def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
     """Evaluate the base term and all partial sums through walk order max_k.
 
-    Raises WorkBudgetError, before any walk is counted, when the exact sums
-    (_check_sum_price) or the walk table (exact.check_table_price) cost too much.
+    Raises WorkBudgetError, before any walk is counted, when the walk table
+    costs too much (exact.check_table_price, which also prices the series
+    denominators).
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
     n, d = _checked_parameters(g)
-    _check_sum_price(n, d, max_k)
-    walks = closed_walk_counts(g, max_k) if max_k >= 2 else None
-    base_fr = Fraction((n - d) ** n, n * n)
-    with mpmath.workprec(_EVAL_PREC):
-        base_mp = mpmath.log(mpmath.mpf(base_fr.numerator) / base_fr.denominator)
-        base = float(base_mp)
-        terms: list[float] = []
-        partials: list[float] = [base]
-        acc = Fraction(0)
-        mag = abs(base)
-        for k in range(2, max_k + 1):
-            fr = _term_fraction(n, d, walks.w(k), k)
-            acc += fr
-            term = float(fr)
-            terms.append(term)
-            partials.append(float(base_mp + mpmath.mpf(acc.numerator) / acc.denominator))
-            mag += abs(term)
-    rounding_bound = mag * 2.0**-50
+    counts = closed_walk_counts(g, max_k).counts if max_k >= 2 else ()
+    partials = tuple(float(p) for p in _partial_sums(n, d, counts, max_k))
+    terms = tuple(series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
+    mag = abs(partials[0])
+    for term in terms:
+        mag += abs(term)
     return SeriesEvaluation(
         n=n,
         d=d,
-        base=base,
-        terms=tuple(terms),
-        partials=tuple(partials),
-        rounding_bound=rounding_bound,
+        base=partials[0],
+        terms=terms,
+        partials=partials,
+        rounding_bound=mag * 2.0**-50,
     )
 
 

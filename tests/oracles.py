@@ -7,7 +7,8 @@ deletion-contraction on explicit multigraph edge lists or from rational
 Gaussian elimination on the Laplacian minor in natural vertex order, and
 determinants from dense Bareiss elimination with row swaps.  The
 series bracket takes walk counts from its caller and encloses t(complement)
-with the paper's truncated series and an outward-rounded exponential.  The
+with the paper's truncated series and an outward-rounded exponential; the
+series partial takes them too and sums the terms as one exact rational.  The
 synchrony sweep spreads one seed at a time with a Python loop over the
 vertices per round.
 """
@@ -19,8 +20,9 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
+import mpmath
 from mpmath.libmp import from_rational, mpf_exp, mpf_mul, round_ceiling, round_floor
 
 from spanwalk import Graph
@@ -235,6 +237,29 @@ def series_bracket(n: int, d: int, walks: Iterable[int]) -> tuple[Fraction, Frac
         x = from_rational(arg.numerator, arg.denominator, prec, rnd)
         ends.append(_mpf_to_fraction(mpf_mul(c, mpf_exp(x, prec, rnd), prec, rnd)) * widen)
     return ends[0], ends[1]
+
+
+def exact_series_partial(n: int, d: int, walks: Sequence[int], k: int) -> float:
+    """The series' partial sum through order k, with the walk terms summed exactly.
+
+    walks holds w_1, w_2, ... at least through w_k.  The terms
+    (-1)^(j-1) w_j / (j (n-d)^j), j = 2..k, are summed as one rational over
+    lcm(1..k) (n-d)^k, by Horner's rule in n-d, and reduced.  The base
+    ln((n-d)^n / n^2) and the one addition are evaluated at 96 bits, so the
+    partial carries a single rounding of the exact sum.
+    """
+    nd = n - d
+    lcm = math.lcm(*range(1, k + 1))
+    num = 0
+    for j, w in enumerate(walks[1:k], start=2):
+        num = num * nd + (w if j % 2 else -w) * (lcm // j)
+    acc = Fraction(num, lcm * nd**k)
+    base = Fraction(nd**n, n * n)
+    with mpmath.workprec(96):
+        return float(
+            mpmath.log(mpmath.mpf(base.numerator) / base.denominator)
+            + mpmath.mpf(acc.numerator) / acc.denominator
+        )
 
 
 def _step_mask(masks: list[int], active: int, t: int, n: int) -> int:

@@ -15,6 +15,7 @@ from spanwalk import (
     Graph,
     RegularityRequiredError,
     complement,
+    evaluate_series,
     named_graph,
     prop1_lower,
     prop2_lower,
@@ -231,6 +232,17 @@ def test_thm3_requires_regular_bipartite():
         thm3_bounds(path(4), 2, 2)
     with pytest.raises(ValueError):
         thm3_bounds(named_graph("paper-bipartite"), 0, 2)
+
+
+def test_thm3_upper_is_the_series_partial_sum():
+    # every term of a bipartite input's series is negative, so the partial sum
+    # through order 2k is thm3's upper bound, to the last bit
+    graphs = [named_graph("paper-bipartite"), cycle(150)]
+    graphs += [random_regular_bipartite(n, d, seed) for n, d, seed in ((12, 2, 1), (20, 3, 2), (30, 4, 3), (44, 5, 4))]
+    for g in graphs:
+        partials = evaluate_series(g, 20).partials
+        for k in range(1, 11):
+            assert thm3_bounds(g, 1, k)[1].log_value == partials[2 * k - 1], (g, k)
 
 
 def test_thm3_sandwich_on_random_bipartite_regulars():

@@ -15,7 +15,7 @@ import pytest
 
 from spanwalk import Graph, cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
-from oracles import complete, cycle
+from oracles import complete, cycle, exact_series_partial
 
 
 def _run(argv):
@@ -31,6 +31,14 @@ def _run_json(argv):
 
 def _reject_non_finite(constant):
     raise ValueError(f"non-finite JSON constant {constant}")
+
+
+def _graph6(g):
+    """Short-form graph6 of an undirected graph on at most 62 vertices."""
+    bits = [int(g.has_edge(u, v)) for v in range(1, g.n) for u in range(v)]
+    bits += [0] * (-len(bits) % 6)
+    body = (int("".join(map(str, bits[i:i + 6])), 2) for i in range(0, len(bits), 6))
+    return chr(g.n + 63) + "".join(chr(c + 63) for c in body)
 
 
 def _write_cycle(tmp_path, n):
@@ -171,6 +179,8 @@ def test_identify_over_the_work_budget_exits_2_at_once(tmp_path):
         ["series", "--eval", "--named", "petersen", "--max-k", "200000"],
         ["bounds", "thm2", "--named", "petersen", "--m", "200000"],
         ["bounds", "thm3", "--named", "paper-bipartite", "--m", "100000", "--k", "2"],
+        # one order past the largest series --eval the walk price admits on C_62
+        ["series", "--eval", "--graph6", _graph6(cycle(62)), "--max-k", "4364"],
     ],
 )
 def test_walk_tables_over_the_price_exit_2_at_once(monkeypatch, argv):
@@ -185,18 +195,19 @@ def test_walk_tables_over_the_price_exit_2_at_once(monkeypatch, argv):
     assert doc["error"]["code"] == "work-budget"
 
 
-def test_series_eval_over_the_sum_price_exits_2_at_once(monkeypatch, tmp_path):
-    # the walk table of C_62 through order 4363 is within its price; the exact sums are not
-    def no_walks(g):
-        raise AssertionError("walks counted before the price check")
-
-    path = _write_cycle(tmp_path, 62)
-    monkeypatch.setattr(exact, "iter_closed_walk_counts", no_walks)
+@pytest.mark.parametrize(
+    "g, max_k", [(cycle(62), 4363), (families.named_graph("petersen"), 5180)]
+)
+def test_series_eval_at_the_walk_price_finishes(g, max_k):
+    # the largest orders the walk price admits on these graphs: it is the one price
     start = time.perf_counter()
-    code, doc = _run_json(["series", "--eval", "--edge-list", str(path), "--max-k", "4363"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 2
-    assert doc["error"]["code"] == "work-budget"
+    code, doc = _run_json(["series", "--eval", "--graph6", _graph6(g), "--max-k", str(max_k)])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0 and len(doc["partials"]) == max_k
+    walks = exact.closed_walk_counts(g, max_k).counts
+    for k in (1, 2, 3, 10, 100, max_k):
+        want = exact_series_partial(g.n, doc["d"], walks, k)
+        assert abs(doc["partials"][k - 1] - want) <= doc["rounding_bound"], k
 
 
 def test_exhaustive_synchrony_over_the_budget_exits_2(monkeypatch, tmp_path):
@@ -281,6 +292,16 @@ def test_complement_over_its_price_exits_2_at_once(monkeypatch, tmp_path):
     monkeypatch.setattr(Graph, "adjacency", no_pairs)
     start = time.perf_counter()
     code, doc = _run_json(["graph", "info", "--complement", "--edge-list", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert doc["error"]["code"] == "work-budget"
+
+
+def test_absurd_vertex_count_exits_2_at_once(tmp_path):
+    path = tmp_path / "huge.txt"
+    path.write_text("1000000000\n0 1\n")
+    start = time.perf_counter()
+    code, doc = _run_json(["graph", "info", "--edge-list", str(path)])
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert doc["error"]["code"] == "work-budget"

@@ -13,6 +13,7 @@ from spanwalk import (
     EdgeListParseError,
     Graph,
     RegularityRequiredError,
+    WorkBudgetError,
     bipartition,
     closed_walk_counts,
     complement,
@@ -40,6 +41,14 @@ def test_graph_rejects_self_loops_and_out_of_range():
         Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError, match="at least 1"):
         Graph(0)
+
+
+def test_graph_refuses_absurd_vertex_counts_before_allocating():
+    with pytest.raises(WorkBudgetError):
+        Graph(10**9)
+    with pytest.raises(WorkBudgetError):
+        Graph(10**9, frozenset({(0, 1)}), directed=True)
+    assert Graph(200_000).n == 200_000
 
 
 def test_directed_edges_keep_orientation():

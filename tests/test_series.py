@@ -31,7 +31,7 @@ from spanwalk import (
 )
 from spanwalk import families, graph, series
 from spanwalk.errors import ExactInvariantError
-from oracles import circulant, cycle, path, series_bracket
+from oracles import circulant, cycle, exact_series_partial, path, series_bracket
 
 # Partial sums for the Petersen graph through k = 6, frozen to 5 decimals.
 PETERSEN_PARTIALS = (14.85393, 14.54781, 14.54781, 14.53219, 14.53362, 14.53221)
@@ -82,6 +82,25 @@ def test_evaluate_series_partials_consistent_with_terms():
     for j in range(1, len(ev.partials)):
         rebuilt = ev.base + sum(ev.terms[:j])
         assert abs(ev.partials[j] - rebuilt) < 1e-9
+
+
+def _series_sweep_graphs():
+    for n in range(5, 69, 3):
+        for offsets in ((1,), (1, 2), (2, 5), (1, 3, 4)):
+            if 4 * max(offsets) < n:  # distinct offsets below n/4: 2d < n
+                yield circulant(n, offsets)
+    for idx, (n, d) in enumerate([(7, 2), (9, 4), (12, 3), (15, 4), (20, 3), (26, 5), (40, 4)]):
+        yield random_regular(n, d, seed=700 + idx)
+
+
+def test_evaluate_series_partials_match_the_exact_rational_sums():
+    # every partial lies within rounding_bound of the exact sum rounded once
+    for g in _series_sweep_graphs():
+        ev = evaluate_series(g, 90)
+        walks = closed_walk_counts(g, 90).counts
+        for k, got in enumerate(ev.partials, start=1):
+            want = exact_series_partial(g.n, ev.d, walks, k)
+            assert abs(got - want) <= ev.rounding_bound, (g, k, got, want)
 
 
 def test_series_domain_errors():
