@@ -31,6 +31,7 @@ from .errors import InputReadError, NumericFailureError, ToolkitError
 from .exact import closed_walk_counts, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
+    _read_int,
     bipartition,
     complement,
     parse_edge_list,
@@ -49,11 +50,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _int(text: str) -> int:
     try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        return _read_int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
@@ -166,29 +171,29 @@ def build_parser() -> _Parser:
     _add_graph_source(prop2)
     thm2 = bounds_sub.add_parser("thm2", help="Laplacian-trace lower bound on t(complement)")
     _add_graph_source(thm2)
-    thm2.add_argument("--m", type=int, required=True)
+    thm2.add_argument("--m", type=_int, required=True)
     thm3 = bounds_sub.add_parser("thm3", help="two-sided bounds for regular bipartite inputs")
     _add_graph_source(thm3)
-    thm3.add_argument("--m", type=int, required=True)
-    thm3.add_argument("--k", type=int, required=True)
+    thm3.add_argument("--m", type=_int, required=True)
+    thm3.add_argument("--k", type=_int, required=True)
     thm3.add_argument("--format", choices=("json", "csv"), default="json")
 
     construct = sub.add_parser("construct", help="build a family member or a random regular graph")
     target = construct.add_mutually_exclusive_group(required=True)
     target.add_argument(
-        "--g-family", nargs=2, type=int, metavar=("K", "L"), help="triangle-minimal family member"
+        "--g-family", nargs=2, type=_int, metavar=("K", "L"), help="triangle-minimal family member"
     )
     target.add_argument(
-        "--random", nargs=3, type=int, metavar=("N", "D", "SEED"), help="seeded random regular graph"
+        "--random", nargs=3, type=_int, metavar=("N", "D", "SEED"), help="seeded random regular graph"
     )
 
     sync = sub.add_parser("synchrony", help="threshold-spreading p_k / e_k sweep")
     _add_graph_source(sync, directed_ok=True)
-    sync.add_argument("--t", type=int, required=True, help="activation threshold")
-    sync.add_argument("--k", type=int, required=True, help="seed size")
+    sync.add_argument("--t", type=_int, required=True, help="activation threshold")
+    sync.add_argument("--k", type=_int, required=True, help="seed size")
     sync.add_argument("--mode", choices=("exhaustive", "mc"), default="exhaustive")
-    sync.add_argument("--samples", type=int, metavar="S")
-    sync.add_argument("--seed", type=int, metavar="SEED")
+    sync.add_argument("--samples", type=_int, metavar="S")
+    sync.add_argument("--seed", type=_int, metavar="SEED")
     sync.add_argument("--format", choices=("json", "csv"), default="json")
 
     return parser
@@ -359,6 +364,8 @@ def run(argv: list[str], out=None) -> int:
     call; parsing leaves it unchanged, so calls may repeat and nest freely.
     Exact integers print in full: the interpreter's limit on the digits of an
     int-to-str conversion is lifted while the command runs and restored after.
+    Integer options and edge-list tokens are checked for length before int()
+    reads them (graph._read_int), so reading them is fast without the limit.
     """
     set_digits = getattr(sys, "set_int_max_str_digits", None)
     if set_digits is None:

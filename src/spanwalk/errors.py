@@ -8,6 +8,11 @@ kind without parsing message text.
 from __future__ import annotations
 
 
+def excerpt(text: str, width: int = 32) -> str:
+    """repr of text cut to its first width characters: an error message echoes input, never all of it."""
+    return repr(text[:width]) + ("..." if len(text) > width else "")
+
+
 class ToolkitError(Exception):
     """Base class for all toolkit-specific failures."""
 

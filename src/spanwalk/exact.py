@@ -133,14 +133,17 @@ def spanning_tree_count(g: Graph) -> int:
     graph, which does not change the determinant, and the elimination
     touches only the fill of that order.  Both matrices are positive
     semidefinite, so a zero pivot ends it with determinant 0: disconnected
-    graphs give 0 and the single-vertex graph gives 1.  The order's price
-    (_minimum_degree_order) refuses with WorkBudgetError before any
-    big-integer work.
+    graphs give 0 and the single-vertex graph gives 1.  In the sparse
+    branch a graph on n > 1 vertices with an isolated vertex gives 0 before
+    any order is built.  The order's price (_minimum_degree_order) refuses
+    with WorkBudgetError before any big-integer work.
     """
     n = g.n
     if 4 * g.size <= n * (n - 1):
         nbrs = g.adjacency()
         degrees = [len(s) for s in nbrs]
+        if n > 1 and 0 in degrees:
+            return 0  # an isolated vertex: no tree spans it, and no order need be built
         order = _minimum_degree_order(nbrs, max(degrees).bit_length())[:-1]
         det = _sparse_determinant(nbrs, order, degrees, -1)
         if det < 0:

@@ -11,13 +11,29 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
-from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequiredError, WorkBudgetError
+from .errors import DirectedUnsupportedError, EdgeListParseError, RegularityRequiredError, WorkBudgetError, excerpt
 
 Edge = tuple[int, int]
 Adjacency = tuple[tuple[int, ...], ...]
 
 _MAX_VERTICES = 2**20  # most vertices one Graph may hold: one adjacency list each
 _MAX_COMPLEMENT_PAIRS = 2**20  # most vertex pairs one complement may hold as edges
+_MAX_INT_CHARS = 4300  # longest integer token read from input: int() takes time quadratic in its length
+
+
+def _check_vertex_budget(n: int) -> None:
+    if n > _MAX_VERTICES:
+        raise WorkBudgetError(f"a graph on {n} vertices is over the budget of {_MAX_VERTICES} vertices")
+
+
+def _read_int(token: str) -> int:
+    """int(token), its length checked first; ValueError echoes only the start of a bad token."""
+    if len(token) <= _MAX_INT_CHARS:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise ValueError(f"not an integer of at most {_MAX_INT_CHARS} characters: {excerpt(token)}")
 
 
 @dataclass(frozen=True, repr=False)
@@ -34,8 +50,7 @@ class Graph:
         n, directed = self.n, self.directed  # locals: both loops run once per edge
         if n < 1:
             raise ValueError("vertex count must be at least 1")
-        if n > _MAX_VERTICES:
-            raise WorkBudgetError(f"a graph on {n} vertices is over the budget of {_MAX_VERTICES} vertices")
+        _check_vertex_budget(n)
         normalized = set()
         for edge in self.edges:
             u, v = edge
@@ -91,7 +106,10 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     First non-comment line holds the vertex count; every further line holds
     one "u v" pair.  '#' starts a comment, blank lines are skipped, and
     duplicate pairs (in either orientation, when undirected) collapse.
-    Errors report the offending 1-based line number.
+    Errors report the offending 1-based line number and echo at most the
+    start of a token; a token over _MAX_INT_CHARS characters is refused
+    before int() reads it.  A vertex count over _MAX_VERTICES is refused at
+    its line, before any edge is read.
     """
     n: int | None = None
     edges: set[Edge] = set()
@@ -104,18 +122,19 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             if len(tokens) != 1:
                 raise EdgeListParseError("expected a single vertex count", lineno)
             try:
-                n = int(tokens[0])
-            except ValueError:
-                raise EdgeListParseError(f"vertex count is not an integer: {tokens[0]!r}", lineno) from None
+                n = _read_int(tokens[0])
+            except ValueError as exc:
+                raise EdgeListParseError(f"vertex count is {exc}", lineno) from None
             if n < 1:
                 raise EdgeListParseError(f"vertex count must be at least 1, got {n}", lineno)
+            _check_vertex_budget(n)
             continue
         if len(tokens) != 2:
-            raise EdgeListParseError(f"expected 'u v', got {stripped!r}", lineno)
+            raise EdgeListParseError(f"expected 'u v', got {excerpt(stripped)}", lineno)
         try:
-            u, v = int(tokens[0]), int(tokens[1])
-        except ValueError:
-            raise EdgeListParseError(f"endpoints are not integers: {stripped!r}", lineno) from None
+            u, v = _read_int(tokens[0]), _read_int(tokens[1])
+        except ValueError as exc:
+            raise EdgeListParseError(f"endpoint is {exc}", lineno) from None
         if u == v:
             raise EdgeListParseError(f"self-loop at vertex {u}", lineno)
         if not (0 <= u < n and 0 <= v < n):

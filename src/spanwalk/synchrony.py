@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -27,8 +28,7 @@ from typing import Iterable
 from .errors import WorkBudgetError
 from .graph import Graph
 
-EXHAUSTIVE_BUDGET = 2_000_000  # most k-subsets an exhaustive sweep visits
-_MAX_SAMPLED_WORK = 2**24  # most samples × (n + |E|) a Monte Carlo sweep may cost
+_MAX_SWEEP_WORK = 2**23  # most lane-int operations one sweep may cost: building its seeds, then its rounds
 _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of seeds holds
 
 # The engine is bit-sliced (Biham, FSE 1997): every vertex holds one int whose
@@ -39,6 +39,58 @@ _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of
 def _live_sources(g: Graph, t: int) -> list[tuple[int, tuple[int, ...]]]:
     """(v, in-neighbours of v) for each v with at least t in-neighbours: no other vertex can turn on."""
     return [(v, src) for v, src in enumerate(g.in_adjacency) if len(src) >= t]
+
+
+def _shown(x: int) -> int | str:
+    """x, or the power of two it passes when over 2^64: a refusal prints no huge int."""
+    return x if x.bit_length() <= 64 else f"over 2^{x.bit_length() - 1}"
+
+
+def _priced_live(
+    g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str = ""
+) -> list[tuple[int, tuple[int, ...]]]:
+    """g's live sources at threshold t, once seed_work plus the rounds of blocks fit _MAX_SWEEP_WORK.
+
+    A round that changes a lane turns on a live vertex in it, so a block runs
+    at most |live| + 1 rounds, each costing n + Σ_live |src|·min(t, |src|)
+    lane-int operations; at t = 1 on an undirected graph, at most
+    _breadth_bound(g) + 1.  Over the budget WorkBudgetError is raised, before
+    any seed is built.
+    """
+    live = _live_sources(g, t)
+    depth = len(live)
+    if t == 1 and not g.directed:
+        depth = min(depth, _breadth_bound(g))
+    round_work = g.n + sum(len(src) * min(t, len(src)) for _, src in live)
+    price = seed_work + blocks * (depth + 1) * round_work
+    if price > _MAX_SWEEP_WORK:
+        raise WorkBudgetError(
+            f"{what} on {g.n} vertices costs {_shown(price)} lane-int operations; "
+            f"the budget is {_MAX_SWEEP_WORK}{hint}"
+        )
+    return live
+
+
+def _breadth_bound(g: Graph) -> int:
+    """Twice the largest depth of a breadth-first search of each component of undirected g from its least vertex.
+
+    At t = 1 a seed set turns on at round i the vertices at distance i from
+    it, so a lane changes in no round past the largest distance between two
+    vertices of one component, which is at most twice that depth.
+    """
+    depth = [-1] * g.n
+    top = 0
+    for root in range(g.n):
+        if depth[root] < 0:
+            depth[root] = 0
+            queue = [root]
+            for u in queue:  # grows while it is read: breadth-first order
+                for w in g.in_adjacency[u]:
+                    if depth[w] < 0:
+                        depth[w] = depth[u] + 1
+                        queue.append(w)
+            top = max(top, depth[queue[-1]])
+    return 2 * top
 
 
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
@@ -83,7 +135,7 @@ def spread_step(g: Graph, active: Iterable[int], t: int) -> frozenset[int]:
 def fixed_point(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
     """The limit of repeated spreading from seed (reached within n rounds)."""
     _check_threshold(t)
-    live = _live_sources(g, t)
+    live = _priced_live(g, t, g.n, 1, "spreading from one seed")
     x = _one_lane(g, seed)
     while (nxt := _round(live, t, x)) != x:
         x = nxt
@@ -93,7 +145,8 @@ def fixed_point(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
 def synchrony_index(g: Graph, seed: Iterable[int], t: int) -> int | float:
     """Rounds until full activation: 0 for the full seed, math.inf when spreading stalls."""
     _check_threshold(t)
-    histogram, stalled = _sweep(g, t, [(_one_lane(g, seed), 1)])
+    live = _priced_live(g, t, g.n, 1, "spreading from one seed")
+    histogram, stalled = _sweep(live, t, [(_one_lane(g, seed), 1)])
     return math.inf if stalled else next(iter(histogram))
 
 
@@ -137,26 +190,53 @@ def measure_synchrony(
 ) -> SynchronyOutcome:
     """Measure p_k and e_k over k-subsets, exhaustively or by Monte Carlo.
 
-    An exhaustive sweep over more than EXHAUSTIVE_BUDGET subsets, or a Monte
-    Carlo sweep whose samples × (n + |E|) exceeds _MAX_SAMPLED_WORK, raises
-    WorkBudgetError before any seed is drawn or evaluated.
+    Both modes run one bit-sliced sweep, priced before any seed is built or
+    drawn (see _priced_live).  Building the seeds costs n for each of the
+    C(n - k + r, r) exhaustive groups of r-vertex prefixes (see
+    _prefix_length) and samples·(k + n) for Monte Carlo draws.  With b
+    lanes a block, an exhaustive sweep runs at most 2⌈C(n, k)/b⌉ − 1 blocks,
+    because two consecutive blocks hold more than b lanes; a Monte Carlo
+    sweep runs ⌈samples/b⌉.  Over _MAX_SWEEP_WORK, WorkBudgetError is raised.
     """
     _check_threshold(t)
-    if not 1 <= k <= g.n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={g.n}")
+    n = g.n
+    if not 1 <= k <= n:
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    per_block = _MAX_BLOCK_BITS // n
     if mode == "exhaustive":
-        return _measure_exhaustive(g, t, k)
-    if mode == "monte-carlo":
+        r = _prefix_length(n, k, per_block)
+        total = comb(n, k)
+        groups = total if r == k else comb(n - k + r, r)  # a group is one subset at r = k
+        what = f"an exhaustive sweep of the C({n}, {k}) subsets"
+        live = _priced_live(g, t, groups * n, 2 * -(-total // per_block) - 1, what, "; use monte-carlo mode")
+        blocks = _exhaustive_blocks(n, k, r, per_block)
+    elif mode == "monte-carlo":
         if samples is None or samples < 1:
             raise ValueError("monte-carlo mode needs samples >= 1")
         if seed64 is None:
             raise ValueError("monte-carlo mode needs a seed")
-        return _measure_monte_carlo(g, t, k, samples, seed64)
-    raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
+        total = samples
+        what = f"a sweep of {_shown(samples)} samples"
+        live = _priced_live(g, t, samples * (k + n), -(-samples // per_block), what)
+        # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
+        blocks = _sampled_blocks(n, k, samples, per_block, random.Random(seed64 & 0xFFFFFFFFFFFFFFFF))
+    else:
+        raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
+    histogram, stalled = _sweep(live, t, blocks)
+    p_k = Fraction(total - stalled, total)
+    e_k = sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total
+    if mode == "exhaustive":
+        return SynchronyOutcome(k, t, mode, total, p_k, e_k, None, None, histogram, stalled)
+    p_hat = float(p_k)
+    # squared deviations of 1/i* from its mean, a stalled seed contributing 0
+    deviations = stalled * e_k**2 + sum(c * (_contribution(i) - e_k) ** 2 for i, c in histogram.items())
+    e_stderr = math.sqrt(deviations / (total - 1) / total) if total > 1 else 0.0
+    p_stderr = math.sqrt(p_hat * (1.0 - p_hat) / total)
+    return SynchronyOutcome(k, t, mode, total, p_hat, float(e_k), p_stderr, e_stderr, histogram, stalled)
 
 
 def _sweep(
-    g: Graph, t: int, blocks: Iterable[tuple[list[int], int]]
+    live: list[tuple[int, tuple[int, ...]]], t: int, blocks: Iterable[tuple[list[int], int]]
 ) -> tuple[dict[int, int], int]:
     """Histogram of the finite synchrony indices over every lane of blocks, and the stalled count.
 
@@ -164,7 +244,6 @@ def _sweep(
     round at which the AND of all x first sets its bit; a block stops when all
     its lanes are full or a round changes no int.  Keys come in ascending order.
     """
-    live = _live_sources(g, t)
     histogram: dict[int, int] = {}
     stalled = 0
     for x, lanes in blocks:
@@ -219,27 +298,35 @@ def _tail_lanes(top: int, j: int):
             yield m, level[j]
 
 
-def _exhaustive_blocks(n: int, k: int):
-    """Every k-subset of range(n) once, as blocks (x, lanes) with n × lanes <= _MAX_BLOCK_BITS.
+def _prefix_length(n: int, k: int, per_block: int) -> int:
+    """The least r >= 1 whose groups, at most C(n - r, k - r) k-subsets each, fit in per_block lanes.
 
-    The subsets fall into groups by their prefix of r smallest vertices, r as
-    small as lets one group fit in a block (at r = k a group is one subset);
-    a group's lanes follow combinations order.  Each block packs consecutive
-    groups while they fit: a group's tail lanes are shifted past the lanes
-    before it, and its prefix vertices are set on its own lanes only.  With
-    r = 0 the one block is combinations(range(n), k) itself.
+    C(n - r, k - r) does not grow with r, so r is found by bisection.  It is
+    at least 2^min(k - r, n - k), so when n - k is at least the bit length
+    of the lanes a block holds, no r up to k minus that bit length fits: the
+    search starts past them, where every binomial is small.
     """
-    per_block = _MAX_BLOCK_BITS // n
-    r = next(r for r in range(k + 1) if r == k or comb(n - r, k - r) <= per_block)
+    bits = per_block.bit_length()
+    low = max(1, k - bits) if n - k >= bits else 1
+    return low + bisect_left(range(low, k), True, key=lambda r: comb(n - r, k - r) <= per_block)
+
+
+def _exhaustive_blocks(n: int, k: int, r: int, per_block: int):
+    """Every k-subset of range(n) once, as blocks (x, lanes) of at most per_block lanes.
+
+    The subsets fall into groups by their prefix of r smallest vertices, r
+    from _prefix_length(n, k, per_block), so that a group fits in a block (at
+    r = k a group is one subset); groups come by the
+    last prefix vertex descending, and a group's lanes follow combinations
+    order.  Each block packs consecutive groups while they fit: a group's
+    tail lanes are shifted past the lanes before it, and its prefix vertices
+    are set on its own lanes only.
+    """
     vertices = tuple(range(n))  # sliced below, so that no level rebuilds the pool of prefixes
     x, lanes = [], 0
     for m, tail in _tail_lanes(n - r, k - r):
         size = comb(m, k - r)
         head = n - m  # vertices before the tail; the prefix ends at head - 1
-        if r == 0:
-            if m == n:
-                yield tail, size
-            continue
         ones = (1 << size) - 1
         for prefix in combinations(vertices[: head - 1], r - 1):
             if lanes and lanes + size > per_block:
@@ -256,13 +343,12 @@ def _exhaustive_blocks(n: int, k: int):
         yield x, lanes
 
 
-def _sampled_blocks(n: int, k: int, samples: int, rng: random.Random):
-    """samples draws of rng.sample(range(n), k), in draw order, as blocks (x, lanes).
+def _sampled_blocks(n: int, k: int, samples: int, per_block: int, rng: random.Random):
+    """samples draws of rng.sample(range(n), k), in draw order, as blocks of at most per_block lanes.
 
     Each block streams its draws into per-vertex bytearray rows, one bit per
     lane, and converts each row once.
     """
-    per_block = max(1, _MAX_BLOCK_BITS // n)
     vertices = range(n)
     for first in range(0, samples, per_block):
         lanes = min(per_block, samples - first)
@@ -272,64 +358,3 @@ def _sampled_blocks(n: int, k: int, samples: int, rng: random.Random):
             for v in rng.sample(vertices, k):
                 rows[v][byte] |= bit
         yield [int.from_bytes(row, "little") for row in rows], lanes
-
-
-def _mean_contribution(histogram: dict[int, int], total: int) -> Fraction:
-    return sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total
-
-
-def _measure_exhaustive(g: Graph, t: int, k: int) -> SynchronyOutcome:
-    total = comb(g.n, k)
-    if total > EXHAUSTIVE_BUDGET:
-        raise WorkBudgetError(
-            f"C({g.n}, {k}) = {total} subsets exceeds the budget of {EXHAUSTIVE_BUDGET}; "
-            "use monte-carlo mode"
-        )
-    histogram, stalled = _sweep(g, t, _exhaustive_blocks(g.n, k))
-    return SynchronyOutcome(
-        k=k,
-        t=t,
-        mode="exhaustive",
-        samples=total,
-        p_k=Fraction(total - stalled, total),
-        e_k=_mean_contribution(histogram, total),
-        p_k_stderr=None,
-        e_k_stderr=None,
-        i_star_histogram=histogram,
-        non_synchronizing=stalled,
-    )
-
-
-def _measure_monte_carlo(g: Graph, t: int, k: int, samples: int, seed64: int) -> SynchronyOutcome:
-    price = samples * (g.n + g.size)
-    if price > _MAX_SAMPLED_WORK:
-        raise WorkBudgetError(
-            f"{samples} samples on {g.n} vertices and {g.size} edges cost {price}; "
-            f"the budget is {_MAX_SAMPLED_WORK}"
-        )
-    # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
-    rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
-    histogram, stalled = _sweep(g, t, _sampled_blocks(g.n, k, samples, rng))
-    p_hat = (samples - stalled) / samples
-    e_exact = _mean_contribution(histogram, samples)
-    p_stderr = math.sqrt(p_hat * (1.0 - p_hat) / samples)
-    if samples > 1:
-        # squared deviations of 1/i* from its mean, a stalled seed contributing 0
-        deviations = stalled * e_exact**2 + sum(
-            c * (_contribution(i) - e_exact) ** 2 for i, c in histogram.items()
-        )
-        e_stderr = math.sqrt(deviations / (samples - 1) / samples)
-    else:
-        e_stderr = 0.0
-    return SynchronyOutcome(
-        k=k,
-        t=t,
-        mode="monte-carlo",
-        samples=samples,
-        p_k=p_hat,
-        e_k=float(e_exact),
-        p_k_stderr=p_stderr,
-        e_k_stderr=e_stderr,
-        i_star_histogram=histogram,
-        non_synchronizing=stalled,
-    )

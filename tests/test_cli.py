@@ -307,6 +307,34 @@ def test_absurd_vertex_count_exits_2_at_once(tmp_path):
     assert doc["error"]["code"] == "work-budget"
 
 
+_OVERLONG = "7" * 400_000  # an integer far past the interpreter's default digit limit
+
+
+@pytest.mark.parametrize("text", [_OVERLONG + "\n0 1\n", "5\n0 " + _OVERLONG + "\n"], ids=["header", "endpoint"])
+def test_overlong_integers_in_an_edge_list_exit_2_at_once(tmp_path, text):
+    path = tmp_path / "overlong.txt"
+    path.write_text(text)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a caller without a limit: tokens are still refused by their length
+    try:
+        start = time.perf_counter()
+        code, out = _run(["graph", "info", "--edge-list", str(path)])
+        assert time.perf_counter() - start < 1.0
+        assert sys.get_int_max_str_digits() == 0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert code == 2 and len(out) < 1024
+    assert json.loads(out)["error"]["code"] == "parse-error"
+
+
+def test_overlong_integer_option_exits_64_at_once(capsys):
+    start = time.perf_counter()
+    code, out = _run(["walks", "--named", "petersen", "--max-k", _OVERLONG])
+    assert time.perf_counter() - start < 1.0
+    assert code == 64 and out == ""
+    assert len(capsys.readouterr().err) < 1024
+
+
 def test_construct_g_family():
     code, doc = _run_json(["construct", "--g-family", "2", "0"])
     assert code == 0

@@ -79,6 +79,21 @@ def test_spanning_trees_closed_forms():
     assert spanning_tree_count(path(4)) == 1
 
 
+def test_isolated_vertex_counts_0_before_any_order(monkeypatch):
+    g = Graph(200_000, frozenset({(0, 1)}))  # built outside the timer
+
+    def no_order(nbrs, bits):
+        raise AssertionError("an elimination order was built")
+
+    monkeypatch.setattr(exact, "_minimum_degree_order", no_order)
+    start = time.perf_counter()
+    assert spanning_tree_count(g) == 0
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.undo()
+    assert spanning_tree_count(Graph(1)) == 1 and spanning_tree_count(Graph(2)) == 0
+
+
+
 def test_spanning_trees_match_deletion_contraction():
     for seed in range(30):
         rng = random.Random(seed)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import sys
+import time
 import tracemalloc
 from collections import OrderedDict
 
@@ -49,6 +51,28 @@ def test_graph_refuses_absurd_vertex_counts_before_allocating():
     with pytest.raises(WorkBudgetError):
         Graph(10**9, frozenset({(0, 1)}), directed=True)
     assert Graph(200_000).n == 200_000
+
+
+def test_edge_list_refuses_an_absurd_vertex_count_at_its_line():
+    # the same check as Graph's, made before any edge line is read
+    with pytest.raises(WorkBudgetError, match="1048576"):
+        parse_edge_list("1000000000\nnot an edge line\n")
+    with pytest.raises(EdgeListParseError, match="line 2"):
+        parse_edge_list(f"{2**20}\nnot an edge line\n")
+
+
+def test_edge_list_errors_echo_only_the_start_of_a_token():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # a caller without a limit: tokens are still refused by their length
+    try:
+        for text in ("x" * 100_000, "7" * 400_000, "5\n0 " + "7" * 400_000):
+            start = time.perf_counter()
+            with pytest.raises(EdgeListParseError) as info:
+                parse_edge_list(text)
+            assert time.perf_counter() - start < 1.0
+            assert len(str(info.value)) < 200
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_directed_edges_keep_orientation():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import json
 import math
 import random
 import time
@@ -116,7 +117,7 @@ def test_petersen_single_seed_sweep():
 
 
 def test_exhaustive_budget():
-    # C(40, 20) = 137 846 528 820 subsets, far past EXHAUSTIVE_BUDGET
+    # C(40, 20) = 137 846 528 820 subsets: over a million blocks of 104 857 lanes
     with pytest.raises(WorkBudgetError, match="monte-carlo"):
         measure_synchrony(Graph(40), t=1, k=20)
 
@@ -223,11 +224,18 @@ def test_monte_carlo_sweeps_match_the_per_seed_oracle(g):
         assert (out.i_star_histogram, out.non_synchronizing) == synchrony_sweep(g, t, draws)
 
 
+def _exhaustive_blocks(n, k):
+    """The blocks an exhaustive sweep of the k-subsets of range(n) builds, at the current block size."""
+    per_block = synchrony._MAX_BLOCK_BITS // n
+    return list(synchrony._exhaustive_blocks(n, k, synchrony._prefix_length(n, k, per_block), per_block))
+
+
 def test_exhaustive_lanes_follow_combinations_order():
+    # one block: groups by smallest vertex, descending, each in combinations order
     for n in range(1, 9):
         for k in range(1, n + 1):
-            (lanes, count), = synchrony._exhaustive_blocks(n, k)
-            subsets = list(combinations(range(n), k))
+            (lanes, count), = _exhaustive_blocks(n, k)
+            subsets = [s for p in reversed(range(n)) for s in combinations(range(n), k) if s[0] == p]
             assert count == len(subsets)
             for v in range(n):
                 assert lanes[v] == sum(1 << s for s, subset in enumerate(subsets) if v in subset)
@@ -284,6 +292,109 @@ def test_monte_carlo_over_its_price_exits_2_at_once(monkeypatch):
     assert '"code": "work-budget"' in out.getvalue()
 
 
+def _no_sweeping(monkeypatch):
+    def fail(*args):
+        raise AssertionError("seeds built or rounds run before the price check")
+
+    for name in ("_one_lane", "_exhaustive_blocks", "_sampled_blocks", "_sweep", "_round"):
+        monkeypatch.setattr(synchrony, name, fail)
+
+
+# The first four took 8 to 28 s before every loop over rounds paid one price;
+# the last two cost far past 2^64, and a refusal prints no huge int.
+_OVER_THE_PRICE = {
+    "exhaustive": (cycle(3000), lambda g: measure_synchrony(g, t=1, k=1)),
+    "monte-carlo": (cycle(2000), lambda g: measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=4000, seed64=1)),
+    "synchrony_index": (cycle(4000), lambda g: synchrony_index(g, [0], 1)),
+    "fixed_point": (cycle(4000), lambda g: fixed_point(g, [0], 1)),
+    "exhaustive-half": (Graph(50_000), lambda g: measure_synchrony(g, t=1, k=25_000)),
+    "monte-carlo-huge": (named_graph("petersen"), lambda g: measure_synchrony(g, 2, 3, "monte-carlo", 10**5000, 1)),
+}
+
+
+@pytest.mark.parametrize("name", _OVER_THE_PRICE)
+def test_sweeps_over_the_price_are_refused_at_once(monkeypatch, name):
+    g, call = _OVER_THE_PRICE[name]
+    _no_sweeping(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="monte-carlo" if name.startswith("exhaustive") else "budget") as info:
+        call(g)
+    assert time.perf_counter() - start < 1.0
+    assert len(str(info.value)) < 200
+
+
+def test_exhaustive_cli_on_200000_vertices_exits_2_at_once(monkeypatch, tmp_path):
+    path = tmp_path / "isolated200000.txt"
+    path.write_text("200000\n")
+    _no_sweeping(monkeypatch)
+    out = io.StringIO()
+    start = time.perf_counter()
+    code = cli.run(["synchrony", "--edge-list", str(path), "--t", "1", "--k", "1"], out)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    error = json.loads(out.getvalue())["error"]
+    assert error["code"] == "work-budget" and "monte-carlo" in error["message"]
+
+
+def test_one_seed_price_is_tight_on_a_path(monkeypatch):
+    # a seed at the end of a path takes n - 1 rounds, so |live| + 1 = n + 1 (below
+    # the breadth bound 2(n - 1) + 1) is nearly exact; each round costs
+    # n + 2(n - 1): path(1671) prices 8 380 063
+    class Admitted(Exception):
+        pass
+
+    def admitted(*args):
+        raise Admitted
+
+    monkeypatch.setattr(synchrony, "_round", admitted)
+    for f in (synchrony_index, fixed_point):
+        with pytest.raises(Admitted):
+            f(path(1671), [0], 1)
+        with pytest.raises(WorkBudgetError, match="8390094"):
+            f(path(1672), [0], 1)
+
+
+def test_breadth_bound_covers_every_round_at_t1(monkeypatch):
+    graphs = [gnp(n, p, 700 + n) for n in (6, 9, 12) for p in (0.15, 0.3)] + [cycle(9), path(7), Graph(5)]
+    rounds = []
+    real_round = synchrony._round
+
+    def counted(*args):
+        rounds[-1] += 1
+        return real_round(*args)
+
+    monkeypatch.setattr(synchrony, "_round", counted)
+    for g in graphs:
+        most = synchrony._breadth_bound(g) + 1
+        seeds = [[v] for v in range(g.n)] + [[0, g.n - 1], list(range(0, g.n, 3))]
+        for seed in seeds:
+            rounds.append(0)
+            fixed_point(g, seed, 1)
+            assert rounds[-1] <= most, (g, seed)
+        for k in (1, 2):  # one block of every k-subset
+            rounds.append(0)
+            measure_synchrony(g, t=1, k=k)
+            assert rounds[-1] <= most, (g, k)
+
+
+def test_sparse_graphs_at_t1_are_priced_by_breadth():
+    # |live| + 1 = 2001 rounds of 8000 would refuse one seed; a breadth-first
+    # search bounds them by twice its depth, and the real rounds are fewer still
+    g = random_regular(2000, 3, 1)
+    assert synchrony._breadth_bound(g) < 40
+    start = time.perf_counter()
+    assert measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=3000, seed64=1).p_k == 1.0
+    assert measure_synchrony(g, t=1, k=1).p_k == 1
+    assert synchrony_index(g, [0], 1) < 20 and len(fixed_point(g, [0], 1)) == 2000
+    assert time.perf_counter() - start < 5.0
+
+
+def test_exhaustive_seed_building_is_priced_by_its_groups():
+    # k = n - 1 with 2047 lanes a block: r = 2, so C(n - k + r, r) = 3 groups, not C(n, 2)
+    out = measure_synchrony(Graph(2049), t=1, k=2048)
+    assert out.samples == 2049 and out.non_synchronizing == 2049
+
+
 def test_monte_carlo_cli_bytes_are_pinned():
     argv = ["synchrony", "--named", "paper-h", "--t", "2", "--k", "4", "--mode", "mc", "--samples", "3000", "--seed", "7"]
     out = io.StringIO()
@@ -310,7 +421,7 @@ def test_small_blocks_give_the_unblocked_outcomes(monkeypatch, g, t, k):
     monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", 64)
     assert (measure_synchrony(g, t=t, k=k), measure_synchrony(g, t=t, k=k, **mc)) == whole
     # the blocks still hold every k-subset exactly once
-    blocks = list(synchrony._exhaustive_blocks(g.n, k))
+    blocks = _exhaustive_blocks(g.n, k)
     assert len(blocks) > 1
     seen = [
         tuple(v for v in range(g.n) if lanes[v] >> s & 1)
@@ -326,7 +437,7 @@ def test_blocks_pack_consecutive_prefix_groups(monkeypatch):
     g = random_regular(n, 3, 12)
     whole = measure_synchrony(g, t=2, k=k)
     monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", n * 60)
-    blocks = list(synchrony._exhaustive_blocks(n, k))
+    blocks = _exhaustive_blocks(n, k)
     assert [count for _, count in blocks] == [1 + 3 + 6 + 10 + 15 + 21, 28, 36, 45, 55]
     seen = [
         tuple(v for v in range(n) if lanes[v] >> s & 1)
@@ -354,10 +465,10 @@ def test_exhaustive_sweep_near_the_budget(monkeypatch):
     start = time.perf_counter()
     out = measure_synchrony(g, t=2, k=7)  # C(28, 7) = 1 184 040 subsets, in several blocks
     assert time.perf_counter() - start < 2.0
-    assert len(list(synchrony._exhaustive_blocks(28, 7))) > 1
+    assert len(_exhaustive_blocks(28, 7)) > 1
     assert out.samples == 1_184_040
     monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", 28 * 1_184_040)
-    assert len(list(synchrony._exhaustive_blocks(28, 7))) == 1
+    assert len(_exhaustive_blocks(28, 7)) == 1
     assert measure_synchrony(g, t=2, k=7) == out
 
 
