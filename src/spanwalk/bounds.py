@@ -36,7 +36,7 @@ from math import comb
 
 import mpmath
 
-from .errors import BipartiteRequiredError
+from .errors import BipartiteRequiredError, shown
 from .exact import closed_walk_counts, laplacian_traces
 from .graph import Graph, bipartition, require_regular
 from .series import _PREC, _partial_sums
@@ -133,7 +133,7 @@ def prop1_lower(n: int, d: int) -> BoundReport:
     exact for the complete graph.  It is thm2 at m = 2 on the complement.
     """
     if n < 1 or not 0 <= d <= n - 1:
-        raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={n}, d={d}")
+        raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={shown(n)}, d={shown(d)}")
     params = {"n": n, "d": d}
     c = n - 1 - d
     prod = c * (n - d)
@@ -176,7 +176,9 @@ def prop2_lower(n: int, d: int, triangles: int) -> BoundReport:
     It is thm2 at m = 3 on the complement, whose tr(L^3) is n^3 s^3.
     """
     if n < 1 or not 0 <= d <= n - 1 or triangles < 0:
-        raise ValueError(f"need n >= 1, 0 <= d <= n-1, triangles >= 0; got {n}, {d}, {triangles}")
+        raise ValueError(
+            f"need n >= 1, 0 <= d <= n-1, triangles >= 0; got {shown(n)}, {shown(d)}, {shown(triangles)}"
+        )
     params = {"n": n, "d": d, "triangles": triangles}
     c = n - 1 - d
     # 6 (C(n,3) - n d c/2 - triangles) expands to an exact integer.

@@ -27,7 +27,7 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import families, series, synchrony
-from .errors import InputReadError, NumericFailureError, ToolkitError
+from .errors import InputReadError, NumericFailureError, ToolkitError, shown
 from .exact import closed_walk_counts, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
@@ -60,7 +60,7 @@ def _int(text: str) -> int:
 def _positive_int(text: str) -> int:
     value = _int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shown(value)}")
     return value
 
 

@@ -13,6 +13,13 @@ def excerpt(text: str, width: int = 32) -> str:
     return repr(text[:width]) + ("..." if len(text) > width else "")
 
 
+def shown(x: int) -> int | str:
+    """x, or the power of two its magnitude passes when over 2^64: an error message echoes no huge int."""
+    if x.bit_length() <= 64:
+        return x
+    return f"{'under -' if x < 0 else 'over '}2^{x.bit_length() - 1}"
+
+
 class ToolkitError(Exception):
     """Base class for all toolkit-specific failures."""
 

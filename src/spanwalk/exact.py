@@ -14,8 +14,8 @@ from math import comb
 from operator import add, mul
 from typing import Iterator
 
-from .errors import ExactInvariantError, WorkBudgetError
-from .graph import Adjacency, Graph, complement, require_regular
+from .errors import ExactInvariantError, WorkBudgetError, shown
+from .graph import Adjacency, Graph, complement, is_connected, require_regular
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -134,16 +134,17 @@ def spanning_tree_count(g: Graph) -> int:
     touches only the fill of that order.  Both matrices are positive
     semidefinite, so a zero pivot ends it with determinant 0: disconnected
     graphs give 0 and the single-vertex graph gives 1.  In the sparse
-    branch a graph on n > 1 vertices with an isolated vertex gives 0 before
-    any order is built.  The order's price (_minimum_degree_order) refuses
-    with WorkBudgetError before any big-integer work.
+    branch a disconnected graph gives 0 from one breadth-first search
+    (is_connected), before any order is built.  The order's price
+    (_minimum_degree_order) refuses with WorkBudgetError before any
+    big-integer work.
     """
     n = g.n
     if 4 * g.size <= n * (n - 1):
+        if not is_connected(g):
+            return 0  # no tree spans it, and no order need be built
         nbrs = g.adjacency()
         degrees = [len(s) for s in nbrs]
-        if n > 1 and 0 in degrees:
-            return 0  # an isolated vertex: no tree spans it, and no order need be built
         order = _minimum_degree_order(nbrs, max(degrees).bit_length())[:-1]
         det = _sparse_determinant(nbrs, order, degrees, -1)
         if det < 0:
@@ -238,7 +239,7 @@ def check_table_price(g: Graph, count: int) -> int:
         price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
     if price > _MAX_WALK_WORK:
         raise WorkBudgetError(
-            f"{count} power sums of a graph on {n} vertices cost about {price} "
+            f"{shown(count)} power sums of a graph on {n} vertices are priced at {shown(price)} "
             f"integer operations; the budget is {_MAX_WALK_WORK}"
         )
     return price
@@ -272,7 +273,7 @@ class WalkTable:
 
     def w(self, k: int) -> int:
         if not 1 <= k <= self.max_k:
-            raise ValueError(f"walk order {k} outside table range 1..{self.max_k}")
+            raise ValueError(f"walk order {shown(k)} outside table range 1..{self.max_k}")
         return self.counts[k - 1]
 
 
@@ -315,7 +316,7 @@ class LaplacianTraceTable:
 
     def trace(self, r: int) -> int:
         if not 1 <= r <= self.max_r:
-            raise ValueError(f"power {r} outside table range 1..{self.max_r}")
+            raise ValueError(f"power {shown(r)} outside table range 1..{self.max_r}")
         return self.traces[r - 1]
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import RetryBudgetError, WorkBudgetError
+from .errors import RetryBudgetError, WorkBudgetError, shown
 from .graph import Graph
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
@@ -67,11 +67,12 @@ def g_family(k: int, l: int) -> Graph:
     is built.
     """
     if l < 0 or k <= l:
-        raise ValueError(f"need k > l >= 0, got k={k}, l={l}")
+        raise ValueError(f"need k > l >= 0, got k={shown(k)}, l={shown(l)}")
     side = 2 * k + l
     if side * side > _MAX_FAMILY_PAIRS:
         raise WorkBudgetError(
-            f"g_family({k}, {l}) lays out {side * side} x-y pairs, over the budget of {_MAX_FAMILY_PAIRS}"
+            f"g_family({shown(k)}, {shown(l)}) lays out {shown(side * side)} x-y pairs, "
+            f"over the budget of {_MAX_FAMILY_PAIRS}"
         )
     return Graph(2 * side + 1, frozenset(_g_family_edges(k, l)))
 
@@ -112,8 +113,8 @@ def _check_pairing_price(n: int, d: int, bipartite: bool) -> None:
     if log_price > math.log(_MAX_PAIRING_WORK):
         kind = "bipartite " if bipartite else ""
         raise WorkBudgetError(
-            f"a random {kind}{d}-regular pairing on {n} vertices expects about e^{log_price:.1f} "
-            f"stub placements, over the budget of {_MAX_PAIRING_WORK}"
+            f"a random {kind}{shown(d)}-regular pairing on {shown(n)} vertices expects about "
+            f"e^{log_price:.1f} stub placements, over the budget of {_MAX_PAIRING_WORK}"
         )
 
 
@@ -127,9 +128,9 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     stub placements raises WorkBudgetError before the first shuffle.
     """
     if not 0 <= d < n:
-        raise ValueError(f"need 0 <= d < n, got n={n}, d={d}")
+        raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if n * d % 2:
-        raise ValueError(f"n*d must be even, got n={n}, d={d}")
+        raise ValueError(f"n*d must be even, got n={shown(n)}, d={shown(d)}")
     _check_pairing_price(n, d, bipartite=False)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]
@@ -162,10 +163,10 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     shuffle as random_regular is.
     """
     if n < 2 or n % 2:
-        raise ValueError(f"n must be even and at least 2, got {n}")
+        raise ValueError(f"n must be even and at least 2, got {shown(n)}")
     half = n // 2
     if not 0 <= d <= half:
-        raise ValueError(f"need 0 <= d <= n/2, got n={n}, d={d}")
+        raise ValueError(f"need 0 <= d <= n/2, got n={shown(n)}, d={shown(d)}")
     _check_pairing_price(n, d, bipartite=True)
     rng = random.Random(seed)
     left = [v for v in range(half) for _ in range(d)]

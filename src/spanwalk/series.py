@@ -10,7 +10,8 @@ once, in _partial_sums, which also gives thm3's upper bound: for bipartite g
 the odd terms vanish and every partial sum lies above the limit.  It
 identifies t exactly by closing the series at order n: it is the Taylor
 expansion of ln det(I + A/(n - d)), so w_1..w_n fix t through the
-characteristic polynomial of the adjacency matrix A.
+characteristic polynomial of the adjacency matrix A, for every regular g,
+whether or not the series converges.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import ClassVar
 
 import mpmath
 
-from .errors import ConvergenceDomainError, ExactInvariantError
+from .errors import ConvergenceDomainError, ExactInvariantError, shown
 from .exact import (
     check_table_price,
     closed_walk_counts,
@@ -34,15 +35,6 @@ from .graph import Graph, require_regular
 _PREC = 96  # working significand bits of every partial sum and bound
 
 
-def _checked_parameters(g: Graph) -> tuple[int, int]:
-    d = require_regular(g)
-    if 2 * d >= g.n:
-        raise ConvergenceDomainError(
-            f"guaranteed convergence needs 2d < n; got n={g.n}, d={d}"
-        )
-    return g.n, d
-
-
 def series_term(n: int, d: int, w_k: int, k: int) -> float:
     """Signed series term (-1)^(k-1) w_k / (k (n-d)^k), correctly rounded.
 
@@ -51,7 +43,7 @@ def series_term(n: int, d: int, w_k: int, k: int) -> float:
     if k < 2:
         raise ValueError("series terms start at k = 2")
     if not 0 <= d < n:
-        raise ValueError(f"need 0 <= d < n, got n={n}, d={d}")
+        raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if w_k < 0:
         raise ValueError("walk counts are nonnegative")
     return (w_k if k % 2 else -w_k) / (k * (n - d) ** k)
@@ -113,7 +105,9 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    n, d = _checked_parameters(g)
+    n, d = g.n, require_regular(g)
+    if 2 * d >= n:
+        raise ConvergenceDomainError(f"guaranteed convergence needs 2d < n; got n={n}, d={d}")
     counts = closed_walk_counts(g, max_k).counts if max_k >= 2 else ()
     partials = tuple(float(p) for p in _partial_sums(n, d, counts, max_k))
     terms = tuple(series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
@@ -153,14 +147,15 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     Kelmans 1965).  So w_1..w_n fix t: Newton's identities turn them into the
     elementary symmetric polynomials e_j of the adjacency spectrum, and
     det((n-d)I + A) = sum_j e_j (n-d)^(n-j), evaluated by Horner's rule, is
-    divided by n^2 exactly.  A remainder or a negative value raises
-    ExactInvariantError.
+    divided by n^2 exactly.  The identity holds for every d-regular graph,
+    so identification needs no 2d < n: only the series' convergence does.  A
+    remainder or a negative value raises ExactInvariantError.
 
     Raises WorkBudgetError, before any walk is counted, when w_1..w_n,
     about ceil(n/2) n^2 (d+2) integer operations, are over the walk engine's
     price limit (exact.check_table_price).
     """
-    n, d = _checked_parameters(g)
+    n, d = g.n, require_regular(g)
     check_table_price(g, n)
     det = 0
     for e_j in elementary_symmetric(list(islice(iter_closed_walk_counts(g), n))):

@@ -25,8 +25,8 @@ from itertools import combinations
 from math import comb
 from typing import Iterable
 
-from .errors import WorkBudgetError
-from .graph import Graph
+from .errors import WorkBudgetError, shown
+from .graph import Graph, _depths
 
 _MAX_SWEEP_WORK = 2**23  # most lane-int operations one sweep may cost: building its seeds, then its rounds
 _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of seeds holds
@@ -41,11 +41,6 @@ def _live_sources(g: Graph, t: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(v, src) for v, src in enumerate(g.in_adjacency) if len(src) >= t]
 
 
-def _shown(x: int) -> int | str:
-    """x, or the power of two it passes when over 2^64: a refusal prints no huge int."""
-    return x if x.bit_length() <= 64 else f"over 2^{x.bit_length() - 1}"
-
-
 def _priced_live(
     g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str = ""
 ) -> list[tuple[int, tuple[int, ...]]]:
@@ -53,44 +48,25 @@ def _priced_live(
 
     A round that changes a lane turns on a live vertex in it, so a block runs
     at most |live| + 1 rounds, each costing n + Σ_live |src|·min(t, |src|)
-    lane-int operations; at t = 1 on an undirected graph, at most
-    _breadth_bound(g) + 1.  Over the budget WorkBudgetError is raised, before
-    any seed is built.
+    lane-int operations.  At t = 1 on an undirected graph a seed set turns on
+    at round i the vertices at distance i from it, so a lane changes in no
+    round past the largest distance within one component: at most twice the
+    largest depth of graph._depths, which bounds the rounds instead when it is
+    smaller.  Over the budget WorkBudgetError is raised, before any seed is
+    built.
     """
     live = _live_sources(g, t)
     depth = len(live)
     if t == 1 and not g.directed:
-        depth = min(depth, _breadth_bound(g))
+        depth = min(depth, 2 * max(_depths(g)))
     round_work = g.n + sum(len(src) * min(t, len(src)) for _, src in live)
     price = seed_work + blocks * (depth + 1) * round_work
     if price > _MAX_SWEEP_WORK:
         raise WorkBudgetError(
-            f"{what} on {g.n} vertices costs {_shown(price)} lane-int operations; "
+            f"{what} on {g.n} vertices costs {shown(price)} lane-int operations; "
             f"the budget is {_MAX_SWEEP_WORK}{hint}"
         )
     return live
-
-
-def _breadth_bound(g: Graph) -> int:
-    """Twice the largest depth of a breadth-first search of each component of undirected g from its least vertex.
-
-    At t = 1 a seed set turns on at round i the vertices at distance i from
-    it, so a lane changes in no round past the largest distance between two
-    vertices of one component, which is at most twice that depth.
-    """
-    depth = [-1] * g.n
-    top = 0
-    for root in range(g.n):
-        if depth[root] < 0:
-            depth[root] = 0
-            queue = [root]
-            for u in queue:  # grows while it is read: breadth-first order
-                for w in g.in_adjacency[u]:
-                    if depth[w] < 0:
-                        depth[w] = depth[u] + 1
-                        queue.append(w)
-            top = max(top, depth[queue[-1]])
-    return 2 * top
 
 
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
@@ -112,7 +88,7 @@ def _one_lane(g: Graph, seed: Iterable[int]) -> list[int]:
     x = [0] * g.n
     for v in seed:
         if not 0 <= v < g.n:
-            raise ValueError(f"seed vertex {v} out of range for n={g.n}")
+            raise ValueError(f"seed vertex {shown(v)} out of range for n={g.n}")
         x[v] = 1
     return x
 
@@ -197,18 +173,25 @@ def measure_synchrony(
     lanes a block, an exhaustive sweep runs at most 2⌈C(n, k)/b⌉ − 1 blocks,
     because two consecutive blocks hold more than b lanes; a Monte Carlo
     sweep runs ⌈samples/b⌉.  Over _MAX_SWEEP_WORK, WorkBudgetError is raised.
+    When C(n, k) >= 2^min(k, n - k) alone puts the blocks past 2^64, that
+    lower bound is priced instead, before any binomial is computed: such a
+    refusal prints its price only as a power of two.
     """
     _check_threshold(t)
     n = g.n
     if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+        raise ValueError(f"need 1 <= k <= n, got k={shown(k)}, n={n}")
     per_block = _MAX_BLOCK_BITS // n
     if mode == "exhaustive":
+        what = f"an exhaustive sweep of the C({n}, {k}) subsets"
+        hint = "; use monte-carlo mode"
+        floor = min(k, n - k) - per_block.bit_length()
+        if floor > 64:  # C(n, k) >= 2^min(k, n - k) lanes fill over 2^floor blocks: always refused
+            _priced_live(g, t, 0, 1 << floor, what, hint)
         r = _prefix_length(n, k, per_block)
         total = comb(n, k)
         groups = total if r == k else comb(n - k + r, r)  # a group is one subset at r = k
-        what = f"an exhaustive sweep of the C({n}, {k}) subsets"
-        live = _priced_live(g, t, groups * n, 2 * -(-total // per_block) - 1, what, "; use monte-carlo mode")
+        live = _priced_live(g, t, groups * n, 2 * -(-total // per_block) - 1, what, hint)
         blocks = _exhaustive_blocks(n, k, r, per_block)
     elif mode == "monte-carlo":
         if samples is None or samples < 1:
@@ -216,7 +199,7 @@ def measure_synchrony(
         if seed64 is None:
             raise ValueError("monte-carlo mode needs a seed")
         total = samples
-        what = f"a sweep of {_shown(samples)} samples"
+        what = f"a sweep of {shown(samples)} samples"
         live = _priced_live(g, t, samples * (k + n), -(-samples // per_block), what)
         # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
         blocks = _sampled_blocks(n, k, samples, per_block, random.Random(seed64 & 0xFFFFFFFFFFFFFFFF))

@@ -10,13 +10,14 @@ series bracket takes walk counts from its caller and encloses t(complement)
 with the paper's truncated series and an outward-rounded exponential; the
 series partial takes them too and sums the terms as one exact rational.  The
 synchrony sweep spreads one seed at a time with a Python loop over the
-vertices per round.
+vertices per round.  The two-colouring scans vertex pairs with has_edge.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
@@ -305,6 +306,27 @@ def synchrony_sweep(g: Graph, t: int, seeds: Iterable[Iterable[int]]) -> tuple[d
         else:
             histogram[index] = histogram.get(index, 0) + 1
     return histogram, stalled
+
+
+def bfs_two_colouring(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """Colour 0 at the least vertex of each component, the other colour across each edge; None on a clash."""
+    colour = [-1] * g.n
+    for start in range(g.n):
+        if colour[start] != -1:
+            continue
+        colour[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for w in range(g.n):
+                if not g.has_edge(u, w):
+                    continue
+                if colour[w] == -1:
+                    colour[w] = 1 - colour[u]
+                    queue.append(w)
+                elif colour[w] == colour[u]:
+                    return None
+    return frozenset(v for v in range(g.n) if colour[v] == 0), frozenset(v for v in range(g.n) if colour[v] == 1)
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

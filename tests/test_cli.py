@@ -15,6 +15,7 @@ import pytest
 
 from spanwalk import Graph, cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
+from spanwalk.errors import shown
 from oracles import complete, cycle, exact_series_partial
 
 
@@ -335,6 +336,43 @@ def test_overlong_integer_option_exits_64_at_once(capsys):
     assert len(capsys.readouterr().err) < 1024
 
 
+_HUGE = "9" * 4000  # under the 4300-character limit on an integer token
+_HUGE_EDGE_LISTS = {"HUGE_ENDPOINT": f"10\n0 {_HUGE}\n", "NEGATIVE_COUNT": f"-{_HUGE}\n"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["walks", "--named", "petersen", "--max-k", _HUGE],
+        ["bounds", "thm2", "--named", "petersen", "--m", _HUGE],
+        ["series", "--eval", "--named", "petersen", "--max-k", _HUGE],
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", _HUGE, "--k", "1"],
+        ["construct", "--g-family", _HUGE, "1"],
+        ["construct", "--g-family", "2", _HUGE],
+        ["construct", "--random", _HUGE, "4", "1"],
+        ["construct", "--random", "10", _HUGE, "1"],
+        ["synchrony", "--named", "petersen", "--t", "1", "--k", _HUGE],
+        ["graph", "info", "--edge-list", "HUGE_ENDPOINT"],
+        ["graph", "info", "--edge-list", "NEGATIVE_COUNT"],
+    ],
+    ids=lambda argv: " ".join(a if len(a) < 20 else "N" for a in argv),
+)
+def test_refusals_of_huge_integers_print_a_short_message(tmp_path, argv):
+    for name, text in _HUGE_EDGE_LISTS.items():
+        (tmp_path / name).write_text(text)
+    argv = [str(tmp_path / a) if a in _HUGE_EDGE_LISTS else a for a in argv]
+    start = time.perf_counter()
+    code, doc = _run_json(argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert len(doc["error"]["message"]) < 200 and "2^1328" in doc["error"]["message"]
+
+
+def test_shown_prints_ints_up_to_64_bits_in_full():
+    assert shown(2**64 - 1) == 2**64 - 1 and shown(-(2**64) + 1) == -(2**64) + 1
+    assert shown(2**64) == "over 2^64" and shown(-(2**70)) == "under -2^70"
+
+
 def test_construct_g_family():
     code, doc = _run_json(["construct", "--g-family", "2", "0"])
     assert code == 0
@@ -415,7 +453,7 @@ def test_output_is_byte_identical_across_runs():
 
 
 def test_domain_errors_exit_2_with_error_document():
-    code, doc = _run_json(["series", "--identify", "--graph6", "C~"])
+    code, doc = _run_json(["series", "--eval", "--max-k", "4", "--graph6", "C~"])
     assert code == 2
     assert doc["error"]["code"] == "convergence-domain"
 

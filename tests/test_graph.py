@@ -7,6 +7,8 @@ import sys
 import time
 import tracemalloc
 from collections import OrderedDict
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -26,8 +28,8 @@ from spanwalk import (
     require_regular,
     to_edge_list_text,
 )
-from spanwalk import exact
-from oracles import complete, complete_bipartite, cycle, gnp, path
+from spanwalk import exact, families, graph
+from oracles import _components, bfs_two_colouring, complete, complete_bipartite, cycle, gnp, path
 
 
 def test_graph_normalizes_and_deduplicates_edges():
@@ -208,6 +210,43 @@ def test_is_connected():
     assert is_connected(Graph(1))
     assert not is_connected(Graph(2))
     assert not is_connected(Graph(4, frozenset({(0, 1), (2, 3)})))
+
+
+def test_bipartition_and_is_connected_match_brute_force():
+    # oracles: every 2-colouring of the vertices, and union-find components
+    bipartite = disconnected = isolated = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(1, 8)
+        g = gnp(n, rng.choice((0.1, 0.2, 0.35, 0.5)), 1300 + seed)
+        colourable = any(all((c >> u ^ c >> v) & 1 for u, v in g.edges) for c in range(1 << n))
+        sides = bipartition(g)
+        assert (sides is not None) == colourable, (n, seed)
+        if sides is not None:
+            left, right = sides
+            assert left | right == frozenset(range(n)) and not left & right
+            assert all((u in left) != (v in left) for u, v in g.edges), (n, seed)
+            bipartite += 1
+        connected = _components(n, tuple(g.edges)) == 1
+        assert is_connected(g) == connected, (n, seed)
+        disconnected += not connected
+        isolated += n > 1 and 0 in g.degree_sequence()
+    assert min(bipartite, 300 - bipartite, disconnected, 300 - disconnected, isolated) >= 30
+
+
+def test_bipartition_sides_match_the_two_colouring_on_the_bench_graphs():
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import workloads
+
+    mods = SimpleNamespace(families=families, graph=graph)
+    rng = random.Random(16)
+    for gid in workloads.bounds_gids() + [workloads.OVERFLOW_CYCLE]:
+        g = workloads.build_graph(mods, gid)
+        for h in [g] + [workloads.relabel(mods, g, rng) for _ in range(3)]:
+            sides = bipartition(h)
+            assert sides is not None and sides == bfs_two_colouring(h), gid
 
 
 def test_graphs_from_the_same_edges_are_one_graph(monkeypatch):

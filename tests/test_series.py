@@ -31,7 +31,7 @@ from spanwalk import (
 )
 from spanwalk import families, graph, series
 from spanwalk.errors import ExactInvariantError
-from oracles import circulant, cycle, exact_series_partial, path, series_bracket
+from oracles import circulant, complete, complete_bipartite, cycle, exact_series_partial, path, series_bracket
 
 # Partial sums for the Petersen graph through k = 6, frozen to 5 decimals.
 PETERSEN_PARTIALS = (14.85393, 14.54781, 14.54781, 14.53219, 14.53362, 14.53221)
@@ -106,8 +106,8 @@ def test_evaluate_series_partials_match_the_exact_rational_sums():
 def test_series_domain_errors():
     with pytest.raises(ConvergenceDomainError):
         evaluate_series(cycle(4), 4)  # 2d = n
-    with pytest.raises(ConvergenceDomainError):
-        identify_complexity(Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)})))
+    # identification needs no convergence: K_4's complement has no edge, so no spanning tree
+    assert identify_complexity(Graph(4, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)}))) == 0
     with pytest.raises(RegularityRequiredError):
         evaluate_series(path(5), 4)
     with pytest.raises(DirectedUnsupportedError):
@@ -197,6 +197,23 @@ def test_identify_matches_exact_count_on_random_regulars():
     graphs = [random_regular(n, d, seed=300 + idx) for idx, (n, d) in enumerate(cases)]
     graphs.append(circulant(61, tuple(range(1, 16))))  # d = 30: at the 2d < n edge
     for g in graphs:
+        assert identify_complexity(g) == spanning_tree_count(complement(g)), (g.n, g.size)
+
+
+def test_identify_needs_no_convergence():
+    # det((n-d)I + A) = n^2 t(complement) holds for every d-regular graph, 2d >= n too
+    graphs = [complete(n) for n in range(2, 9)]
+    graphs += [complete_bipartite(a, a) for a in range(1, 7)] + [cycle(4)]
+    graphs += [
+        complement(random_regular(n, d, seed=400 + n))
+        for n in range(4, 13)
+        for d in range(0, (n - 2) // 2 + 1)
+        if n * d % 2 == 0
+    ]
+    for g in graphs:
+        assert 2 * regular_degree(g) >= g.n
+        with pytest.raises(ConvergenceDomainError):
+            evaluate_series(g, 4)
         assert identify_complexity(g) == spanning_tree_count(complement(g)), (g.n, g.size)
 
 

@@ -25,6 +25,7 @@ from spanwalk import (
     synchrony_index,
 )
 from spanwalk import cli, synchrony
+from spanwalk.graph import _depths
 from oracles import circulant, complete, cycle, directed_gnp, gnp, path, synchrony_sweep
 
 
@@ -323,6 +324,17 @@ def test_sweeps_over_the_price_are_refused_at_once(monkeypatch, name):
     assert len(str(info.value)) < 200
 
 
+def test_exhaustive_half_subsets_are_refused_before_the_binomial(monkeypatch):
+    # C(2^18, 2^17) alone takes about a second to compute; 2^min(k, n - k) bounds it below
+    g = Graph(2**18)
+    _no_sweeping(monkeypatch)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="use monte-carlo mode") as info:
+        measure_synchrony(g, 1, 2**17)
+    assert time.perf_counter() - start < 0.2
+    assert len(str(info.value)) < 200
+
+
 def test_exhaustive_cli_on_200000_vertices_exits_2_at_once(monkeypatch, tmp_path):
     path = tmp_path / "isolated200000.txt"
     path.write_text("200000\n")
@@ -365,7 +377,7 @@ def test_breadth_bound_covers_every_round_at_t1(monkeypatch):
 
     monkeypatch.setattr(synchrony, "_round", counted)
     for g in graphs:
-        most = synchrony._breadth_bound(g) + 1
+        most = 2 * max(_depths(g)) + 1
         seeds = [[v] for v in range(g.n)] + [[0, g.n - 1], list(range(0, g.n, 3))]
         for seed in seeds:
             rounds.append(0)
@@ -381,7 +393,7 @@ def test_sparse_graphs_at_t1_are_priced_by_breadth():
     # |live| + 1 = 2001 rounds of 8000 would refuse one seed; a breadth-first
     # search bounds them by twice its depth, and the real rounds are fewer still
     g = random_regular(2000, 3, 1)
-    assert synchrony._breadth_bound(g) < 40
+    assert 2 * max(_depths(g)) < 40
     start = time.perf_counter()
     assert measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=3000, seed64=1).p_k == 1.0
     assert measure_synchrony(g, t=1, k=1).p_k == 1
