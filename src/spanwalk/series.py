@@ -151,9 +151,10 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     so identification needs no 2d < n: only the series' convergence does.  A
     remainder or a negative value raises ExactInvariantError.
 
-    Raises WorkBudgetError, before any walk is counted, when w_1..w_n,
-    about ceil(n/2) n^2 (d+2) integer operations, are over the walk engine's
-    price limit (exact.check_table_price).
+    w_1..w_n come from the packed-row walk engine, n orders of nd big-integer
+    additions.  Raises WorkBudgetError, before any walk is counted, when
+    their price, ceil(n/2) n^2 (d+2) integer operations, is over the walk
+    engine's limit (exact.check_table_price): C_322 is admitted, C_323 refused.
     """
     n, d = g.n, require_regular(g)
     check_table_price(g, n)

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for pinning expected values.
 
 Nothing here touches the package's exact engines: walk counts come from DFS
-enumeration or dense matrix powers, Laplacian traces from dense Laplacian
+enumeration, dense matrix powers or Frobenius inner products of adjacency
+powers held as lists of lists, Laplacian traces from dense Laplacian
 powers, triangles from vertex-triple scans, and spanning-tree counts from
 deletion-contraction on explicit multigraph edge lists or from rational
 Gaussian elimination on the Laplacian minor in natural vertex order, and
@@ -16,6 +17,7 @@ vertices per round.  The two-colouring scans vertex pairs with has_edge.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from collections import deque
 from fractions import Fraction
@@ -62,6 +64,30 @@ def _dense_adjacency(g: Graph) -> list[list[int]]:
 def dense_closed_walks(g: Graph, max_k: int) -> list[int]:
     """w_1..w_max_k as traces of dense adjacency powers."""
     return _dense_power_traces(_dense_adjacency(g), max_k)
+
+
+def frobenius_walks(g: Graph) -> list[int]:
+    """w_1..w_n from adjacency powers held as n lists of n ints, two counts per product.
+
+    A is symmetric, so w_(2j+1) = <A^j, A^(j+1)>_F and w_(2j+2) = <A^(j+1), A^(j+1)>_F.
+    Row i of A^(j+1) = A A^j is the sum of the rows of A^j at the neighbours of i.
+    """
+    n = g.n
+    zero = [0] * n
+    power = [[int(i == j) for j in range(n)] for i in range(n)]
+    counts = []
+    while len(counts) < n:
+        nxt = []
+        for nb in g.adjacency():
+            rows = iter(nb)
+            acc = power[next(rows)] if nb else zero
+            for u in rows:
+                acc = list(map(operator.add, acc, power[u]))
+            nxt.append(acc)
+        counts.append(sum(sum(map(operator.mul, a, b)) for a, b in zip(power, nxt)))
+        counts.append(sum(sum(map(operator.mul, b, b)) for b in nxt))
+        power = nxt
+    return counts[:n]
 
 
 def direct_laplacian_traces(g: Graph, max_r: int) -> list[int]:

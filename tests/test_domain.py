@@ -96,7 +96,7 @@ def engines_fail(monkeypatch):
     monkeypatch.setattr(exact, "_walk_cache", OrderedDict())
     monkeypatch.setattr(exact, "iter_closed_walk_counts", _no_work)
     monkeypatch.setattr(series, "iter_closed_walk_counts", _no_work)
-    monkeypatch.setattr(exact, "_frobenius_walks", _no_work)
+    monkeypatch.setattr(exact, "_packed_walks", _no_work)
     monkeypatch.setattr(exact, "_minimum_degree_order", _no_work)
     monkeypatch.setattr(exact, "_sparse_determinant", _no_work)
 

@@ -20,6 +20,7 @@ from spanwalk import (
     closed_walk_counts,
     complement,
     evaluate_series,
+    identify_complexity,
     iter_closed_walk_counts,
     laplacian_traces,
     named_graph,
@@ -43,6 +44,7 @@ from oracles import (
     dense_closed_walks,
     dfs_closed_walks,
     direct_laplacian_traces,
+    frobenius_walks,
     gnp,
     kirchhoff_tree_count,
     path,
@@ -96,6 +98,31 @@ def test_isolated_vertex_counts_0_before_any_order(monkeypatch):
         assert time.perf_counter() - start < 1.0
     monkeypatch.undo()
     assert spanning_tree_count(Graph(1)) == 1 and spanning_tree_count(Graph(2)) == 0
+
+
+def test_dense_disconnected_graph_counts_0_before_any_order(monkeypatch):
+    # K_300 + K_200: the dense branch, minimum degree 199 < (n-1)/2, and an
+    # elimination order over its price
+    g = Graph(500, complete(300).edges | {(u + 300, v + 300) for u, v in complete(200).edges})
+
+    def no_order(nbrs, bits):
+        raise AssertionError("an elimination order was built")
+
+    monkeypatch.setattr(exact, "_minimum_degree_order", no_order)
+    start = time.perf_counter()
+    assert spanning_tree_count(g) == 0
+    assert time.perf_counter() - start < 1.0
+
+
+def test_dense_graph_of_high_minimum_degree_runs_no_search(monkeypatch):
+    # a complement of a cubic graph has minimum degree n - 4 >= (n-1)/2: connected
+    cubic = random_regular(40, 3, seed=5)
+
+    def no_search(g):
+        raise AssertionError("the connectivity search ran")
+
+    monkeypatch.setattr(exact, "is_connected", no_search)
+    assert spanning_tree_count(complement(cubic)) == identify_complexity(cubic)
 
 
 
@@ -242,8 +269,12 @@ _ENGINE_CASES = {
     "single vertex": Graph(1),
     "edgeless": Graph(7),
     "perfect matching": Graph(8, frozenset((2 * i, 2 * i + 1) for i in range(4))),
+    "star": Graph(13, frozenset((0, v) for v in range(1, 13))),
     "disconnected union": Graph(
         10, frozenset({(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3), (7, 8)})
+    ),
+    "disconnected irregular": Graph(
+        12, complete(6).edges | {(6, 7), (7, 8), (8, 9), (6, 9), (6, 8), (9, 10)}
     ),
     "complete": complete(7),
     "petersen": named_graph("petersen"),
@@ -268,6 +299,23 @@ def test_walk_engine_matches_dense_powers_across_the_phase_switch(name):
         assert counts[1] == 2 * g.size
     if g.n >= 3:
         assert counts[2] % 6 == 0
+
+
+@pytest.mark.parametrize(
+    "g",
+    [cycle(150), circulant(25, (1, 2, 3, 4, 5, 6))] + [circulant(n, (1, 3)) for n in range(20, 141, 20)],
+    ids=repr,
+)
+def test_walk_engine_matches_the_frobenius_loop_at_order_n(g):
+    # the identification ladder's circulants, whose slots widen up to 36 bytes
+    assert list(islice(iter_closed_walk_counts(g), g.n)) == frobenius_walks(g)
+
+
+def test_slot_width_follows_the_orders_counted():
+    # slots sized for all 2000 orders would hold about 2 GB; three orders need one byte each
+    start = time.perf_counter()
+    assert closed_walk_counts(circulant(2000, (1, 2)), 3).counts == (0, 8000, 12000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_inconsistent_power_sums_raise_a_typed_error():
