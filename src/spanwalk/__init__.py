@@ -3,8 +3,10 @@
 The package computes exact spanning-tree counts of graphs and of complements
 of regular graphs (the latter also from closed-walk counts alone, which close
 the paper's alternating series at order n), evaluates a suite of closed-form
-lower and upper bounds, constructs triangle-minimal regular families and
-seeded random regular graphs, and measures threshold-spreading synchrony.
+lower and upper bounds (the Laplacian-trace bound thm2 on every undirected
+graph, the walk bounds on regular ones), constructs triangle-minimal regular
+families and seeded random regular graphs, and measures threshold-spreading
+synchrony.
 """
 
 from __future__ import annotations

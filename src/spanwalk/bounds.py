@@ -3,7 +3,8 @@
 Four bound families are provided, reported uniformly through BoundReport:
 
   prop1       lower bound on t(G) for dense regular G, from n and d alone
-  thm2        lower bound on t(complement) from Laplacian power traces
+  thm2        lower bound on t(complement) for any undirected g, from
+              Laplacian power traces
   prop2       lower bound on t(g) from n, d and the triangle count
   thm3        two-sided bounds on t(complement) for regular bipartite g,
               from even closed-walk counts
@@ -38,7 +39,7 @@ import mpmath
 
 from .errors import BipartiteRequiredError, shown
 from .exact import closed_walk_counts, laplacian_traces
-from .graph import Graph, bipartition, require_regular
+from .graph import Graph, bipartition, regular_degree, require_regular
 from .series import _PREC, _partial_sums
 
 
@@ -145,14 +146,19 @@ def prop1_lower(n: int, d: int) -> BoundReport:
 def thm2_lower(g: Graph, m: int) -> BoundReport:
     """Laplacian-trace lower bound on the complement's spanning-tree count.
 
-    For regular g with tr(L^m) < n^m, with y = tr(L^m)^(1/m) / n:
+    For undirected g with tr(L^m) < n^m, with y = tr(L^m)^(1/m) / n:
 
       ln bound = (n-2) ln n + ln(1-y)
                  - sum_{k=1}^{m-1} (tr(L^k) - tr(L^m)^(k/m)) / (k n^k)
+
+    It holds for every undirected g: t(complement) = n^(n-2) prod_i (1 - mu_i/n)
+    over the Laplacian eigenvalues mu_i of g (Temperley 1964; Kelmans 1965),
+    and tr(L^m) < n^m keeps every mu_i / n in [0, 1).  The parameter d is
+    g's common degree, or None when g is irregular.
     """
     if m < 2:
         raise ValueError("m must be at least 2")
-    d = require_regular(g)
+    d = regular_degree(g)
     n = g.n
     table = laplacian_traces(g, m)
     params = {"n": n, "d": d, "m": m}

@@ -12,17 +12,17 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import comb
 from operator import mul
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import ExactInvariantError, WorkBudgetError, shown
-from .graph import Adjacency, Graph, complement, is_connected, require_regular
+from .graph import Adjacency, Graph, complement, is_connected
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
-_WALK_CACHE_GRAPHS = 8  # graphs whose walk prefix closed_walk_counts keeps
+_WALK_CACHE_GRAPHS = 8  # row tuples whose power-sum prefix the walk cache keeps
 
-# Graph -> its longest counted prefix (w_1, w_2, ...), least recently used first
-_walk_cache: OrderedDict[Graph, tuple[int, ...]] = OrderedDict()
+# rows counted -> their longest counted prefix (p_1, p_2, ...), least recently used first
+_walk_cache: OrderedDict[Adjacency, tuple[int, ...]] = OrderedDict()
 
 
 def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
@@ -246,29 +246,33 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
         yield p
 
 
-def check_table_price(g: Graph, count: int) -> int:
-    """The price of `count` power sums of g's adjacency or Laplacian spectrum.
+def check_table_price(n: int, arcs: int, count: int) -> int:
+    """The price of `count` power sums of a nonnegative matrix given as n rows of `arcs` entries in all.
 
-    The price is counted in integer operations from integers alone.  Orders
-    up to n are priced as ceil(min(count, n)/2) matrix products of
-    n(2|E| + 2n) operations, n^2 (d+2) for a d-regular graph.  Past order n
-    each order adds the size of its integers: walk counts, Laplacian traces
-    and the series denominators k(n-d)^k at order k all stay below (2n)^k up
-    to a factor n, about k bit_length(2n) bits.  Raises WorkBudgetError,
-    before any work, when the price exceeds _MAX_WALK_WORK.
+    The rows are those the walk engine counts: g's adjacency, with
+    arcs = 2|E|, or the loop-padded rows of DI - L(g) (_with_loops), with
+    arcs = nD, D the largest degree; the caller passes the arc count, so a
+    padded table is priced before its rows are built.  The price is counted
+    in integer operations from integers alone.  Orders up to n are priced as
+    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
+    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
+    of its integers: walk counts, Laplacian traces and the series
+    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor n,
+    about k bit_length(2n) bits.  Raises WorkBudgetError, before any work,
+    when the price exceeds _MAX_WALK_WORK.
 
     The first term is the cost of the list-of-lists Frobenius loop that
     counted two orders per product.  The packed-row engine that replaced it
-    (_packed_walks) does one order per step: 2|E| additions of n-slot
-    integers, each slot wide enough for D^min(2k, n), D the largest degree.
-    It was faster than that loop on every admitted extreme probed (w_1..w_n,
-    one 2-vCPU host, Python 3.11): C_322 3.2 -> 0.8 s, C_195(1..8)
-    6.0 -> 3.1 s, C_126(1..32) 5.8 -> 3.8 s, C_100(1..25) 2.2 -> 1.2 s.  So
-    the old price still bounds the engine's time, and no refusal moved:
-    C_322 is admitted and C_323 refused.
+    (_packed_walks) does one order per step: `arcs` additions of n-slot
+    integers, each slot wide enough for D^min(2k, n).  It was faster than
+    that loop on every admitted extreme probed (w_1..w_n, one 2-vCPU host,
+    Python 3.11): C_322 3.2 -> 0.8 s, C_195(1..8) 6.0 -> 3.1 s, C_126(1..32)
+    5.8 -> 3.8 s, C_100(1..25) 2.2 -> 1.2 s.  So the old price still bounds
+    the engine's time, and no refusal moved: C_322 is admitted and C_323
+    refused.  A star's padded rows hold n(n-1) arcs, not 2(n-1): star(107)'s
+    Laplacian table to order n is admitted and star(108)'s refused.
     """
-    n = g.n
-    price = -(-min(count, n) // 2) * n * (2 * g.size + 2 * n)
+    price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
     if count > n:
         price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
     if price > _MAX_WALK_WORK:
@@ -279,21 +283,50 @@ def check_table_price(g: Graph, count: int) -> int:
     return price
 
 
-def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
-    """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
+def _power_sums(rows: Adjacency) -> Iterator[int]:
+    """Yield p_1, p_2, ... where p_k is the trace of the k-th power of the matrix with these rows.
 
-    Orders k <= n come from the diagonals of packed-row adjacency powers
+    Orders k <= n come from the diagonals of packed-row powers
     (_packed_walks), each order counted only when it is asked for, and later
-    orders from the characteristic polynomial of A by the Cayley-Hamilton
+    orders from the characteristic polynomial by the Cayley-Hamilton
     recurrence (_power_sums_past).  All arithmetic is on exact integers.
-    Callers that stop at a known order price the table first (check_table_price).
     """
     head = []
     # the packed rows are released when the first phase ends
-    for w in _packed_walks(g.adjacency()):
-        head.append(w)
-        yield w
+    for p in _packed_walks(rows):
+        head.append(p)
+        yield p
     yield from _power_sums_past(head)
+
+
+def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
+    """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
+
+    The power sums of g's adjacency rows (_power_sums), on exact integers.
+    Callers that stop at a known order price the table first (check_table_price).
+    """
+    yield from _power_sums(g.adjacency())
+
+
+def _cached_power_sums(
+    rows: Adjacency, count: int, fresh: Callable[[], Iterator[int]]
+) -> tuple[int, ...]:
+    """p_1..p_count of the matrix with these rows: a cached prefix, or fresh() counted to `count`.
+
+    The last _WALK_CACHE_GRAPHS row tuples keep their longest counted prefix,
+    so repeated tables of one matrix are counted once.  The key is the rows
+    counted: equal rows share a prefix, so the tables of a regular graph's
+    adjacency and of its loop-padded rows (the same tuples) are one entry,
+    and a relabelled copy is a miss.  A prefix too short is counted afresh
+    to `count` and replaces the old one.
+    """
+    sums = _walk_cache.get(rows)
+    if sums is None or len(sums) < count:
+        sums = _walk_cache[rows] = tuple(islice(fresh(), count))
+    _walk_cache.move_to_end(rows)
+    if len(_walk_cache) > _WALK_CACHE_GRAPHS:
+        _walk_cache.popitem(last=False)
+    return sums[:count]
 
 
 @dataclass(frozen=True)
@@ -313,24 +346,15 @@ class WalkTable:
 
 
 def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
-    """Closed-walk counts up to order max_k.
+    """Closed-walk counts up to order max_k, through the walk cache (_cached_power_sums).
 
-    The last _WALK_CACHE_GRAPHS graphs keep their longest counted prefix, so
-    repeated tables of one graph are counted once.  The key is the labelled
-    graph: a relabelled copy is a miss.  A refusal comes before any lookup;
-    a prefix too short is counted afresh to max_k and replaces the old one.
+    A refusal comes before any lookup; a miss starts iter_closed_walk_counts.
     """
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    g.adjacency()  # refuses a directed graph before the cache
-    check_table_price(g, max_k)
-    counts = _walk_cache.get(g)
-    if counts is None or len(counts) < max_k:
-        counts = _walk_cache[g] = tuple(islice(iter_closed_walk_counts(g), max_k))
-    _walk_cache.move_to_end(g)
-    if len(_walk_cache) > _WALK_CACHE_GRAPHS:
-        _walk_cache.popitem(last=False)
-    return WalkTable(counts[:max_k])
+    rows = g.adjacency()  # refuses a directed graph before the cache
+    check_table_price(g.n, 2 * g.size, max_k)
+    return WalkTable(_cached_power_sums(rows, max_k, lambda: iter_closed_walk_counts(g)))
 
 
 def triangle_count(g: Graph) -> int:
@@ -340,9 +364,8 @@ def triangle_count(g: Graph) -> int:
 
 @dataclass(frozen=True)
 class LaplacianTraceTable:
-    """Traces of Laplacian powers L^1..L^max_r for one regular graph."""
+    """Traces of Laplacian powers L^1..L^max_r for one undirected graph."""
 
-    degree: int
     traces: tuple[int, ...]
 
     @property
@@ -355,23 +378,40 @@ class LaplacianTraceTable:
         return self.traces[r - 1]
 
 
-def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
-    """Traces tr(L^r) for r = 1..max_r of a regular graph.
+def _with_loops(g: Graph) -> Adjacency:
+    """Rows of B = DI - L(g), D the largest degree: the neighbours of each v, then D - deg(v) copies of v.
 
-    Powers up to n come from closed-walk counts through the binomial expansion
-    of (dI - A)^r; later powers continue from those n traces by the
-    Cayley-Hamilton recurrence of L.
+    B is the adjacency matrix of the D-regular multigraph made of g and
+    D - deg(v) loops at each v: nonnegative, every row summing to D, so the
+    entries of B^k are at most D^k and the walk engine counts its traces in
+    the slots of g's own walks.  On a regular graph the rows are g's
+    adjacency.
+    """
+    nbrs = g.adjacency()
+    delta = max(map(len, nbrs))
+    return tuple(s + (v,) * (delta - len(s)) for v, s in enumerate(nbrs))
+
+
+def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
+    """Traces tr(L^r) for r = 1..max_r of an undirected graph.
+
+    Powers up to n expand L = DI - B binomially over the traces of
+    B = DI - L, D the largest degree, counted from its loop-padded rows
+    (_with_loops) through the walk cache; later powers continue from those
+    n traces by the Cayley-Hamilton recurrence of L.  The table is priced
+    by the padded rows' nD arcs before they are built.
     """
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
-    d = require_regular(g)
-    check_table_price(g, max_r)
     n = g.n
-    walks = (n,) + closed_walk_counts(g, min(max_r, n)).counts  # tr(A^0) = n
+    delta = max(map(len, g.adjacency()))
+    check_table_price(n, n * delta, max_r)
+    rows = _with_loops(g)
+    sums = (n,) + _cached_power_sums(rows, min(max_r, n), lambda: _power_sums(rows))  # tr(B^0) = n
     traces = [
-        sum((-1) ** i * comb(r, i) * d ** (r - i) * walks[i] for i in range(r + 1))
-        for r in range(1, len(walks))
+        sum((-1) ** i * comb(r, i) * delta ** (r - i) * sums[i] for i in range(r + 1))
+        for r in range(1, len(sums))
     ]
     if max_r > n:
         traces += islice(_power_sums_past(traces[:]), max_r - n)
-    return LaplacianTraceTable(degree=d, traces=tuple(traces))
+    return LaplacianTraceTable(traces=tuple(traces))

@@ -157,7 +157,7 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     engine's limit (exact.check_table_price): C_322 is admitted, C_323 refused.
     """
     n, d = g.n, require_regular(g)
-    check_table_price(g, n)
+    check_table_price(n, 2 * g.size, n)
     det = 0
     for e_j in elementary_symmetric(list(islice(iter_closed_walk_counts(g), n))):
         det = det * (n - d) + e_j

@@ -66,6 +66,14 @@ def dense_closed_walks(g: Graph, max_k: int) -> list[int]:
     return _dense_power_traces(_dense_adjacency(g), max_k)
 
 
+def dense_loop_padded_traces(g: Graph, max_k: int) -> list[int]:
+    """tr(B^1)..tr(B^max_k) of B = DI - L(g), D the largest degree, by dense products."""
+    adj = _dense_adjacency(g)
+    delta = max(map(sum, adj))
+    pad = [[row[v] + (delta - sum(row) if u == v else 0) for v in range(g.n)] for u, row in enumerate(adj)]
+    return _dense_power_traces(pad, max_k)
+
+
 def frobenius_walks(g: Graph) -> list[int]:
     """w_1..w_n from adjacency powers held as n lists of n ints, two counts per product.
 
@@ -392,3 +400,8 @@ def circulant(n: int, offsets: tuple[int, ...]) -> Graph:
 
 def path(n: int) -> Graph:
     return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
+
+
+def star(n: int) -> Graph:
+    """K_(1,n-1): vertex 0 joined to every other vertex."""
+    return Graph(n, frozenset((0, v) for v in range(1, n)))

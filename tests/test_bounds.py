@@ -100,11 +100,15 @@ def test_thm2_precondition():
     assert r.linear_value <= 2048000
 
 
-def test_thm2_requires_regular_and_sane_m():
+def test_thm2_accepts_irregular_graphs_and_refuses_m_below_2():
     from oracles import path
 
-    with pytest.raises(RegularityRequiredError):
-        thm2_lower(path(4), 2)
+    # L(P_4) has eigenvalues 0, 2 - sqrt 2, 2, 2 + sqrt 2; its complement is P_4 again, with 1 tree
+    r = thm2_lower(path(4), 2)
+    assert not r.preconditions_ok and r.reason == "tr(L^2) = 16 >= n^2 = 16"
+    r = thm2_lower(path(4), 3)
+    assert r.preconditions_ok and r.parameters["d"] is None
+    assert r.linear_value <= spanning_tree_count(complement(path(4))) == 1
     with pytest.raises(ValueError):
         thm2_lower(cycle(6), 1)
 

@@ -1,10 +1,13 @@
-"""The refusal matrix: every entry point outside its graph domain raises a typed error before any work.
+"""The domain matrix: every entry point outside its graph domain raises a typed error before any work.
 
-The paper's results hold for undirected regular graphs.  A directed input to
-an undirected-only function raises DirectedUnsupportedError, and an
+The paper's walk results hold for undirected regular graphs.  A directed
+input to an undirected-only function raises DirectedUnsupportedError, and an
 irregular input to a regular-only function raises RegularityRequiredError,
 both before the walk engine or the elimination starts: the engines are
 patched to fail here, so a refusal made after work has begun fails the test.
+The Laplacian side (laplacian_traces, thm2 and `bounds thm2`) holds for
+every undirected graph, so the same irregular inputs are accepted there and
+checked against oracles.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from spanwalk import (
 )
 from spanwalk import exact, series
 from spanwalk.cli import run
-from oracles import path
+from oracles import direct_laplacian_traces, path
 
 DIRECTED = {
     "directed-triangle": Graph(3, frozenset({(0, 1), (1, 2), (2, 0)}), directed=True),
@@ -68,21 +71,43 @@ UNDIRECTED_ONLY = {
 }
 
 REGULAR_ONLY = {
-    "laplacian_traces": lambda g: laplacian_traces(g, 3),
     "evaluate_series": lambda g: evaluate_series(g, 4),
     "identify_complexity_report": identify_complexity_report,
     "identify_complexity": identify_complexity,
-    "thm2_lower": lambda g: thm2_lower(g, 2),
     "thm3_bounds": lambda g: thm3_bounds(g, 1, 1),
 }
 
 CLI_REGULAR_ONLY = [
     ["bounds", "prop1"],
     ["bounds", "prop2"],
-    ["bounds", "thm2", "--m", "2"],
     ["bounds", "thm3", "--m", "1", "--k", "1"],
     ["series", "--eval", "--max-k", "4"],
     ["series", "--identify"],
+]
+
+
+def _traces_equal_the_dense_oracle(g):
+    max_r = 2 * g.n + 3  # past n, where the Cayley-Hamilton recurrence takes over
+    assert laplacian_traces(g, max_r).traces == tuple(direct_laplacian_traces(g, max_r))
+
+
+def _thm2_fails_its_precondition_or_stays_below_the_count(g):
+    r = thm2_lower(g, 2)
+    count = spanning_tree_count(complement(g))
+    # star-5 and paw have a vertex adjacent to all others: their complements are disconnected
+    assert r.preconditions_ok == is_connected(complement(g)) == (count > 0)
+    assert r.parameters["d"] is None
+    if r.preconditions_ok:
+        assert r.linear_value <= count * (1 + 1e-12)
+
+
+LAPLACIAN_SIDE = {
+    "laplacian_traces": _traces_equal_the_dense_oracle,
+    "thm2_lower": _thm2_fails_its_precondition_or_stays_below_the_count,
+}
+
+CLI_LAPLACIAN_SIDE = [
+    ["bounds", "thm2", "--m", "2"],
 ]
 
 
@@ -117,15 +142,40 @@ def test_irregular_inputs_are_refused_before_any_work(engines_fail, name, gid):
     assert info.value.code == "regularity-required"
 
 
-@pytest.mark.parametrize("argv", CLI_REGULAR_ONLY, ids=" ".join)
+@pytest.mark.parametrize("name", sorted(LAPLACIAN_SIDE))
 @pytest.mark.parametrize("gid", sorted(IRREGULAR))
-def test_cli_refuses_irregular_edge_lists_with_exit_2(engines_fail, tmp_path, argv, gid):
+def test_laplacian_side_accepts_irregular_inputs(name, gid):
+    LAPLACIAN_SIDE[name](IRREGULAR[gid])
+
+
+def _run_on_edge_list(tmp_path, argv, gid):
     g = IRREGULAR[gid]
     edge_list = tmp_path / f"{gid}.txt"
     edge_list.write_text(f"{g.n}\n" + "".join(f"{u} {v}\n" for u, v in sorted(g.edges)))
     out = io.StringIO()
     code = run([*argv, "--edge-list", str(edge_list)], out=out)
+    return code, out.getvalue()
+
+
+def _reject_non_finite(constant):
+    raise ValueError(f"non-finite JSON constant {constant}")
+
+
+@pytest.mark.parametrize("argv", CLI_REGULAR_ONLY, ids=" ".join)
+@pytest.mark.parametrize("gid", sorted(IRREGULAR))
+def test_cli_refuses_irregular_edge_lists_with_exit_2(engines_fail, tmp_path, argv, gid):
+    code, text = _run_on_edge_list(tmp_path, argv, gid)
     assert code == 2
-    error = json.loads(out.getvalue())["error"]
+    error = json.loads(text)["error"]
     assert error["code"] == "regularity-required" and error["message"]
+
+
+@pytest.mark.parametrize("argv", CLI_LAPLACIAN_SIDE, ids=" ".join)
+@pytest.mark.parametrize("gid", sorted(IRREGULAR))
+def test_cli_accepts_irregular_edge_lists(tmp_path, argv, gid):
+    code, text = _run_on_edge_list(tmp_path, argv, gid)
+    assert code == 0, text
+    doc = json.loads(text, parse_constant=_reject_non_finite)
+    assert doc["parameters"]["d"] is None
+    assert doc["preconditions_ok"] == is_connected(complement(IRREGULAR[gid]))
 

@@ -15,7 +15,6 @@ import spanwalk
 from spanwalk import (
     DirectedUnsupportedError,
     Graph,
-    RegularityRequiredError,
     WorkBudgetError,
     closed_walk_counts,
     complement,
@@ -46,8 +45,10 @@ from oracles import (
     direct_laplacian_traces,
     frobenius_walks,
     gnp,
+    dense_loop_padded_traces,
     kirchhoff_tree_count,
     path,
+    star,
 )
 
 
@@ -397,7 +398,6 @@ def test_laplacian_traces_low_orders():
     for idx, (n, d) in enumerate([(8, 3), (10, 4), (12, 3)]):
         g = random_regular(n, d, seed=6000 + idx)
         table = laplacian_traces(g, 3)
-        assert table.degree == d
         assert table.trace(1) == n * d
         assert table.trace(2) == n * (d * d + d)
         assert table.trace(3) == n * d**2 * (d + 3) - 6 * triangle_count(g)
@@ -425,17 +425,42 @@ def test_laplacian_traces_high_orders_cross_check():
 )
 def test_table_price_at_order_n_is_the_matrix_phase(g):
     n, d = g.n, 2 * g.size // g.n
-    assert exact.check_table_price(g, n) == -(-n // 2) * n * n * (d + 2)
-    assert exact.check_table_price(g, n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
+    arcs = sum(map(len, exact._with_loops(g)))
+    assert arcs == 2 * g.size  # a regular graph's padded rows are its adjacency
+    assert exact.check_table_price(n, arcs, n) == -(-n // 2) * n * n * (d + 2)
+    assert exact.check_table_price(n, arcs, n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
     # order k past n adds k bit_length(2n), the bits of its integers
     bits = (2 * n).bit_length()
-    past = exact.check_table_price(g, n + 3) - exact.check_table_price(g, n)
+    past = exact.check_table_price(n, arcs, n + 3) - exact.check_table_price(n, arcs, n)
     assert past == bits * (3 * n + 6)
 
 
-def test_laplacian_traces_requires_regular():
-    with pytest.raises(RegularityRequiredError):
-        laplacian_traces(path(4), 2)
+def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_engine):
+    graphs = [g for g in _ENGINE_CASES.values() if len(set(map(len, g.adjacency()))) > 1]
+    graphs += [star(2), star(9), path(7), Graph(6, frozenset({(0, 1), (1, 2), (3, 4)}))]
+    graphs += [gnp(n, 0.35, 1300 + n) for n in range(3, 14)]
+    for g in graphs:
+        max_r = 2 * g.n + 3  # past n, where the Cayley-Hamilton recurrence of L takes over
+        assert laplacian_traces(g, max_r).traces == tuple(direct_laplacian_traces(g, max_r)), g
+        # the cached prefix is tr(B^1..B^n) of B = DI - L, keyed by B's rows
+        assert exact._walk_cache[exact._with_loops(g)] == tuple(dense_loop_padded_traces(g, g.n)), g
+    assert counted_engine == []  # the padded rows are counted privately, never as g's walks
+
+
+def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):
+    # star(n)'s padded rows hold n(n-1) entries, not its 2(n-1) arcs
+    assert exact.check_table_price(107, 107 * 106, 107) == 66_770_568
+    with pytest.raises(WorkBudgetError):
+        exact.check_table_price(108, 108 * 107, 108)
+    # refused from the arc count, before the padded rows are built or counted
+    monkeypatch.setattr(exact, "_with_loops", _no_walks)
+    monkeypatch.setattr(exact, "_packed_walks", _no_walks)
+    for n in (150, 20_000):
+        g = star(n)
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError):
+            laplacian_traces(g, n)
+        assert time.perf_counter() - start < 1.0, n
 
 
 @pytest.fixture
@@ -476,7 +501,8 @@ def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
     for g in graphs[cap:]:
         closed_walk_counts(g, 4)
     assert len(exact._walk_cache) == cap
-    assert list(exact._walk_cache) == [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
+    recent = [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
+    assert list(exact._walk_cache) == [g.adjacency() for g in recent]  # keyed by the rows counted
     assert counted_engine == graphs  # the hit started no count
 
 
@@ -505,6 +531,9 @@ def test_bound_tables_share_one_walk_prefix(monkeypatch, counted_engine):
     g = named_graph("paper-bipartite")
     want = (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8))
     closed_walk_counts(g, 20)
+    # a table recounted by any path, public or private, fails from here on
     monkeypatch.setattr(exact, "iter_closed_walk_counts", _no_walks)
+    monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     assert (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8)) == want
     assert laplacian_traces(g, 30).traces == tuple(direct_laplacian_traces(g, 30))
+    assert list(exact._walk_cache) == [g.adjacency()]  # the padded rows of a regular graph are its adjacency
