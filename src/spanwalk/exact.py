@@ -15,7 +15,7 @@ from operator import mul
 from typing import Callable, Iterator
 
 from .errors import ExactInvariantError, WorkBudgetError, shown
-from .graph import Adjacency, Graph, complement, is_connected
+from .graph import Adjacency, Graph, _complement_rows, is_connected
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -128,17 +128,19 @@ def spanning_tree_count(g: Graph) -> int:
     by the matrix-tree theorem any one vertex may be deleted, and the last one
     in the elimination order is.  Otherwise it is nI - L(complement(g)), which
     equals L(g) + J and has determinant n^2 t(g) (Temperley 1964; Kelmans
-    1965); it has as many off-diagonal nonzeros as the complement has edges.
-    Either way rows and columns follow one minimum-degree order of the sparse
-    graph, which does not change the determinant, and the elimination
-    touches only the fill of that order.  Both matrices are positive
-    semidefinite, so a zero pivot ends it with determinant 0: disconnected
-    graphs give 0 and the single-vertex graph gives 1.  A disconnected graph
-    gives 0 from one breadth-first search (is_connected), before the
-    complement or any order is built.  The dense branch searches only when
-    the minimum degree is below (n-1)/2: from there on every graph is
-    connected, since two non-adjacent vertices have n-2 other vertices to
-    hold their at least n-1 edges and so share a neighbour.  The order's price
+    1965); it has as many off-diagonal nonzeros as the complement has edges,
+    and its pattern is read from the complement's rows (_complement_rows)
+    with no complement Graph or edge set built.  Either way rows and columns
+    follow one minimum-degree order of the sparse graph, which does not
+    change the determinant, and the elimination touches only the fill of
+    that order.  Both matrices are positive semidefinite, so a zero pivot
+    ends it with determinant 0: disconnected graphs give 0 and the
+    single-vertex graph gives 1.  A disconnected graph gives 0 from one
+    breadth-first search (is_connected), before the complement's rows or
+    any order are built.  The dense branch searches only when the minimum
+    degree is below (n-1)/2: from there on every graph is connected, since
+    two non-adjacent vertices have n-2 other vertices to hold their at
+    least n-1 edges and so share a neighbour.  The order's price
     (_minimum_degree_order) refuses with WorkBudgetError before any
     big-integer work.
     """
@@ -155,7 +157,7 @@ def spanning_tree_count(g: Graph) -> int:
         return det
     if 2 * min(map(len, g.adjacency())) < n - 1 and not is_connected(g):
         return 0
-    sparse = complement(g).adjacency()
+    sparse = _complement_rows(g.adjacency())
     diagonal = [n - len(s) for s in sparse]
     order = _minimum_degree_order(sparse, max(diagonal).bit_length())
     det = _sparse_determinant(sparse, order, diagonal, 1)

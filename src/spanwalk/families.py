@@ -7,7 +7,7 @@ import math
 import random
 
 from .errors import RetryBudgetError, WorkBudgetError, shown
-from .graph import Graph
+from .graph import Graph, _check_complement_price, complement
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
 _MAX_PAIRING_WORK = 1 << 22  # most expected stub placements a random regular request may price
@@ -124,13 +124,21 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     Each attempt shuffles the nd degree stubs and pairs them consecutively;
     any self-pair or repeated pair rejects the whole attempt, which keeps the
     accepted distribution uniform over simple d-regular graphs.  Deterministic
-    for a fixed seed.  A request whose expected work is over _MAX_PAIRING_WORK
-    stub placements raises WorkBudgetError before the first shuffle.
+    for a fixed seed.  When 2d > n-1 the (n-1-d)-regular graph is drawn
+    with the same seed and its complement returned: complementation is a
+    bijection on labelled graphs, so this stays uniform, and its attempts
+    are those of the smaller degree.  A request whose expected work, at the
+    degree drawn, is over _MAX_PAIRING_WORK stub placements, or whose nd/2
+    edges are over the complement's price, raises WorkBudgetError before
+    the first shuffle.
     """
     if not 0 <= d < n:
         raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if n * d % 2:
         raise ValueError(f"n*d must be even, got n={shown(n)}, d={shown(d)}")
+    if 2 * d > n - 1:
+        _check_complement_price(n, n * d // 2)
+        return complement(random_regular(n, n - 1 - d, seed))
     _check_pairing_price(n, d, bipartite=False)
     rng = random.Random(seed)
     stubs = [v for v in range(n) for _ in range(d)]

@@ -7,7 +7,9 @@ as (tail, head) pairs.  Each Graph keeps one adjacency: ascending tuples.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable
 
 from .errors import (
@@ -76,6 +78,21 @@ class Graph:
                 nbrs[u].append(v)
         object.__setattr__(self, "edges", frozenset(normalized))
         object.__setattr__(self, "in_adjacency", tuple(tuple(sorted(s)) for s in nbrs))
+
+    @classmethod
+    def _from_rows(cls, rows: Adjacency) -> Graph:
+        """The undirected graph whose ascending neighbour rows are `rows`, built with no per-edge check.
+
+        Only for rows valid by construction: each ascending, within
+        0..len(rows)-1, without its own vertex, and symmetric (v in rows[u]
+        exactly when u in rows[v]).  The edges (u, v), u < v, are read off
+        the tails of the rows; nothing is re-checked or re-sorted.
+        """
+        g = object.__new__(cls)
+        edges = frozenset(chain.from_iterable(zip(repeat(u), s[bisect(s, u):]) for u, s in enumerate(rows)))
+        for name, value in (("n", len(rows)), ("edges", edges), ("directed", False), ("in_adjacency", rows)):
+            object.__setattr__(g, name, value)
+        return g
 
     def __repr__(self) -> str:
         kind = "directed " if self.directed else ""
@@ -196,20 +213,31 @@ def parse_graph6(text: str) -> Graph:
     return Graph(n, frozenset(edges))
 
 
+def _check_complement_price(n: int, pairs: int) -> None:
+    """Refuse a complement on n vertices with `pairs` edges past _MAX_COMPLEMENT_PAIRS: WorkBudgetError."""
+    if pairs > _MAX_COMPLEMENT_PAIRS:
+        raise WorkBudgetError(
+            f"the complement of a graph on {shown(n)} vertices has {shown(pairs)} edges; "
+            f"the budget is {_MAX_COMPLEMENT_PAIRS}"
+        )
+
+
+def _complement_rows(nbrs: Adjacency) -> Adjacency:
+    """Ascending non-neighbours of each vertex: one C-level set difference per vertex, then a sort."""
+    everyone = set(range(len(nbrs)))
+    return tuple(tuple(sorted(everyone.difference(s, (v,)))) for v, s in enumerate(nbrs))
+
+
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; an involution.
 
-    Its n(n-1)/2 - |E| edges are priced before any is built: past
-    _MAX_COMPLEMENT_PAIRS, WorkBudgetError is raised.
+    Its n(n-1)/2 - |E| edges are priced before any row is built
+    (_check_complement_price).  The rows (_complement_rows) are valid by
+    construction, so the graph is built from them without the per-edge
+    checks of Graph(n, edges).
     """
-    pairs = g.n * (g.n - 1) // 2 - g.size
-    if pairs > _MAX_COMPLEMENT_PAIRS:
-        raise WorkBudgetError(
-            f"the complement of a graph on {g.n} vertices has {pairs} edges; "
-            f"the budget is {_MAX_COMPLEMENT_PAIRS}"
-        )
-    edges = {(u, v) for u, s in enumerate(g.adjacency()) for v in set(range(u + 1, g.n)).difference(s)}
-    return Graph(g.n, frozenset(edges))
+    _check_complement_price(g.n, g.n * (g.n - 1) // 2 - g.size)
+    return Graph._from_rows(_complement_rows(g.adjacency()))
 
 
 def regular_degree(g: Graph) -> int | None:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import time
-from collections import deque
+from collections import Counter, deque
+from itertools import combinations
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from spanwalk import (
@@ -147,8 +149,54 @@ def test_random_regular_forced_outcomes_and_errors(monkeypatch):
     with pytest.raises(ValueError):
         random_regular(4, 4, seed=0)
     monkeypatch.setattr(families, "_MAX_ATTEMPTS", 1)
+    # a 5-regular pairing on 12 vertices is simple in about e^-6.9 of its attempts
     with pytest.raises(RetryBudgetError):
-        random_regular(6, 5, seed=0)
+        random_regular(12, 5, seed=0)
+
+
+def test_dense_random_regulars_are_drawn_from_the_sparser_side():
+    # (8, 6) and (9, 6) once spent all their 6-regular attempts and raised RetryBudgetError;
+    # drawn at degrees 1 and 2 they return at once
+    for n, d, seed in ((8, 6, 2), (9, 6, 2)):
+        start = time.perf_counter()
+        assert regular_degree(random_regular(n, d, seed)) == d
+        assert time.perf_counter() - start < 0.1, (n, d)
+    for n, d, seed in ((8, 6, 2), (9, 6, 2), (6, 5, 0), (12, 9, 3), (14, 8, 4)):
+        g = random_regular(n, d, seed)
+        assert regular_degree(g) == d
+        assert g == complement(random_regular(n, n - 1 - d, seed))
+    with pytest.raises(WorkBudgetError, match="8-regular pairing on 100 vertices"):
+        random_regular(100, 91, 1)  # priced at the degree drawn, 100 - 1 - 91
+
+
+def _two_regular_graphs_on_six() -> list[frozenset]:
+    """The 70 labelled 2-regular graphs on 6 vertices: 60 hexagons and 10 pairs of triangles."""
+    pairs = list(combinations(range(6), 2))
+    found = []
+    for edges in combinations(pairs, 6):
+        if all(sum(v in e for e in edges) == 2 for v in range(6)):
+            found.append(frozenset(edges))
+    return found
+
+
+def test_random_regular_is_uniform_on_both_sides():
+    # chi-square over the 70 labelled 2-regular graphs on 6 vertices, drawn by
+    # pairing (d = 2), and over their 70 complements, drawn as complements of
+    # 2-regular draws (d = 3 > (n-1)/2); seeds fixed before the first run
+    two_regular = _two_regular_graphs_on_six()
+    assert len(two_regular) == 70
+    pairs = frozenset(combinations(range(6), 2))
+    draws = 7000  # 100 expected per graph
+    for d, cells, seeds in (
+        (2, two_regular, range(draws)),
+        (3, [pairs - edges for edges in two_regular], range(draws, 2 * draws)),
+    ):
+        counts = Counter(random_regular(6, d, s).edges for s in seeds)
+        assert set(counts) <= set(cells), d
+        expected = draws / len(cells)
+        chi2 = sum((counts[c] - expected) ** 2 / expected for c in cells)
+        p_value = mpmath.gammainc((len(cells) - 1) / 2, chi2 / 2, mpmath.inf, regularized=True)
+        assert p_value > 1e-6, (d, chi2)
 
 
 def test_random_regular_is_priced_before_the_first_shuffle(monkeypatch):
@@ -170,6 +218,9 @@ def test_random_regular_is_priced_before_the_first_shuffle(monkeypatch):
     for n, d in ((2000, 1000), (2 * 10**400, 10**400), (2_000_000, 3)):
         with pytest.raises(WorkBudgetError):
             random_regular(n, d, 1)
+    # a 5-regular draw is admitted, but its complement's 1 994 000 edges are not
+    with pytest.raises(WorkBudgetError, match="1994000 edges"):
+        random_regular(2000, 1994, 1)
     for n, d in ((100, 10), (2 * 10**400, 10**400)):
         with pytest.raises(WorkBudgetError, match="bipartite"):
             random_regular_bipartite(n, d, 1)

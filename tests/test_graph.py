@@ -140,9 +140,12 @@ def test_graph6_rejects_bad_input():
 
 def _complement_inputs() -> list[Graph]:
     graphs = [Graph(1), Graph(2), Graph(6), complete(6), path(5), cycle(7), complete_bipartite(2, 3)]
+    graphs += [families.named_graph(name) for name in families.NAMED_GRAPHS]
     for seed in range(20):
         rng = random.Random(1000 + seed)
         graphs.append(gnp(rng.randint(1, 12), rng.choice([0.1, 0.4, 0.7]), seed))
+    # the shapes of the exact-count bench: sparse regular graphs on 10..120 vertices
+    graphs += [families.random_regular(n, d, seed=n + d) for n in range(10, 121, 10) for d in (3, 4)]
     return graphs
 
 
@@ -150,8 +153,12 @@ def test_complement_involution_and_size():
     for g in _complement_inputs():
         n = g.n
         cg = complement(g)
-        assert cg.edges == {(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges}
-        assert complement(cg) == g
+        missing = {(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in g.edges}
+        checked = Graph(n, frozenset(missing))
+        assert cg == checked and hash(cg) == hash(checked)
+        assert cg.in_adjacency == checked.in_adjacency
+        assert (cg.n, cg.directed, repr(cg)) == (n, False, repr(checked))
+        assert complement(cg) == g and complement(cg).in_adjacency == g.in_adjacency
         assert g.size + cg.size == n * (n - 1) // 2
 
 
@@ -170,6 +177,39 @@ def test_complement_of_complete_graph_is_empty():
 def test_complement_rejects_directed():
     with pytest.raises(DirectedUnsupportedError):
         complement(Graph(3, frozenset({(0, 1)}), directed=True))
+
+
+def test_complement_is_priced_before_any_row_is_built(monkeypatch):
+    def no_rows(nbrs):
+        raise AssertionError("complement rows built")
+
+    monkeypatch.setattr(graph, "_complement_rows", no_rows)
+    # 2000 isolated vertices leave 1 999 000 pairs, over the 2^20 budget
+    with pytest.raises(WorkBudgetError, match="1999000 edges"):
+        complement(Graph(2000))
+    with pytest.raises(AssertionError, match="complement rows built"):
+        complement(Graph(1448))  # 1 047 628 pairs: admitted, so the rows are asked for
+
+
+def test_complement_and_the_dense_count_build_no_checked_graph(monkeypatch):
+    # Graph(n, edges) checks and sorts every edge in __post_init__; the
+    # complement's rows are valid by construction and skip it, and the dense
+    # exact count reads the rows with no Graph at all
+    inputs = _complement_inputs()
+    dense = [complement(g) for g in inputs if 4 * g.size < g.n * (g.n - 1)]
+    assert len(dense) > 24
+    checked, from_rows = [], []
+    checked_init, build = Graph.__post_init__, Graph._from_rows
+    monkeypatch.setattr(Graph, "__post_init__", lambda self: checked.append(self) or checked_init(self))
+    monkeypatch.setattr(Graph, "_from_rows", lambda rows: from_rows.append(rows) or build(rows))
+    Graph(3, frozenset({(0, 1)}))
+    assert len(checked) == 1  # the counter sees every checked construction
+    for g in inputs:
+        complement(g)
+    assert (len(checked), len(from_rows)) == (1, len(inputs))
+    for g in dense:
+        exact.spanning_tree_count(g)
+    assert (len(checked), len(from_rows)) == (1, len(inputs))
 
 
 def test_regular_degree():
