@@ -21,8 +21,10 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Iterable
 
 from .errors import WorkBudgetError, shown
@@ -72,6 +74,10 @@ def _priced_live(
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
     """One synchronous round on every lane: v turns on where at least t in-neighbours are on."""
     nxt = x[:]
+    if t == 1:  # a live source has an in-neighbour, so reduce never sees an empty input
+        for v, src in live:
+            nxt[v] |= reduce(or_, map(x.__getitem__, src))
+        return nxt
     for v, src in live:
         # c[j] holds the lanes with more than j active in-neighbours among those seen
         c = [0] * t
@@ -327,17 +333,42 @@ def _exhaustive_blocks(n: int, k: int, r: int, per_block: int):
 
 
 def _sampled_blocks(n: int, k: int, samples: int, per_block: int, rng: random.Random):
-    """samples draws of rng.sample(range(n), k), in draw order, as blocks of at most per_block lanes.
+    """samples k-subsets of range(n), drawn from rng, as blocks of at most per_block lanes.
 
-    Each block streams its draws into per-vertex bytearray rows, one bit per
-    lane, and converts each row once.
+    The draws are read from rng.getrandbits in the order random.Random.sample
+    reads them, so lane s holds the s-th sample that rng would give for
+    range(n) and k.  Like sample, the sweep picks a branch by setsize.  At n
+    <= setsize it runs a partial Fisher-Yates shuffle of a fresh pool:
+    position i redraws getrandbits((n - i).bit_length()) while the value is
+    at least n - i, and the pool's last live entry fills the vacancy.  Past
+    setsize it draws getrandbits(n.bit_length()), redrawn while the value is
+    at least n or already chosen.  Each block streams its draws into
+    per-vertex bytearray rows, one bit per lane, and converts each row once.
     """
-    vertices = range(n)
+    getrandbits = rng.getrandbits
+    setsize = 21  # random.sample's size of a small set minus that of an empty list
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    spans = [(m, m.bit_length()) for m in range(n, n - k, -1)]
+    bits = n.bit_length()
+    vertices = list(range(n))
     for first in range(0, samples, per_block):
         lanes = min(per_block, samples - first)
         rows = [bytearray((lanes + 7) // 8) for _ in vertices]
         for s in range(lanes):
             byte, bit = s >> 3, 1 << (s & 7)
-            for v in rng.sample(vertices, k):
-                rows[v][byte] |= bit
+            if n <= setsize:
+                pool = vertices[:]
+                for m, b in spans:
+                    j = getrandbits(b)
+                    while j >= m:
+                        j = getrandbits(b)
+                    rows[pool[j]][byte] |= bit
+                    pool[j] = pool[m - 1]
+            else:  # a vertex already chosen for lane s has its bit set
+                for _ in range(k):
+                    j = getrandbits(bits)
+                    while j >= n or rows[j][byte] & bit:
+                        j = getrandbits(bits)
+                    rows[j][byte] |= bit
         yield [int.from_bytes(row, "little") for row in rows], lanes

@@ -321,16 +321,39 @@ def _index_mask(masks: list[int], seed_mask: int, t: int, n: int) -> int | float
         rounds += 1
 
 
+def _in_masks(g: Graph) -> list[int]:
+    masks = [0] * g.n
+    for v, sources in enumerate(g.in_neighbor_sets()):
+        for u in sources:
+            masks[v] |= 1 << u
+    return masks
+
+
+def _vertices(mask: int) -> frozenset[int]:
+    return frozenset(v for v in range(mask.bit_length()) if mask >> v & 1)
+
+
+def spread_once(g: Graph, active: Iterable[int], t: int) -> frozenset[int]:
+    """One round, vertex by vertex: active plus every vertex with at least t active in-neighbours."""
+    return _vertices(_step_mask(_in_masks(g), sum(1 << v for v in set(active)), t, g.n))
+
+
+def spread_limit(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
+    """Rounds of spread_once from seed until nothing changes."""
+    masks = _in_masks(g)
+    cur = sum(1 << v for v in set(seed))
+    while (nxt := _step_mask(masks, cur, t, g.n)) != cur:
+        cur = nxt
+    return _vertices(cur)
+
+
 def synchrony_sweep(g: Graph, t: int, seeds: Iterable[Iterable[int]]) -> tuple[dict[int, int], int]:
     """Histogram of the finite synchrony indices over seeds, and the stalled count.
 
     Each seed is a collection of vertices, spread on its own: a vertex
     activates once at least t of its in-neighbours are active.
     """
-    masks = [0] * g.n
-    for v, sources in enumerate(g.in_neighbor_sets()):
-        for u in sources:
-            masks[v] |= 1 << u
+    masks = _in_masks(g)
     histogram: dict[int, int] = {}
     stalled = 0
     for seed in seeds:

@@ -26,7 +26,17 @@ from spanwalk import (
 )
 from spanwalk import cli, synchrony
 from spanwalk.graph import _depths
-from oracles import circulant, complete, cycle, directed_gnp, gnp, path, synchrony_sweep
+from oracles import (
+    circulant,
+    complete,
+    cycle,
+    directed_gnp,
+    gnp,
+    path,
+    spread_limit,
+    spread_once,
+    synchrony_sweep,
+)
 
 
 def test_spread_step_examples():
@@ -223,6 +233,64 @@ def test_monte_carlo_sweeps_match_the_per_seed_oracle(g):
         rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
         draws = [rng.sample(range(g.n), k) for _ in range(700)]
         assert (out.i_star_histogram, out.non_synchronizing) == synchrony_sweep(g, t, draws)
+
+
+def _drawn_subsets(monkeypatch, n, k, samples, seed64):
+    """The vertex sets of every Monte Carlo lane of a sweep on Graph(n), in lane order."""
+    drawn = []
+
+    def recorded(*args):
+        for x, lanes in sampled_blocks(*args):
+            drawn.extend({v for v in range(n) if x[v] >> s & 1} for s in range(lanes))
+            yield x, lanes
+
+    sampled_blocks = synchrony._sampled_blocks
+    monkeypatch.setattr(synchrony, "_sampled_blocks", recorded)
+    measure_synchrony(Graph(n), t=1, k=k, mode="monte-carlo", samples=samples, seed64=seed64)
+    return drawn
+
+
+# random.sample keeps a pool up to setsize = 21 (k <= 5) or 21 + 4^ceil(log4(3k))
+# (85 at k = 6) vertices and a set of chosen vertices past it: both sides of
+# both switch points, k = 1, k = n and a negative seed.
+@pytest.mark.parametrize(
+    "n,k,seed64,lanes",
+    [(21, 5, 3, None), (22, 5, 4, None), (85, 6, 5, None), (86, 6, 6, None), (86, 6, 7, 64),
+     (17, 5, 8, 24), (40, 1, 9, None), (12, 12, 10, None), (30, 9, -11, None), (300, 7, -12, 100)],
+)
+def test_monte_carlo_draws_are_random_sample_draw_for_draw(monkeypatch, n, k, seed64, lanes):
+    if lanes is not None:  # several blocks
+        monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", n * lanes)
+    samples = 777
+    rng = random.Random(seed64 & 0xFFFFFFFFFFFFFFFF)
+    want = [set(rng.sample(range(n), k)) for _ in range(samples)]
+    assert _drawn_subsets(monkeypatch, n, k, samples, seed64) == want
+
+
+def _in_degree_zero():
+    """A 4-cycle with a path out of it, entered from 6 by an arc from 7, which no arc enters."""
+    arcs = {(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (6, 0), (7, 6)}
+    return Graph(8, frozenset(arcs), directed=True)
+
+
+@pytest.mark.parametrize(
+    "g", [directed_gnp(8, 0.3, 71), gnp(8, 0.3, 72), _in_degree_zero(), path(7)], ids=repr
+)
+def test_one_or_rounds_at_t1_match_the_per_seed_oracle(g):
+    for bits in range(1 << g.n):
+        seed = [v for v in range(g.n) if bits >> v & 1]
+        assert spread_step(g, seed, 1) == spread_once(g, seed, 1)
+        assert fixed_point(g, seed, 1) == spread_limit(g, seed, 1)
+        histogram, stalled = synchrony_sweep(g, 1, [seed])
+        assert synchrony_index(g, seed, 1) == (math.inf if stalled else next(iter(histogram)))
+
+
+def test_a_vertex_with_no_in_neighbour_is_not_live_at_t1():
+    g = _in_degree_zero()
+    assert [v for v, _ in synchrony._live_sources(g, 1)] == [0, 1, 2, 3, 4, 5, 6]
+    assert spread_step(g, {7}, 1) == {6, 7}
+    assert fixed_point(g, {0}, 1) == {0, 1, 2, 3, 4, 5}
+    assert synchrony_index(g, {0}, 1) == math.inf
 
 
 def _exhaustive_blocks(n, k):
