@@ -24,9 +24,12 @@ p_s = w_2s / (n-d)^(2s), halved because the spectrum of a bipartite graph is
 symmetric.  thm3's upper bound is the alternating series' partial sum, read
 from series._partial_sums, the one evaluation of that series.
 
-Preconditions are tested exactly on integers; the returned log and linear
-values are evaluated with the series' 96-bit working significand
-(series._PREC).
+Preconditions are tested exactly on integers.  The returned log and linear
+values are evaluated on raw mpmath.libmp tuples at the series' 96-bit
+working significand (series._PREC), rounded to nearest (series._RND), in
+the operation order of mpmath's mpf objects, so every intermediate is the
+tuple an mpf would hold.  The caller's mpmath context is never read or set.
+The lemma takes one logarithm of p_m and forms each p_m^(k/m) from it.
 """
 
 from __future__ import annotations
@@ -35,12 +38,26 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from math import comb
 
-import mpmath
+from mpmath.libmp import (
+    fone,
+    from_int,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_exp,
+    mpf_log,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_pow,
+    mpf_sqrt,
+    mpf_sub,
+    to_float,
+)
 
 from .errors import BipartiteRequiredError, shown
 from .exact import closed_walk_counts, laplacian_traces
 from .graph import Graph, bipartition, regular_degree, require_regular
-from .series import _PREC, _partial_sums
+from .series import _PREC, _RND, _partial_sums
 
 
 @dataclass(frozen=True)
@@ -63,24 +80,19 @@ class BoundReport:
     parameters: dict = field(default_factory=dict)
 
 
-def _sig7(x) -> float:
-    return float(f"{float(x):.7g}")
+def _sig7(x: tuple) -> float:
+    return float(f"{to_float(x, rnd=_RND):.7g}")
 
 
-def _finish(name: str, target: str, log_mp, parameters: dict) -> BoundReport:
-    with mpmath.workprec(_PREC):
-        linear = mpmath.exp(log_mp)
-        try:
-            linear_f = float(linear)
-        except OverflowError:
-            linear_f = float("inf")
+def _finish(name: str, target: str, log_mp: tuple, parameters: dict) -> BoundReport:
+    """The report of a bound whose logarithm is log_mp; a linear value past the float range is inf."""
     return BoundReport(
         name=name,
         target=target,
         preconditions_ok=True,
         reason="ok",
-        log_value=float(log_mp),
-        linear_value=linear_f,
+        log_value=to_float(log_mp, rnd=_RND),
+        linear_value=to_float(mpf_exp(log_mp, _PREC, _RND), rnd=_RND),
         parameters=parameters,
     )
 
@@ -95,22 +107,48 @@ def _failed(name: str, target: str, reason: str, parameters: dict) -> BoundRepor
     )
 
 
-def _power_sum_lower(sums: Sequence[int], scale: int) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """The power-sum lemma behind every lower bound, at the caller's working precision.
+def _roots(p: tuple, m: int) -> list[tuple]:
+    """p^(1/m), p^(2/m), ..., p^(m/m) for a raw p >= 0, each the tuple mpf_pow(p, k/m) gives.
+
+    mpf_pow's general branch is exp(t ln p) with ln p at _PREC + 10 bits, so
+    one logarithm serves every exponent t = k/m.  The exponents it
+    special-cases, an integer or a half-integer t, go to mpf_pow itself;
+    for m <= 2 every exponent is one of those, and no logarithm is taken.
+    """
+    log_p = mpf_log(p, _PREC + 10, _RND) if m > 2 else None
+    roots = []
+    for k in range(1, m + 1):
+        t = mpf_div(from_int(k, _PREC, _RND), from_int(m), _PREC, _RND)
+        if t[2] >= -1:
+            roots.append(mpf_pow(p, t, _PREC, _RND))
+        else:
+            roots.append(mpf_exp(mpf_mul(t, log_p), _PREC, _RND))
+    return roots
+
+
+def _power_sum_lower(sums: Sequence[int], scale: int) -> tuple[tuple, tuple]:
+    """The power-sum lemma behind every lower bound, on raw tuples at _PREC bits.
 
     For reals x_i in [0, 1) given through P_k = scale^k sum_i x_i^k as
     sums = (P_1, ..., P_m), with y = P_m^(1/m) / scale < 1 (which the caller
     tests exactly on integers), returns (value, y) such that
 
       sum_i ln(1 - x_i) >= value = ln(1-y) - sum_{k=1}^{m-1} (P_k - P_m^(k/m)) / (k scale^k)
+
+    Both are raw mpmath.libmp tuples, rounded to nearest at every step in
+    the order mpf objects would take: P_m is rounded to 96 bits once, and
+    every P_m^(k/m) comes from one shared logarithm (_roots).
     """
     m = len(sums)
-    p_m = mpmath.mpf(sums[-1])
-    y = p_m ** (mpmath.mpf(1) / m) / scale
-    correction = mpmath.mpf(0)
+    roots = _roots(from_int(sums[-1], _PREC, _RND), m)
+    y = mpf_div(roots[0], from_int(scale), _PREC, _RND)
+    correction = fzero
+    scale_k = 1
     for k in range(1, m):
-        correction += (sums[k - 1] - p_m ** (mpmath.mpf(k) / m)) / (k * scale**k)
-    return mpmath.log(1 - y) - correction, y
+        scale_k *= scale
+        gap = mpf_sub(from_int(sums[k - 1]), roots[k - 1], _PREC, _RND)
+        correction = mpf_add(correction, mpf_div(gap, from_int(k * scale_k), _PREC, _RND), _PREC, _RND)
+    return mpf_sub(mpf_log(mpf_sub(fone, y, _PREC, _RND), _PREC, _RND), correction, _PREC, _RND), y
 
 
 def _trace_lower(
@@ -120,10 +158,10 @@ def _trace_lower(
 
     traces are tr(L^1..L^m) of the complement of the bounded graph.
     """
-    with mpmath.workprec(_PREC):
-        value, y = _power_sum_lower(traces, n)
-        params[key] = _sig7(y)
-        return _finish(name, target, (n - 2) * mpmath.log(n) + value, params)
+    value, y = _power_sum_lower(traces, n)
+    params[key] = _sig7(y)
+    base = mpf_mul_int(mpf_log(from_int(n), _PREC, _RND), n - 2, _PREC, _RND)
+    return _finish(name, target, mpf_add(base, value, _PREC, _RND), params)
 
 
 def prop1_lower(n: int, d: int) -> BoundReport:
@@ -222,17 +260,17 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
     upper_params = {"n": n, "d": d, "k": k}
     partials = _partial_sums(n, d, walks.counts, 2 * k)
     upper = _finish("thm3_upper", "t(complement)", partials[-1], upper_params)
-    with mpmath.workprec(_PREC):
-        w2m = walks.w(2 * m)
-        if w2m >= nd ** (2 * m):
-            lower = _failed(
-                "thm3_lower",
-                "t(complement)",
-                f"y >= 1 (w_{2 * m} = {w2m} >= (n-d)^{2 * m} = {nd ** (2 * m)})",
-                lower_params,
-            )
-        else:
-            value, y2 = _power_sum_lower([walks.w(2 * s) for s in range(1, m + 1)], nd**2)
-            lower_params["y"] = _sig7(mpmath.sqrt(y2))
-            lower = _finish("thm3_lower", "t(complement)", partials[0] + value / 2, lower_params)
+    w2m = walks.w(2 * m)
+    if w2m >= nd ** (2 * m):
+        lower = _failed(
+            "thm3_lower",
+            "t(complement)",
+            f"y >= 1 (w_{2 * m} = {w2m} >= (n-d)^{2 * m} = {nd ** (2 * m)})",
+            lower_params,
+        )
+    else:
+        value, y2 = _power_sum_lower([walks.w(2 * s) for s in range(1, m + 1)], nd**2)
+        lower_params["y"] = _sig7(mpf_sqrt(y2, _PREC, _RND))
+        half = mpf_div(value, from_int(2), _PREC, _RND)
+        lower = _finish("thm3_lower", "t(complement)", mpf_add(partials[0], half, _PREC, _RND), lower_params)
     return lower, upper

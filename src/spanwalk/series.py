@@ -21,7 +21,18 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import ClassVar
 
-import mpmath
+from mpmath.libmp import (
+    from_int,
+    from_man_exp,
+    fzero,
+    mpf_add,
+    mpf_div,
+    mpf_log,
+    mpf_mul_int,
+    mpf_sub,
+    round_nearest,
+    to_float,
+)
 
 from .errors import ConvergenceDomainError, ExactInvariantError, shown
 from .exact import (
@@ -33,6 +44,7 @@ from .exact import (
 from .graph import Graph, require_regular
 
 _PREC = 96  # working significand bits of every partial sum and bound
+_RND = round_nearest  # their rounding mode, at every step
 
 
 def series_term(n: int, d: int, w_k: int, k: int) -> float:
@@ -68,31 +80,39 @@ class SeriesEvaluation:
     rounding_bound: float
 
 
-def _partial_sums(n: int, d: int, counts: Sequence[int], max_k: int) -> list[mpmath.mpf]:
-    """The partial sums through orders 1..max_k at _PREC bits; the first is the base.
+def _partial_sums(n: int, d: int, counts: Sequence[int], max_k: int) -> list[tuple]:
+    """The partial sums through orders 1..max_k as raw tuples at _PREC bits; the first is the base.
 
     counts holds w_1, w_2, ... at least through w_max_k.  The base is
-    n ln(n-d) - 2 ln n.  The signed terms mpf(w_k) / (k (n-d)^k) are
-    accumulated in order, and each later partial is the base plus that running
-    sum; a zero term is skipped and repeats the partial before it.  With
-    n - d = 2^a o, o odd, w_k is read as w_k 2^(-a k) and divided by k o^k:
-    rounding commutes with a power-of-two scale, so the result is the same
-    mpf, and the divisor carries no trailing zero bits to convert.
+    n ln(n-d) - 2 ln n.  The signed terms w_k / (k (n-d)^k), w_k rounded to
+    _PREC bits first, are accumulated in order, and each later partial is the
+    base plus that running sum; a zero term is skipped and repeats the
+    partial before it.  Every step rounds to nearest, in the order mpf
+    objects would take.  With n - d = 2^a o, o odd, w_k is read as
+    w_k 2^(-a k) and divided by k o^k: rounding commutes with a power-of-two
+    scale, so the result is the same tuple, and the divisor carries no
+    trailing zero bits to convert.
     """
     nd = n - d
     a = (nd & -nd).bit_length() - 1
     o = nd >> a
-    with mpmath.workprec(_PREC):
-        base = n * mpmath.log(nd) - 2 * mpmath.log(n)
-        acc = mpmath.mpf(0)
-        partials = [base]
-        for k, w_k in enumerate(counts[1:max_k], start=2):
-            if w_k:
-                term = mpmath.mpf((w_k, -a * k)) / (k * o**k)
-                acc = acc + term if k % 2 else acc - term
-                partials.append(base + acc)
-            else:
-                partials.append(partials[-1])
+    base = mpf_sub(
+        mpf_mul_int(mpf_log(from_int(nd), _PREC, _RND), n, _PREC, _RND),
+        mpf_mul_int(mpf_log(from_int(n), _PREC, _RND), 2, _PREC, _RND),
+        _PREC,
+        _RND,
+    )
+    acc = fzero
+    partials = [base]
+    o_k = o
+    for k, w_k in enumerate(counts[1:max_k], start=2):
+        o_k *= o
+        if w_k:
+            term = mpf_div(from_man_exp(w_k, -a * k, _PREC, _RND), from_int(k * o_k), _PREC, _RND)
+            acc = mpf_add(acc, term, _PREC, _RND) if k % 2 else mpf_sub(acc, term, _PREC, _RND)
+            partials.append(mpf_add(base, acc, _PREC, _RND))
+        else:
+            partials.append(partials[-1])
     return partials
 
 
@@ -109,8 +129,13 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
     if 2 * d >= n:
         raise ConvergenceDomainError(f"guaranteed convergence needs 2d < n; got n={n}, d={d}")
     counts = closed_walk_counts(g, max_k).counts if max_k >= 2 else ()
-    partials = tuple(float(p) for p in _partial_sums(n, d, counts, max_k))
-    terms = tuple(series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
+    partials = tuple(to_float(p, rnd=_RND) for p in _partial_sums(n, d, counts, max_k))
+    # series_term's one integer division per term, on a running power of n - d
+    terms = []
+    nd_k = n - d
+    for k, w_k in enumerate(counts[1:], start=2):
+        nd_k *= n - d
+        terms.append((w_k if k % 2 else -w_k) / (k * nd_k))
     mag = abs(partials[0])
     for term in terms:
         mag += abs(term)
@@ -118,7 +143,7 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
         n=n,
         d=d,
         base=partials[0],
-        terms=terms,
+        terms=tuple(terms),
         partials=partials,
         rounding_bound=mag * 2.0**-50,
     )

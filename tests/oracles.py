@@ -10,6 +10,9 @@ determinants from dense Bareiss elimination with row swaps.  The
 series bracket takes walk counts from its caller and encloses t(complement)
 with the paper's truncated series and an outward-rounded exponential; the
 series partial takes them too and sums the terms as one exact rational.  The
+mpf-object evaluation does the bounds' and the partial sums' arithmetic on
+mpmath.mpf objects under workprec(96), with one mpf power per exponent; the
+package's raw-tuple evaluation must equal it tuple for tuple.  The
 synchrony sweep spreads one seed at a time with a Python loop over the
 vertices per round.  The two-colouring scans vertex pairs with has_edge.
 """
@@ -295,6 +298,82 @@ def exact_series_partial(n: int, d: int, walks: Sequence[int], k: int) -> float:
             mpmath.log(mpmath.mpf(base.numerator) / base.denominator)
             + mpmath.mpf(acc.numerator) / acc.denominator
         )
+
+
+def mpf_power_sum_lower(sums: Sequence[int], scale: int) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(value, y) of the bounds' power-sum lemma, on mpf objects at 96 bits.
+
+    value = ln(1-y) - sum_{k<m} (P_k - P_m^(k/m)) / (k scale^k), y = P_m^(1/m) / scale,
+    with each P_m^(k/m) an mpf power of its own.
+    """
+    with mpmath.workprec(96):
+        m = len(sums)
+        p_m = mpmath.mpf(sums[-1])
+        y = p_m ** (mpmath.mpf(1) / m) / scale
+        correction = mpmath.mpf(0)
+        for k in range(1, m):
+            correction += (sums[k - 1] - p_m ** (mpmath.mpf(k) / m)) / (k * scale**k)
+        return mpmath.log(1 - y) - correction, y
+
+
+def mpf_partial_sums(n: int, d: int, counts: Sequence[int], max_k: int) -> list[mpmath.mpf]:
+    """The series' partial sums through orders 1..max_k, on mpf objects at 96 bits.
+
+    The base n ln(n-d) - 2 ln n, then each nonzero term mpf(w_k) / (k (n-d)^k)
+    accumulated in order; a zero term repeats the partial before it.
+    """
+    with mpmath.workprec(96):
+        base = n * mpmath.log(n - d) - 2 * mpmath.log(n)
+        acc = mpmath.mpf(0)
+        partials = [base]
+        for k, w_k in enumerate(counts[1:max_k], start=2):
+            if w_k:
+                term = mpmath.mpf(w_k) / (k * (n - d) ** k)
+                acc = acc + term if k % 2 else acc - term
+                partials.append(base + acc)
+            else:
+                partials.append(partials[-1])
+        return partials
+
+
+def _sig7(x: mpmath.mpf) -> float:
+    return float(f"{float(x):.7g}")
+
+
+def _log_and_linear(log_mp: mpmath.mpf) -> tuple[float, float]:
+    with mpmath.workprec(96):
+        return float(log_mp), float(mpmath.exp(log_mp))
+
+
+def mpf_trace_lower(n: int, traces: Sequence[int]) -> tuple[float, float, float]:
+    """(log_value, linear_value, y) of thm2 on tr(L^1..L^m), on mpf objects at 96 bits.
+
+    y is rounded to 7 significant digits, as the report's parameter is.
+    """
+    value, y = mpf_power_sum_lower(traces, n)
+    with mpmath.workprec(96):
+        log_mp = (n - 2) * mpmath.log(n) + value
+    return (*_log_and_linear(log_mp), _sig7(y))
+
+
+def mpf_thm3(
+    n: int, d: int, walks: Sequence[int], m: int, k: int
+) -> tuple[tuple[float, float, float] | None, tuple[float, float]]:
+    """thm3's lower (log_value, linear_value, y), or None when y >= 1, and upper (log_value, linear_value).
+
+    walks holds w_1, w_2, ... at least through w_max(2m, 2k); evaluated on mpf
+    objects at 96 bits.
+    """
+    nd = n - d
+    partials = mpf_partial_sums(n, d, walks, 2 * k)
+    upper = _log_and_linear(partials[-1])
+    if walks[2 * m - 1] >= nd ** (2 * m):
+        return None, upper
+    value, y2 = mpf_power_sum_lower([walks[2 * s - 1] for s in range(1, m + 1)], nd**2)
+    with mpmath.workprec(96):
+        log_mp = partials[0] + value / 2
+        y = mpmath.sqrt(y2)
+    return (*_log_and_linear(log_mp), _sig7(y)), upper
 
 
 def _step_mask(masks: list[int], active: int, t: int, n: int) -> int:

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+import random
 import time
 from math import comb, exp, log
 
 import pytest
 
 import mpmath
+from mpmath.libmp import from_int, mpf_div, mpf_pow
 
 from spanwalk import (
     BipartiteRequiredError,
     Graph,
     RegularityRequiredError,
+    closed_walk_counts,
     complement,
     evaluate_series,
     named_graph,
@@ -21,12 +24,23 @@ from spanwalk import (
     prop2_lower,
     random_regular,
     random_regular_bipartite,
+    regular_degree,
     spanning_tree_count,
     thm2_lower,
     thm3_bounds,
     triangle_count,
 )
-from oracles import complete_bipartite, cycle
+from spanwalk import bounds, exact
+from oracles import (
+    complete_bipartite,
+    cycle,
+    gnp,
+    mpf_power_sum_lower,
+    mpf_thm3,
+    mpf_trace_lower,
+    path,
+    star,
+)
 
 
 def _cocktail_party(pairs: int) -> Graph:
@@ -281,3 +295,112 @@ def test_linear_value_is_exp_of_log_value():
     for r in reports:
         assert r.preconditions_ok
         assert r.linear_value == pytest.approx(exp(r.log_value), rel=1e-12)
+
+
+def _values(report):
+    return report.log_value, report.linear_value
+
+
+def test_thm3_matches_the_mpf_object_oracle():
+    # the raw-tuple evaluation makes the mpf objects' roundings in their order
+    graphs = [random_regular_bipartite(n, d, seed) for n, d, seed in ((12, 2, 1), (20, 3, 2), (30, 4, 3))]
+    for g in graphs + [complete_bipartite(4, 4)]:
+        n, d = g.n, regular_degree(g)
+        walks = closed_walk_counts(g, 24).counts
+        for m in range(1, 13):
+            sums = [walks[2 * s - 1] for s in range(1, m + 1)]
+            if sums[-1] < (n - d) ** (2 * m):
+                value, y = mpf_power_sum_lower(sums, (n - d) ** 2)
+                assert bounds._power_sum_lower(sums, (n - d) ** 2) == (value._mpf_, y._mpf_), (n, m)
+            for k in range(1, 13):
+                lo, hi = thm3_bounds(g, m, k)
+                want_lo, want_hi = mpf_thm3(n, d, walks, m, k)
+                assert _values(hi) == want_hi, (n, m, k)
+                if want_lo is None:
+                    assert not lo.preconditions_ok, (n, m, k)
+                else:
+                    assert (*_values(lo), lo.parameters["y"]) == want_lo, (n, m, k)
+
+
+def test_the_lemma_matches_the_mpf_object_oracle_past_96_bits():
+    # seeded power sums up to 10^360, so that P_m and P_k need rounding
+    rng = random.Random(21)
+    for _ in range(300):
+        m = rng.randint(1, 12)
+        scale = rng.randint(2, 10 ** rng.randint(1, 30))
+        sums = [rng.randint(0, scale**k - 1) for k in range(1, m + 1)]
+        value, y = mpf_power_sum_lower(sums, scale)
+        assert bounds._power_sum_lower(sums, scale) == (value._mpf_, y._mpf_), (sums, scale)
+
+
+def test_thm2_prop1_prop2_match_the_mpf_object_oracle():
+    for g in (gnp(9, 0.4, 1), gnp(12, 0.3, 2), gnp(15, 0.5, 3), path(7), star(8)):
+        for m in range(2, 13):
+            traces = [exact.laplacian_traces(g, m).trace(k) for k in range(1, m + 1)]
+            r = thm2_lower(g, m)
+            if traces[-1] < g.n**m:
+                assert (*_values(r), r.parameters["y"]) == mpf_trace_lower(g.n, traces), (g, m)
+            else:
+                assert not r.preconditions_ok
+    for n in range(2, 30):
+        for d in range(max(0, n - 4), n):
+            r = prop1_lower(n, d)
+            if r.preconditions_ok:
+                c = n - 1 - d
+                assert (*_values(r), r.parameters["root"]) == mpf_trace_lower(n, (n * c, n * c * (c + 1)))
+    for n, d in ((10, 6), (12, 8), (20, 16), (30, 25)):
+        for g in (random_regular(n, n - 1 - d, 5), random_regular(n, n - 1 - d, 6)):
+            tri_c = triangle_count(g)
+            r = prop2_lower(n, d, tri_c)
+            c = n - 1 - d
+            cube = n * c**2 * (n + 2 - d) - 6 * comb(n, 3) + 3 * n * d * c + 6 * tri_c
+            if r.preconditions_ok:
+                assert (*_values(r), r.parameters["s"]) == mpf_trace_lower(n, (n * c, n * c * (c + 1), cube))
+
+
+def test_edgeless_and_overflowing_bounds_match_the_mpf_object_oracle():
+    # y = 0: the shared logarithm of p_m = 0 is -inf, and every root is 0
+    for m in range(2, 9):
+        r = thm2_lower(Graph(7), m)
+        assert r.parameters["y"] == 0.0
+        assert (*_values(r), 0.0) == mpf_trace_lower(7, [0] * m)
+    lo, hi = thm3_bounds(Graph(6), 5, 3)
+    want_lo, want_hi = mpf_thm3(6, 0, [0] * 10, 5, 3)
+    assert (*_values(lo), lo.parameters["y"]) == want_lo and _values(hi) == want_hi
+    # t(complement of C_150) is near 10^321: the linear value is inf, which the CLI prints as null
+    g = cycle(150)
+    r = thm2_lower(g, 2)
+    assert r.linear_value == math.inf
+    assert (*_values(r), r.parameters["y"]) == mpf_trace_lower(150, [exact.laplacian_traces(g, 2).trace(k) for k in (1, 2)])
+
+
+def test_shared_log_roots_are_mpf_pow():
+    # one logarithm per lemma gives every p^(k/m) exactly as mpf_pow(p, k/m) does
+    for p in (0, 1, 2, 7, 1000003, 3**700 + 1, 2**1001 - 1):
+        raw = from_int(p, 96, "n")
+        for m in range(1, 17):
+            want = [mpf_pow(raw, mpf_div(from_int(k), from_int(m), 96, "n"), 96, "n") for k in range(1, m + 1)]
+            assert bounds._roots(raw, m) == want, (p, m)
+
+
+def test_bounds_ignore_the_callers_mpmath_precision():
+    g = random_regular_bipartite(20, 3, 2)
+    h = gnp(10, 0.4, 1)
+
+    def reports():
+        return (
+            thm2_lower(h, 5),
+            thm3_bounds(g, 4, 6),
+            prop1_lower(10, 8),
+            prop2_lower(10, 6, 27),
+            evaluate_series(g, 30),
+        )
+
+    mp = mpmath.mp
+    before = mp.prec
+    want = reports()
+    for prec in (20, 300):
+        with mpmath.workprec(prec):
+            assert reports() == want, prec
+            assert mp.prec == prec
+    assert mp.prec == before

@@ -31,7 +31,16 @@ from spanwalk import (
 )
 from spanwalk import families, graph, series
 from spanwalk.errors import ExactInvariantError
-from oracles import circulant, complete, complete_bipartite, cycle, exact_series_partial, path, series_bracket
+from oracles import (
+    circulant,
+    complete,
+    complete_bipartite,
+    cycle,
+    exact_series_partial,
+    mpf_partial_sums,
+    path,
+    series_bracket,
+)
 
 # Partial sums for the Petersen graph through k = 6, frozen to 5 decimals.
 PETERSEN_PARTIALS = (14.85393, 14.54781, 14.54781, 14.53219, 14.53362, 14.53221)
@@ -101,6 +110,25 @@ def test_evaluate_series_partials_match_the_exact_rational_sums():
         for k, got in enumerate(ev.partials, start=1):
             want = exact_series_partial(g.n, ev.d, walks, k)
             assert abs(got - want) <= ev.rounding_bound, (g, k, got, want)
+
+
+def test_partial_sums_match_the_mpf_object_oracle():
+    # the raw-tuple partial sums are the mpf objects' own, tuple for tuple
+    graphs = [circulant(24, (1, 3, 5)), circulant(31, (2, 7)), named_graph("petersen"), cycle(40)]
+    graphs += [random_regular(n, d, seed) for n, d, seed in ((16, 3, 1), (21, 4, 2), (40, 6, 3))]
+    for g in graphs:
+        n, d = g.n, regular_degree(g)
+        counts = closed_walk_counts(g, 80).counts
+        want = [p._mpf_ for p in mpf_partial_sums(n, d, counts, 80)]
+        assert series._partial_sums(n, d, counts, 80) == want, g
+
+
+def test_evaluate_series_terms_are_series_term():
+    # the running power of n - d gives series_term's one correctly rounded division
+    g = circulant(62, tuple(range(1, 16)))
+    evaluation = evaluate_series(g, 600)
+    counts = closed_walk_counts(g, 600).counts
+    assert evaluation.terms == tuple(series_term(62, 30, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
 
 
 def test_series_domain_errors():
