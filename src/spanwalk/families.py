@@ -52,7 +52,7 @@ def named_graph(name: str) -> Graph:
         n, edges = _NAMED[name]
     except KeyError:
         raise ValueError(f"unknown graph name {name!r}; choose from {list(NAMED_GRAPHS)}") from None
-    return Graph(n, frozenset(edges))
+    return Graph(n, edges)
 
 
 def g_family(k: int, l: int) -> Graph:
@@ -74,7 +74,7 @@ def g_family(k: int, l: int) -> Graph:
             f"g_family({shown(k)}, {shown(l)}) lays out {shown(side * side)} x-y pairs, "
             f"over the budget of {_MAX_FAMILY_PAIRS}"
         )
-    return Graph(2 * side + 1, frozenset(_g_family_edges(k, l)))
+    return Graph(2 * side + 1, _g_family_edges(k, l))
 
 
 def _g_family_edges(k: int, l: int) -> set[tuple[int, int]]:
@@ -157,7 +157,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
                 break
             edges.add(key)
         if ok:
-            return Graph(n, frozenset(edges))
+            return Graph(n, edges)
     raise RetryBudgetError(
         f"no simple {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )
@@ -183,7 +183,7 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
         rng.shuffle(right)
         edges = set(zip(left, right))
         if len(edges) == half * d:
-            return Graph(n, frozenset(edges))
+            return Graph(n, edges)
     raise RetryBudgetError(
         f"no simple bipartite {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )

@@ -1,16 +1,17 @@
 """Immutable labeled graphs plus edge-list and graph6 ingestion.
 
-Vertices are always 0..n-1.  Undirected edges are stored once as (u, v) with
-u < v; directed graphs (accepted only by the spreading dynamics) store arcs
-as (tail, head) pairs.  Each Graph keeps one adjacency: ascending tuples.
+Vertices are always 0..n-1.  A Graph is its rows: the ascending neighbours of
+each vertex, or in-neighbours when directed (accepted only by the spreading
+dynamics).  Its edges, (u, v) with u < v or (tail, head), are read off them.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass, field
-from itertools import chain, repeat
-from typing import Iterable
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain, compress, repeat
+from typing import Iterable, Iterator
 
 from .errors import (
     DirectedUnsupportedError,
@@ -46,66 +47,76 @@ def _read_int(token: str) -> int:
     raise ValueError(f"not an integer of at most {_MAX_INT_CHARS} characters: {excerpt(token)}")
 
 
-@dataclass(frozen=True, repr=False)
+def _checked(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
+    """The one check of edges from outside: ValueError unless the ends are distinct ints in 0..n-1."""
+    for u, v in edges:
+        if type(u) is not int or type(v) is not int:  # a bool, or a float equal to an int, is refused
+            raise ValueError(f"edge endpoints must be ints, got {repr((u, v))[:32]}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {shown(u)}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({shown(u)}, {shown(v)}) out of range for n={n}")
+        yield u, v
+
+
+def _rows(n: int, arcs: Iterable[Edge], directed: bool) -> Adjacency:
+    """Ascending in-rows (neighbour rows when undirected) of checked arcs; a repeated arc collapses."""
+    rows: list[list[int]] = [[] for _ in range(n)]
+    for u, v in arcs:
+        rows[v].append(u)
+        if not directed:
+            rows[u].append(v)
+    return tuple(tuple(sorted(set(r))) if r else () for r in rows)
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Finite simple graph (no loops, no parallel edges) on n labeled vertices."""
+    """Finite simple graph (no loops, no parallel edges) on n labeled vertices; == and hash compare rows."""
 
     n: int
-    edges: frozenset[Edge] = frozenset()
-    directed: bool = False
-    # ascending in-neighbours of each vertex (neighbours when undirected), built once from edges
-    in_adjacency: Adjacency = field(init=False, repr=False, compare=False)
+    directed: bool
+    # ascending in-neighbours of each vertex (neighbours when undirected): the one store
+    in_adjacency: Adjacency
 
-    def __post_init__(self):
-        n, directed = self.n, self.directed  # locals: both loops run once per edge
+    def __new__(cls, n: int, edges: Iterable[Edge] = frozenset(), directed: bool = False) -> Graph:
+        if type(n) is not int:
+            raise ValueError(f"vertex count must be an int, got {repr(n)[:32]}")
         if n < 1:
             raise ValueError("vertex count must be at least 1")
         _check_vertex_budget(n)
-        normalized = set()
-        for edge in self.edges:
-            u, v = edge
-            if u == v:
-                raise ValueError(f"self-loop at vertex {shown(u)}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({shown(u)}, {shown(v)}) out of range for n={n}")
-            if not directed and u > v:
-                u, v = v, u
-            normalized.add((u, v))
-        nbrs: list[list[int]] = [[] for _ in range(n)]
-        for u, v in normalized:
-            nbrs[v].append(u)
-            if not directed:
-                nbrs[u].append(v)
-        object.__setattr__(self, "edges", frozenset(normalized))
-        object.__setattr__(self, "in_adjacency", tuple(tuple(sorted(s)) for s in nbrs))
+        return cls._from_rows(_rows(n, _checked(n, edges), directed), directed)
 
     @classmethod
-    def _from_rows(cls, rows: Adjacency) -> Graph:
-        """The undirected graph whose ascending neighbour rows are `rows`, built with no per-edge check.
-
-        Only for rows valid by construction: each ascending, within
-        0..len(rows)-1, without its own vertex, and symmetric (v in rows[u]
-        exactly when u in rows[v]).  The edges (u, v), u < v, are read off
-        the tails of the rows; nothing is re-checked or re-sorted.
-        """
+    def _from_rows(cls, rows: Adjacency, directed: bool = False) -> Graph:
+        """Every Graph is made here, unchecked: rows ascending, in range, loop-free, symmetric if undirected."""
         g = object.__new__(cls)
-        edges = frozenset(chain.from_iterable(zip(repeat(u), s[bisect(s, u):]) for u, s in enumerate(rows)))
-        for name, value in (("n", len(rows)), ("edges", edges), ("directed", False), ("in_adjacency", rows)):
-            object.__setattr__(g, name, value)
+        vars(g).update(n=len(rows), directed=directed, in_adjacency=rows)
         return g
+
+    def __reduce__(self):  # __new__ takes edges, so copy and pickle rebuild from the rows
+        return Graph._from_rows, (self.in_adjacency, self.directed)
 
     def __repr__(self) -> str:
         kind = "directed " if self.directed else ""
         return f"Graph({kind}n={self.n}, m={self.size})"
 
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        """Each edge (u, v), u < v, or each arc (tail, head) when directed: read off the rows once."""
+        rows = self.in_adjacency
+        if self.directed:
+            return frozenset(chain.from_iterable(zip(s, repeat(v)) for v, s in enumerate(rows)))
+        return frozenset(chain.from_iterable(zip(repeat(u), s[bisect(s, u):]) for u, s in enumerate(rows)))
+
     @property
     def size(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.in_adjacency)) // (1 if self.directed else 2)  # an edge sits in two rows
 
     def has_edge(self, u: int, v: int) -> bool:
-        if self.directed:
-            return (u, v) in self.edges
-        return (min(u, v), max(u, v)) in self.edges
+        """True when u-v is an edge (an arc u -> v when directed); False for a vertex outside 0..n-1."""
+        s = self.in_adjacency[v] if 0 <= v < self.n else ()  # a u outside 0..n-1 is in no row
+        i = bisect(s, u)
+        return i > 0 and s[i - 1] == u
 
     def adjacency(self) -> Adjacency:
         """Ascending neighbours of each vertex; the gate every undirected-only operation passes first."""
@@ -137,7 +148,7 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     its line, before any edge is read.
     """
     n: int | None = None
-    edges: set[Edge] = set()
+    arcs: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.split("#", 1)[0].strip()
         if not stripped:
@@ -164,10 +175,10 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
             raise EdgeListParseError(f"self-loop at vertex {shown(u)}", lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise EdgeListParseError(f"edge ({shown(u)}, {shown(v)}) out of range for n={n}", lineno)
-        edges.add((u, v))
+        arcs.append((u, v))
     if n is None:
         raise EdgeListParseError("missing vertex count line")
-    return Graph(n, frozenset(edges), directed)
+    return Graph._from_rows(_rows(n, arcs, directed), directed)
 
 
 def to_edge_list_text(g: Graph) -> str:
@@ -199,18 +210,9 @@ def parse_graph6(text: str) -> Graph:
         raise EdgeListParseError(
             f"graph6 body length {len(values) - 1} does not match n={n} (expected {need})"
         )
-    bits = []
-    for code in values[1:]:
-        for shift in range(5, -1, -1):
-            bits.append((code >> shift) & 1)
-    edges = set()
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits[idx]:
-                edges.add((u, v))
-            idx += 1
-    return Graph(n, frozenset(edges))
+    bits = ((code >> shift) & 1 for code in values[1:] for shift in range(5, -1, -1))
+    pairs = ((u, v) for v in range(1, n) for u in range(v))  # the body's bit order
+    return Graph._from_rows(_rows(n, compress(pairs, bits), False))
 
 
 def _check_complement_price(n: int, pairs: int) -> None:
@@ -231,10 +233,8 @@ def _complement_rows(nbrs: Adjacency) -> Adjacency:
 def complement(g: Graph) -> Graph:
     """Complement on the same vertex set; an involution.
 
-    Its n(n-1)/2 - |E| edges are priced before any row is built
-    (_check_complement_price).  The rows (_complement_rows) are valid by
-    construction, so the graph is built from them without the per-edge
-    checks of Graph(n, edges).
+    Its n(n-1)/2 - |E| edges are priced before any row is built; its rows
+    are valid by construction, so they are the graph, with no per-edge check.
     """
     _check_complement_price(g.n, g.n * (g.n - 1) // 2 - g.size)
     return Graph._from_rows(_complement_rows(g.adjacency()))
@@ -286,7 +286,7 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     depths closes an odd cycle; otherwise every edge joins the two sides.
     """
     depth = _depths(g)
-    if any(depth[u] == depth[v] for u, v in g.edges):
+    if any(depth[u] == d for d, s in zip(depth, g.in_adjacency) for u in s):
         return None
     even = frozenset(v for v, d in enumerate(depth) if not d & 1)
     return even, frozenset(v for v, d in enumerate(depth) if d & 1)

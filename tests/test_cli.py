@@ -86,6 +86,18 @@ def test_graph_info_and_export():
     assert doc2["regular_degree"] == 3
 
 
+def test_graph_info_and_export_of_a_directed_edge_list(tmp_path):
+    # 0 -> 2 and 2 -> 0 are two arcs; the export reads the arcs back off the in-rows, sorted
+    path = tmp_path / "arcs.txt"
+    path.write_text("3\n2 0\n0 2\n1 0\n")
+    code, doc = _run_json(["graph", "info", "--directed", "--edge-list", str(path)])
+    assert code == 0
+    assert doc == {"n": 3, "size": 3, "directed": True, "regular_degree": None, "bipartite": None}
+    code, doc = _run_json(["graph", "export", "--directed", "--edge-list", str(path)])
+    assert code == 0
+    assert doc["edge_list"] == "3\n0 2\n1 0\n2 0\n"
+
+
 def test_walks_output():
     code, doc = _run_json(["walks", "--named", "paper-bipartite", "--max-k", "6"])
     assert code == 0

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import io
+import pickle
 import random
 import sys
 import time
@@ -26,9 +29,11 @@ from spanwalk import (
     parse_graph6,
     regular_degree,
     require_regular,
+    spanning_tree_count,
+    thm3_bounds,
     to_edge_list_text,
 )
-from spanwalk import exact, families, graph
+from spanwalk import cli, exact, families, graph
 from oracles import _components, bfs_two_colouring, complete, complete_bipartite, cycle, gnp, path
 
 
@@ -45,6 +50,22 @@ def test_graph_rejects_self_loops_and_out_of_range():
         Graph(3, frozenset({(0, 3)}))
     with pytest.raises(ValueError, match="at least 1"):
         Graph(0)
+
+
+def test_graph_refuses_non_int_vertex_counts_and_endpoints():
+    # a bool is an int subclass and a float may equal an int; neither is a vertex
+    for n in (True, False, 3.0, "3", None):
+        with pytest.raises(ValueError, match="vertex count must be an int") as info:
+            Graph(n)
+        assert str(info.value).endswith(f"got {n!r}")
+    for edge in ((0.0, 1), (0, 1.0), (True, 0), (0, False), ("0", 1)):
+        for directed in (False, True):
+            with pytest.raises(ValueError, match="edge endpoints must be ints") as info:
+                Graph(3, frozenset({edge}), directed)
+            assert str(info.value).endswith(f"got {edge!r}")
+    with pytest.raises(ValueError) as info:
+        Graph(3, [("x" * 100_000, 1)])
+    assert len(str(info.value)) < 200
 
 
 def test_graph_refuses_absurd_vertex_counts_before_allocating():
@@ -83,6 +104,15 @@ def test_directed_edges_keep_orientation():
     assert g.has_edge(2, 0)
     assert not g.has_edge(0, 2)
     assert g.in_neighbor_sets() == [{2}, {0}, set()]
+
+
+def test_has_edge_is_false_outside_the_vertex_range():
+    # rows[-1] is vertex 2's row, which holds 0: a negative v must not read it
+    for directed in (False, True):
+        g = Graph(3, frozenset({(0, 1), (0, 2)}), directed)
+        assert g.has_edge(0, 1) and g.has_edge(0, 2) and g.has_edge(1, 0) != directed
+        for u, v in ((0, 7), (7, 0), (-3, 1), (1, -3), (0, -1), (0, -2), (3, 3), (2**70, 0), (0, -(2**70))):
+            assert not g.has_edge(u, v), (directed, u, v)
 
 
 def test_parse_edge_list_basic():
@@ -192,24 +222,52 @@ def test_complement_is_priced_before_any_row_is_built(monkeypatch):
 
 
 def test_complement_and_the_dense_count_build_no_checked_graph(monkeypatch):
-    # Graph(n, edges) checks and sorts every edge in __post_init__; the
-    # complement's rows are valid by construction and skip it, and the dense
-    # exact count reads the rows with no Graph at all
+    # every Graph is made by _from_rows, and only Graph(n, edges) runs _checked
+    # on its edges; the parsers check each edge once, at its line or bit, the
+    # complement's rows are valid by construction, and the dense exact count
+    # reads the rows with no Graph at all
     inputs = _complement_inputs()
     dense = [complement(g) for g in inputs if 4 * g.size < g.n * (g.n - 1)]
     assert len(dense) > 24
     checked, from_rows = [], []
-    checked_init, build = Graph.__post_init__, Graph._from_rows
-    monkeypatch.setattr(Graph, "__post_init__", lambda self: checked.append(self) or checked_init(self))
-    monkeypatch.setattr(Graph, "_from_rows", lambda rows: from_rows.append(rows) or build(rows))
+    check, build = graph._checked, Graph._from_rows
+    monkeypatch.setattr(graph, "_checked", lambda n, edges: checked.append(n) or check(n, edges))
+    monkeypatch.setattr(Graph, "_from_rows", lambda rows, directed=False: from_rows.append(rows) or build(rows, directed))
     Graph(3, frozenset({(0, 1)}))
-    assert len(checked) == 1  # the counter sees every checked construction
+    assert (len(checked), len(from_rows)) == (1, 1)  # the counters see every checked construction
+    parse_edge_list("3\n0 1\n1 2\n")
+    parse_edge_list("3\n0 1\n1 2\n", directed=True)
+    parse_graph6("C~")
+    assert (len(checked), len(from_rows)) == (1, 4)
     for g in inputs:
         complement(g)
-    assert (len(checked), len(from_rows)) == (1, len(inputs))
+    assert (len(checked), len(from_rows)) == (1, 4 + len(inputs))
     for g in dense:
         exact.spanning_tree_count(g)
-    assert (len(checked), len(from_rows)) == (1, len(inputs))
+    assert (len(checked), len(from_rows)) == (1, 4 + len(inputs))
+
+
+def test_no_engine_builds_the_edge_view(monkeypatch, tmp_path):
+    # the edges are derived from the rows on first read: only export and
+    # callers that ask for g.edges pay for them
+    g = families.named_graph("paper-bipartite")
+    sparse = families.random_regular(40, 3, 1)
+    path = tmp_path / "g.txt"
+    path.write_text(to_edge_list_text(g))
+    reads = []
+    derive = vars(Graph)["edges"].func
+    monkeypatch.setattr(Graph, "edges", property(lambda self: reads.append(self) or derive(self)))
+    for h in (g, sparse, complement(sparse)):  # bipartite, sparse, and dense
+        assert repr(h) == f"Graph(n={h.n}, m={h.size})"
+        h.has_edge(0, 1)
+        bipartition(h)
+        complement(h)
+        spanning_tree_count(h)
+        closed_walk_counts(h, 8)
+    thm3_bounds(g, 3, 3)
+    assert cli.run(["bounds", "thm3", "--edge-list", str(path), "--m", "3", "--k", "3"], out=io.StringIO()) == 0
+    assert reads == []
+    assert len(g.edges) == 15 and reads == [g]  # the guard sees a read
 
 
 def test_regular_degree():
@@ -298,15 +356,25 @@ def test_graphs_from_the_same_edges_are_one_graph(monkeypatch):
         rng.shuffle(arcs)
         graphs.append(Graph(4, frozenset(arcs + [(v, u) for u, v in arcs[:2]])))  # both orientations
     first = graphs[0]
+    graphs += [parse_graph6("C|"), complement(complement(first)), pickle.loads(pickle.dumps(first)), copy.copy(first)]
     assert first.adjacency() == ((1, 2, 3), (0, 2), (0, 1, 3), (0, 2))
     for g in graphs:
         assert g == first and hash(g) == hash(first) and g.adjacency() == first.adjacency()
+        assert g.edges == {(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}
+    both = Graph(4, frozenset(edges + [(v, u) for u, v in edges]), directed=True)
+    assert both.in_adjacency == first.in_adjacency and both != first  # the same rows, read as arcs
     monkeypatch.setattr(exact, "_walk_cache", OrderedDict())
     for g in graphs:
         closed_walk_counts(g, 4)
     assert len(exact._walk_cache) == 1
     with pytest.raises(TypeError):
         Graph(2, in_adjacency=((), ()))  # derived from the edges, never passed in
+    # the derived view is the frozenset Graph(n, edges) stored: (u, v) with u < v, or the arcs as given
+    for g in _complement_inputs():
+        assert g.edges == frozenset((u, v) for u, row in enumerate(g.in_adjacency) for v in row if u < v)
+        assert Graph(g.n, g.edges) == g
+        arcs = frozenset(random.Random(g.n).sample(sorted(g.edges | {(v, u) for u, v in g.edges}), g.size))
+        assert Graph(g.n, arcs, directed=True).edges == arcs
 
 
 def test_neighbor_sets_are_fresh_on_every_call():
