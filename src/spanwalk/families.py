@@ -7,7 +7,7 @@ import math
 import random
 
 from .errors import RetryBudgetError, WorkBudgetError, shown
-from .graph import Graph, _check_complement_price, complement
+from .graph import Graph, _check_complement_price, _check_vertex_count, _rows, complement
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
 _MAX_PAIRING_WORK = 1 << 22  # most expected stub placements a random regular request may price
@@ -74,7 +74,7 @@ def g_family(k: int, l: int) -> Graph:
             f"g_family({shown(k)}, {shown(l)}) lays out {shown(side * side)} x-y pairs, "
             f"over the budget of {_MAX_FAMILY_PAIRS}"
         )
-    return Graph(2 * side + 1, _g_family_edges(k, l))
+    return Graph._from_rows(_rows(2 * side + 1, _g_family_edges(k, l), False))  # valid by construction
 
 
 def _g_family_edges(k: int, l: int) -> set[tuple[int, int]]:
@@ -118,13 +118,36 @@ def _check_pairing_price(n: int, d: int, bipartite: bool) -> None:
         )
 
 
+def _shuffle_plan(length: int) -> list[tuple[int, int, int]]:
+    """(i, i + 1, bits) for i from length - 1 down to 1: random.Random.shuffle's draws, in its order."""
+    return [(i, i + 1, (i + 1).bit_length()) for i in range(length - 1, 0, -1)]
+
+
+def _shuffle(x: list, plan: list[tuple[int, int, int]], getrandbits) -> None:
+    """Shuffle x in place exactly as random.Random.shuffle does, reading the same getrandbits words.
+
+    For each (i, i + 1, bits) of _shuffle_plan(len(x)) it draws j =
+    getrandbits(bits), draws again while j >= i + 1, and swaps x[i] and x[j].
+    """
+    for i, m, bits in plan:
+        j = getrandbits(bits)
+        while j >= m:
+            j = getrandbits(bits)
+        x[i], x[j] = x[j], x[i]
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular simple graph on n vertices, by pairing with rejection.
 
     Each attempt shuffles the nd degree stubs and pairs them consecutively;
     any self-pair or repeated pair rejects the whole attempt, which keeps the
     accepted distribution uniform over simple d-regular graphs.  Deterministic
-    for a fixed seed.  When 2d > n-1 the (n-1-d)-regular graph is drawn
+    for a fixed seed: the stubs start as 0 (d times), 1 (d times), ..., each
+    attempt shuffles the previous attempt's order again, and the shuffle reads
+    random.Random(seed).getrandbits in random.Random.shuffle's own order (for
+    i from nd - 1 down to 1, j = getrandbits((i + 1).bit_length()), redrawn
+    while j > i, then x[i] and x[j] swap), so each graph is the one
+    rng.shuffle would give.  When 2d > n-1 the (n-1-d)-regular graph is drawn
     with the same seed and its complement returned: complementation is a
     bijection on labelled graphs, so this stays uniform, and its attempts
     are those of the smaller degree.  A request whose expected work, at the
@@ -140,10 +163,12 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         _check_complement_price(n, n * d // 2)
         return complement(random_regular(n, n - 1 - d, seed))
     _check_pairing_price(n, d, bipartite=False)
-    rng = random.Random(seed)
+    _check_vertex_count(n)
+    getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
+    plan = _shuffle_plan(len(stubs))
     for _ in range(_MAX_ATTEMPTS):
-        rng.shuffle(stubs)
+        _shuffle(stubs, plan, getrandbits)
         edges: set[tuple[int, int]] = set()
         ok = True
         for i in range(0, len(stubs), 2):
@@ -157,7 +182,7 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
                 break
             edges.add(key)
         if ok:
-            return Graph(n, edges)
+            return Graph._from_rows(_rows(n, edges, False))  # simple by the test above
     raise RetryBudgetError(
         f"no simple {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )
@@ -167,8 +192,10 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular bipartite simple graph with parts 0..n/2-1 and n/2..n-1.
 
     Same rejection scheme as random_regular, pairing left stubs with shuffled
-    right stubs; a repeated pair rejects the attempt.  Priced before the first
-    shuffle as random_regular is.
+    right stubs; a repeated pair rejects the attempt.  The right stubs are
+    shuffled in place from one attempt to the next, reading getrandbits in
+    random.Random.shuffle's own order as random_regular does.  Priced before
+    the first shuffle as random_regular is.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and at least 2, got {shown(n)}")
@@ -176,14 +203,16 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     if not 0 <= d <= half:
         raise ValueError(f"need 0 <= d <= n/2, got n={shown(n)}, d={shown(d)}")
     _check_pairing_price(n, d, bipartite=True)
-    rng = random.Random(seed)
+    _check_vertex_count(n)
+    getrandbits = random.Random(seed).getrandbits
     left = [v for v in range(half) for _ in range(d)]
     right = [half + v for v in range(half) for _ in range(d)]
+    plan = _shuffle_plan(len(right))
     for _ in range(_MAX_ATTEMPTS):
-        rng.shuffle(right)
+        _shuffle(right, plan, getrandbits)
         edges = set(zip(left, right))
         if len(edges) == half * d:
-            return Graph(n, edges)
+            return Graph._from_rows(_rows(n, edges, False))  # simple: no pair repeats
     raise RetryBudgetError(
         f"no simple bipartite {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
     )

@@ -30,6 +30,15 @@ _MAX_COMPLEMENT_PAIRS = 2**20  # most vertex pairs one complement may hold as ed
 _MAX_INT_CHARS = 4300  # longest integer token read from input: int() takes time quadratic in its length
 
 
+def _check_vertex_count(n: int) -> None:
+    """ValueError unless n is an int (not a bool) of at least 1; WorkBudgetError past _MAX_VERTICES."""
+    if type(n) is not int:
+        raise ValueError(f"vertex count must be an int, got {repr(n)[:32]}")
+    if n < 1:
+        raise ValueError("vertex count must be at least 1")
+    _check_vertex_budget(n)
+
+
 def _check_vertex_budget(n: int) -> None:
     if n > _MAX_VERTICES:
         raise WorkBudgetError(
@@ -79,11 +88,7 @@ class Graph:
     in_adjacency: Adjacency
 
     def __new__(cls, n: int, edges: Iterable[Edge] = frozenset(), directed: bool = False) -> Graph:
-        if type(n) is not int:
-            raise ValueError(f"vertex count must be an int, got {repr(n)[:32]}")
-        if n < 1:
-            raise ValueError("vertex count must be at least 1")
-        _check_vertex_budget(n)
+        _check_vertex_count(n)
         return cls._from_rows(_rows(n, _checked(n, edges), directed), directed)
 
     @classmethod

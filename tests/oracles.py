@@ -15,6 +15,8 @@ mpmath.mpf objects under workprec(96), with one mpf power per exponent; the
 package's raw-tuple evaluation must equal it tuple for tuple.  The
 synchrony sweep spreads one seed at a time with a Python loop over the
 vertices per round.  The two-colouring scans vertex pairs with has_edge.
+The random regular samplers pair stubs shuffled by random.Random.shuffle
+itself and take a dense draw's complement from the set of all pairs.
 """
 
 from __future__ import annotations
@@ -463,6 +465,33 @@ def bfs_two_colouring(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
                 elif colour[w] == colour[u]:
                     return None
     return frozenset(v for v in range(g.n) if colour[v] == 0), frozenset(v for v in range(g.n) if colour[v] == 1)
+
+
+def shuffle_random_regular(n: int, d: int, seed: int) -> Graph:
+    """random_regular's pairing with rejection, its stubs shuffled by rng.shuffle; assumes a valid request."""
+    if 2 * d > n - 1:
+        sparse = shuffle_random_regular(n, n - 1 - d, seed).edges
+        return Graph(n, frozenset((u, v) for u in range(n) for v in range(u + 1, n)) - sparse)
+    rng = random.Random(seed)
+    stubs = [v for v in range(n) for _ in range(d)]
+    while True:
+        rng.shuffle(stubs)  # each attempt shuffles the previous attempt's order
+        pairs = {(min(u, v), max(u, v)) for u, v in zip(stubs[::2], stubs[1::2]) if u != v}
+        if len(pairs) == n * d // 2:
+            return Graph(n, frozenset(pairs))
+
+
+def shuffle_random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
+    """random_regular_bipartite's pairing, its right stubs shuffled by rng.shuffle; assumes a valid request."""
+    half = n // 2
+    rng = random.Random(seed)
+    left = [v for v in range(half) for _ in range(d)]
+    right = [half + v for v in range(half) for _ in range(d)]
+    while True:
+        rng.shuffle(right)
+        pairs = set(zip(left, right))
+        if len(pairs) == half * d:
+            return Graph(n, frozenset(pairs))
 
 
 def gnp(n: int, p: float, seed: int) -> Graph:

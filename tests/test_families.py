@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 import time
 from collections import Counter, deque
 from itertools import combinations
@@ -27,7 +28,7 @@ from spanwalk import (
     triangle_count,
 )
 from spanwalk import families
-from oracles import brute_force_triangles
+from oracles import brute_force_triangles, shuffle_random_regular, shuffle_random_regular_bipartite
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -152,6 +153,61 @@ def test_random_regular_forced_outcomes_and_errors(monkeypatch):
     # a 5-regular pairing on 12 vertices is simple in about e^-6.9 of its attempts
     with pytest.raises(RetryBudgetError):
         random_regular(12, 5, seed=0)
+
+
+def test_the_shuffle_reads_the_words_rng_shuffle_reads():
+    # a word drawn too many or too few leaves another state; lengths just past
+    # a power of two, such as 65 and 129, redraw most often
+    for seed in (0, 1, 7, 2**64 + 3):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for length in range(301):
+            x, y = list(range(length)), list(range(length))
+            families._shuffle(x, families._shuffle_plan(length), ours.getrandbits)
+            theirs.shuffle(y)
+            assert (x, ours.getstate()) == (y, theirs.getstate()), (seed, length)
+        x, y, plan = list(range(129)), list(range(129)), families._shuffle_plan(129)
+        for _ in range(3):  # a sampler reshuffles the previous attempt's order
+            families._shuffle(x, plan, ours.getrandbits)
+            theirs.shuffle(y)
+        assert (x, ours.getstate()) == (y, theirs.getstate()), seed
+
+
+def test_samplers_draw_the_graphs_rng_shuffle_draws():
+    # every seed gives the graph of the rng.shuffle sampler: sparse, through
+    # the complement, and bipartite up to (40, 4); (13, 6) and (14, 6) are the
+    # largest bench draws, at the bench's seeds
+    cases = [(n, d, seed) for n in range(2, 13) for d in range(n) if n * d % 2 == 0 for seed in (0, 1)]
+    cases += [(13, 6, 1016), (14, 6, 1019), (9, 6, 2), (14, 8, 4)]
+    for n, d, seed in cases:
+        assert random_regular(n, d, seed) == shuffle_random_regular(n, d, seed), (n, d, seed)
+    for n in range(2, 41, 2):
+        for d in range(min(n // 2, 4) + 1):
+            for seed in (0, 1):
+                g = random_regular_bipartite(n, d, seed)
+                assert g == shuffle_random_regular_bipartite(n, d, seed), (n, d, seed)
+
+
+def test_seeded_graphs_match_the_stored_edge_lists():
+    # the edge lists the bounds transcript reads, pinned to the seeds that drew them
+    for stem, make, args in (
+        ("rr-12-2-1", random_regular, (12, 2, 1)),
+        ("rr-20-3-1", random_regular, (20, 3, 1)),
+        ("rrb-20-3-1", random_regular_bipartite, (20, 3, 1)),
+        ("rrb-30-4-2", random_regular_bipartite, (30, 4, 2)),
+    ):
+        assert to_edge_list_text(make(*args)) == (GOLDEN / "bounds" / f"{stem}.txt").read_text(), stem
+
+
+def test_samplers_check_the_vertex_count_before_laying_out_stubs():
+    # at d = 0 no price refuses a huge n; the samplers once ran range(n) out
+    # before Graph refused it, for hours at n = 2^40
+    for make in (random_regular, random_regular_bipartite):
+        start = time.perf_counter()
+        with pytest.raises(WorkBudgetError, match="over the budget of 1048576 vertices"):
+            make(2**40, 0, 1)
+        assert time.perf_counter() - start < 1.0
+    with pytest.raises(ValueError, match="vertex count must be an int"):
+        random_regular(True, 0, 1)
 
 
 def test_dense_random_regulars_are_drawn_from_the_sparser_side():

@@ -247,6 +247,25 @@ def test_complement_and_the_dense_count_build_no_checked_graph(monkeypatch):
     assert (len(checked), len(from_rows)) == (1, 4 + len(inputs))
 
 
+def test_the_samplers_and_g_family_build_no_checked_graph(monkeypatch):
+    # their edges are valid by construction, so they hand rows to _from_rows
+    # and run no _checked pass; each equals the checked Graph of its edges
+    def no_check(n, edges):
+        raise AssertionError("edges checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(graph, "_checked", no_check)
+        made = [
+            families.random_regular(20, 3, 1),
+            families.random_regular(9, 6, 2),  # the complement path
+            families.random_regular(6, 0, 1),
+            families.random_regular_bipartite(30, 4, 2),
+            families.g_family(3, 1),
+        ]
+    for g in made:
+        assert g == Graph(g.n, g.edges) and hash(g) == hash(Graph(g.n, g.edges))
+
+
 def test_no_engine_builds_the_edge_view(monkeypatch, tmp_path):
     # the edges are derived from the rows on first read: only export and
     # callers that ask for g.edges pay for them
