@@ -54,7 +54,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import BipartiteRequiredError, shown
+from .errors import BipartiteRequiredError, require_type, shown
 from .exact import closed_walk_counts, laplacian_traces
 from .graph import Graph, bipartition, regular_degree, require_regular
 from .series import _PREC, _RND, _partial_sums
@@ -171,6 +171,8 @@ def prop1_lower(n: int, d: int) -> BoundReport:
     bound is n^(n-2) (1 - r) exp(r - (n-1-d)) with r = sqrt((n-1-d)(n-d)/n),
     exact for the complete graph.  It is thm2 at m = 2 on the complement.
     """
+    require_type("n", n)
+    require_type("d", d)
     if n < 1 or not 0 <= d <= n - 1:
         raise ValueError(f"need n >= 1 and 0 <= d <= n-1, got n={shown(n)}, d={shown(d)}")
     params = {"n": n, "d": d}
@@ -194,6 +196,7 @@ def thm2_lower(g: Graph, m: int) -> BoundReport:
     and tr(L^m) < n^m keeps every mu_i / n in [0, 1).  The parameter d is
     g's common degree, or None when g is irregular.
     """
+    require_type("m", m)
     if m < 2:
         raise ValueError("m must be at least 2")
     d = regular_degree(g)
@@ -219,6 +222,9 @@ def prop2_lower(n: int, d: int, triangles: int) -> BoundReport:
 
     It is thm2 at m = 3 on the complement, whose tr(L^3) is n^3 s^3.
     """
+    require_type("n", n)
+    require_type("d", d)
+    require_type("triangles", triangles)
     if n < 1 or not 0 <= d <= n - 1 or triangles < 0:
         raise ValueError(
             f"need n >= 1, 0 <= d <= n-1, triangles >= 0; got {shown(n)}, {shown(d)}, {shown(triangles)}"
@@ -248,6 +254,8 @@ def thm3_bounds(g: Graph, m: int, k: int) -> tuple[BoundReport, BoundReport]:
     and each partial sum lies above the limit.  The lower bound needs y < 1,
     tested exactly as w_2m < (n-d)^(2m).
     """
+    require_type("m", m)
+    require_type("k", k)
     if m < 1 or k < 1:
         raise ValueError("m and k must be at least 1")
     d = require_regular(g)

@@ -20,6 +20,12 @@ def shown(x: int) -> int | str:
     return f"{'under -' if x < 0 else 'over '}2^{x.bit_length() - 1}"
 
 
+def require_type(name: str, x: object, kind: type = int) -> None:
+    """ValueError unless type(x) is kind: a bool is no int, and a float equal to an int is refused."""
+    if type(x) is not kind:
+        raise ValueError(f"{name} must be {'an' if kind is int else 'a'} {kind.__name__}, got {repr(x)[:32]}")
+
+
 class ToolkitError(Exception):
     """Base class for all toolkit-specific failures."""
 

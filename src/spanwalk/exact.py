@@ -14,7 +14,7 @@ from math import comb
 from operator import mul
 from typing import Callable, Iterator
 
-from .errors import ExactInvariantError, WorkBudgetError, shown
+from .errors import ExactInvariantError, WorkBudgetError, require_type, shown
 from .graph import Adjacency, Graph, _complement_rows, is_connected
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
@@ -352,6 +352,7 @@ def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
 
     A refusal comes before any lookup; a miss starts iter_closed_walk_counts.
     """
+    require_type("max_k", max_k)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
     rows = g.adjacency()  # refuses a directed graph before the cache
@@ -403,6 +404,7 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     n traces by the Cayley-Hamilton recurrence of L.  The table is priced
     by the padded rows' nD arcs before they are built.
     """
+    require_type("max_r", max_r)
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
     n = g.n

@@ -5,9 +5,11 @@ from __future__ import annotations
 
 import math
 import random
+from operator import add, eq, mul
+from typing import Callable, Iterable
 
-from .errors import RetryBudgetError, WorkBudgetError, shown
-from .graph import Graph, _check_complement_price, _check_vertex_count, _rows, complement
+from .errors import RetryBudgetError, WorkBudgetError, require_type, shown
+from .graph import Edge, Graph, _check_complement_price, _check_vertex_count, _rows, complement
 
 _MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
 _MAX_PAIRING_WORK = 1 << 22  # most expected stub placements a random regular request may price
@@ -64,8 +66,10 @@ def g_family(k: int, l: int) -> Graph:
     cyclic-shift factor between the remaining x's and y's.  Finally join z to
     x_0..x_{k-1} and y_0..y_{k-1}.  Requires k > l >= 0.  Laying out more
     than _MAX_FAMILY_PAIRS x-y pairs raises WorkBudgetError before any edge
-    is built.
+    is built.  k and l must be ints.
     """
+    require_type("k", k)
+    require_type("l", l)
     if l < 0 or k <= l:
         raise ValueError(f"need k > l >= 0, got k={shown(k)}, l={shown(l)}")
     side = 2 * k + l
@@ -136,25 +140,63 @@ def _shuffle(x: list, plan: list[tuple[int, int, int]], getrandbits) -> None:
         x[i], x[j] = x[j], x[i]
 
 
+def _first_simple(
+    n: int, stubs: list[int], seed: int, simple: Callable[[list[int]], Iterable[Edge] | None], what: str
+) -> Graph:
+    """The one pairing loop of both random regular samplers: the graph of the first attempt simple accepts.
+
+    Each attempt shuffles stubs in place, the previous attempt's order
+    again, reading random.Random(seed).getrandbits in random.Random.shuffle's
+    own order (_shuffle), and hands them to simple, which returns the
+    attempt's edges when its pairing is simple and None when it rejects it.
+    After _MAX_ATTEMPTS rejections RetryBudgetError is raised.
+    """
+    getrandbits = random.Random(seed).getrandbits
+    plan = _shuffle_plan(len(stubs))
+    for _ in range(_MAX_ATTEMPTS):
+        _shuffle(stubs, plan, getrandbits)
+        if (pairs := simple(stubs)) is not None:
+            return Graph._from_rows(_rows(n, pairs, False))  # simple by the test
+    raise RetryBudgetError(f"no simple {what} pairing on {n} vertices within {_MAX_ATTEMPTS} attempts")
+
+
+def _consecutive_pairs(stubs: list[int]) -> Iterable[Edge] | None:
+    """stubs paired consecutively, or None when a pair is a loop or repeats an earlier one.
+
+    The key (u + v, u·v) names the unordered pair {u, v}, the two roots of
+    x² − (u + v)x + uv, so fewer distinct keys than pairs means a repeat.
+    Both tests run at C level, with no Python loop over the pairs.
+    """
+    a, b = stubs[::2], stubs[1::2]
+    if any(map(eq, a, b)) or len(set(zip(map(add, a, b), map(mul, a, b)))) < len(a):
+        return None
+    return zip(a, b)
+
+
 def random_regular(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular simple graph on n vertices, by pairing with rejection.
 
-    Each attempt shuffles the nd degree stubs and pairs them consecutively;
-    any self-pair or repeated pair rejects the whole attempt, which keeps the
-    accepted distribution uniform over simple d-regular graphs.  Deterministic
-    for a fixed seed: the stubs start as 0 (d times), 1 (d times), ..., each
-    attempt shuffles the previous attempt's order again, and the shuffle reads
-    random.Random(seed).getrandbits in random.Random.shuffle's own order (for
-    i from nd - 1 down to 1, j = getrandbits((i + 1).bit_length()), redrawn
-    while j > i, then x[i] and x[j] swap), so each graph is the one
-    rng.shuffle would give.  When 2d > n-1 the (n-1-d)-regular graph is drawn
-    with the same seed and its complement returned: complementation is a
-    bijection on labelled graphs, so this stays uniform, and its attempts
-    are those of the smaller degree.  A request whose expected work, at the
-    degree drawn, is over _MAX_PAIRING_WORK stub placements, or whose nd/2
-    edges are over the complement's price, raises WorkBudgetError before
-    the first shuffle.
+    Each attempt shuffles the nd degree stubs and pairs them consecutively; a
+    loop or a repeated pair rejects the whole attempt, which keeps the
+    accepted distribution uniform over simple d-regular graphs.  One loop,
+    _first_simple, serves both samplers; this one's test, _consecutive_pairs,
+    runs at C level: a, b = s[::2], s[1::2], a loop is any(map(eq, a, b)), and
+    a repeat shows as fewer distinct (u + v, u·v) keys than pairs.
+    Deterministic for a fixed seed: the stubs start as 0 (d times), 1 (d
+    times), ..., each attempt shuffles the previous attempt's order again, and
+    the shuffle reads random.Random(seed).getrandbits in
+    random.Random.shuffle's own order (for i from nd - 1 down to 1, j =
+    getrandbits((i + 1).bit_length()), redrawn while j > i, then x[i] and x[j]
+    swap), so each graph is the one rng.shuffle would give.  When 2d > n-1 the
+    (n-1-d)-regular graph is drawn with the same seed and its complement
+    returned: complementation is a bijection on labelled graphs, so this stays
+    uniform, and its attempts are those of the smaller degree.  A request
+    whose expected work, at the degree drawn, is over _MAX_PAIRING_WORK stub
+    placements, or whose nd/2 edges are over the complement's price, raises
+    WorkBudgetError before the first shuffle.  n, d and seed must be ints.
     """
+    for name, x in (("vertex count", n), ("d", d), ("seed", seed)):
+        require_type(name, x)
     if not 0 <= d < n:
         raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if n * d % 2:
@@ -164,39 +206,23 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
         return complement(random_regular(n, n - 1 - d, seed))
     _check_pairing_price(n, d, bipartite=False)
     _check_vertex_count(n)
-    getrandbits = random.Random(seed).getrandbits
     stubs = [v for v in range(n) for _ in range(d)]
-    plan = _shuffle_plan(len(stubs))
-    for _ in range(_MAX_ATTEMPTS):
-        _shuffle(stubs, plan, getrandbits)
-        edges: set[tuple[int, int]] = set()
-        ok = True
-        for i in range(0, len(stubs), 2):
-            u, v = stubs[i], stubs[i + 1]
-            if u == v:
-                ok = False
-                break
-            key = (u, v) if u < v else (v, u)
-            if key in edges:
-                ok = False
-                break
-            edges.add(key)
-        if ok:
-            return Graph._from_rows(_rows(n, edges, False))  # simple by the test above
-    raise RetryBudgetError(
-        f"no simple {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
-    )
+    return _first_simple(n, stubs, seed, _consecutive_pairs, f"{d}-regular")
 
 
 def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
     """A uniform random d-regular bipartite simple graph with parts 0..n/2-1 and n/2..n-1.
 
-    Same rejection scheme as random_regular, pairing left stubs with shuffled
-    right stubs; a repeated pair rejects the attempt.  The right stubs are
-    shuffled in place from one attempt to the next, reading getrandbits in
-    random.Random.shuffle's own order as random_regular does.  Priced before
-    the first shuffle as random_regular is.
+    Same rejection scheme as random_regular, through the same loop
+    (_first_simple): the left stubs stay in order, the right stubs are
+    shuffled in place from one attempt to the next, and left[i] pairs with
+    right[i].  A repeated pair rejects the attempt, seen as set(zip(left,
+    right)) holding fewer pairs than there are stubs a side; no loop can
+    arise.  Priced before the first shuffle as random_regular is.  n, d and
+    seed must be ints.
     """
+    for name, x in (("vertex count", n), ("d", d), ("seed", seed)):
+        require_type(name, x)
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and at least 2, got {shown(n)}")
     half = n // 2
@@ -204,15 +230,11 @@ def random_regular_bipartite(n: int, d: int, seed: int) -> Graph:
         raise ValueError(f"need 0 <= d <= n/2, got n={shown(n)}, d={shown(d)}")
     _check_pairing_price(n, d, bipartite=True)
     _check_vertex_count(n)
-    getrandbits = random.Random(seed).getrandbits
     left = [v for v in range(half) for _ in range(d)]
     right = [half + v for v in range(half) for _ in range(d)]
-    plan = _shuffle_plan(len(right))
-    for _ in range(_MAX_ATTEMPTS):
-        _shuffle(right, plan, getrandbits)
-        edges = set(zip(left, right))
-        if len(edges) == half * d:
-            return Graph._from_rows(_rows(n, edges, False))  # simple: no pair repeats
-    raise RetryBudgetError(
-        f"no simple bipartite {d}-regular pairing on {n} vertices within {_MAX_ATTEMPTS} attempts"
-    )
+
+    def distinct_pairs(shuffled: list[int]) -> set[Edge] | None:
+        pairs = set(zip(left, shuffled))
+        return pairs if len(pairs) == len(left) else None
+
+    return _first_simple(n, right, seed, distinct_pairs, f"bipartite {d}-regular")

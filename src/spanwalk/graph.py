@@ -19,6 +19,7 @@ from .errors import (
     RegularityRequiredError,
     WorkBudgetError,
     excerpt,
+    require_type,
     shown,
 )
 
@@ -32,8 +33,7 @@ _MAX_INT_CHARS = 4300  # longest integer token read from input: int() takes time
 
 def _check_vertex_count(n: int) -> None:
     """ValueError unless n is an int (not a bool) of at least 1; WorkBudgetError past _MAX_VERTICES."""
-    if type(n) is not int:
-        raise ValueError(f"vertex count must be an int, got {repr(n)[:32]}")
+    require_type("vertex count", n)
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     _check_vertex_budget(n)
@@ -89,6 +89,7 @@ class Graph:
 
     def __new__(cls, n: int, edges: Iterable[Edge] = frozenset(), directed: bool = False) -> Graph:
         _check_vertex_count(n)
+        require_type("directed", directed, bool)
         return cls._from_rows(_rows(n, _checked(n, edges), directed), directed)
 
     @classmethod
@@ -150,8 +151,9 @@ def parse_edge_list(text: str, directed: bool = False) -> Graph:
     Errors report the offending 1-based line number and echo at most the
     start of a token; a token over _MAX_INT_CHARS characters is refused
     before int() reads it.  A vertex count over _MAX_VERTICES is refused at
-    its line, before any edge is read.
+    its line, before any edge is read.  directed must be a bool.
     """
+    require_type("directed", directed, bool)
     n: int | None = None
     arcs: list[Edge] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -34,7 +34,7 @@ from mpmath.libmp import (
     to_float,
 )
 
-from .errors import ConvergenceDomainError, ExactInvariantError, shown
+from .errors import ConvergenceDomainError, ExactInvariantError, require_type, shown
 from .exact import (
     check_table_price,
     closed_walk_counts,
@@ -123,6 +123,7 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
     costs too much (exact.check_table_price, which also prices the series
     denominators).
     """
+    require_type("max_k", max_k)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
     n, d = g.n, require_regular(g)

@@ -27,7 +27,7 @@ from math import comb
 from operator import or_
 from typing import Iterable
 
-from .errors import WorkBudgetError, shown
+from .errors import WorkBudgetError, require_type, shown
 from .graph import Graph, _depths
 
 _MAX_SWEEP_WORK = 2**23  # most lane-int operations one sweep may cost: building its seeds, then its rounds
@@ -93,6 +93,7 @@ def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> lis
 def _one_lane(g: Graph, seed: Iterable[int]) -> list[int]:
     x = [0] * g.n
     for v in seed:
+        require_type("seed vertex", v)
         if not 0 <= v < g.n:
             raise ValueError(f"seed vertex {shown(v)} out of range for n={g.n}")
         x[v] = 1
@@ -104,6 +105,7 @@ def _active(x: list[int]) -> frozenset[int]:
 
 
 def _check_threshold(t: int) -> None:
+    require_type("threshold t", t)
     if t < 1:
         raise ValueError("threshold t must be at least 1")
 
@@ -154,9 +156,8 @@ class SynchronyOutcome:
     non_synchronizing: int = 0
 
 
-def _contribution(index: int | float) -> Fraction:
-    if index == math.inf:
-        return Fraction(0)
+def _contribution(index: int) -> Fraction:
+    """1/index for a finite synchrony index; a stalled seed is counted apart and contributes 0."""
     if index == 0:
         return Fraction(1)  # the full-vertex seed counts as already synchronized
     return Fraction(1, index)
@@ -185,6 +186,7 @@ def measure_synchrony(
     """
     _check_threshold(t)
     n = g.n
+    require_type("k", k)
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={shown(k)}, n={n}")
     per_block = _MAX_BLOCK_BITS // n
@@ -200,10 +202,13 @@ def measure_synchrony(
         live = _priced_live(g, t, groups * n, 2 * -(-total // per_block) - 1, what, hint)
         blocks = _exhaustive_blocks(n, k, r, per_block)
     elif mode == "monte-carlo":
+        if samples is not None:
+            require_type("samples", samples)
         if samples is None or samples < 1:
             raise ValueError("monte-carlo mode needs samples >= 1")
         if seed64 is None:
             raise ValueError("monte-carlo mode needs a seed")
+        require_type("seed64", seed64)
         total = samples
         what = f"a sweep of {shown(samples)} samples"
         live = _priced_live(g, t, samples * (k + n), -(-samples // per_block), what)

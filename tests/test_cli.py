@@ -113,6 +113,16 @@ def test_series_eval_output():
     assert doc["rounding_bound"] < 1e-12
 
 
+def test_empty_lists_and_objects_serialize_inline():
+    # the only empty containers the CLI prints: no term past the base, no finite index
+    code, text = _run(["series", "--eval", "--named", "petersen", "--max-k", "1"])
+    assert code == 0
+    assert '"terms": []' in text
+    code, text = _run(["synchrony", "--named", "petersen", "--t", "3", "--k", "1"])
+    assert code == 0
+    assert '"i_star_histogram": {}' in text
+
+
 def test_series_identify_output():
     code, doc = _run_json(["series", "--identify", "--named", "paper-bipartite"])
     assert code == 0

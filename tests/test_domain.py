@@ -7,7 +7,8 @@ both before the walk engine or the elimination starts: the engines are
 patched to fail here, so a refusal made after work has begun fails the test.
 The Laplacian side (laplacian_traces, thm2 and `bounds thm2`) holds for
 every undirected graph, so the same irregular inputs are accepted there and
-checked against oracles.
+checked against oracles.  A parameter that must be an int refuses a float or
+a bool with a ValueError naming it, never a raw TypeError or AttributeError.
 """
 
 from __future__ import annotations
@@ -26,13 +27,24 @@ from spanwalk import (
     closed_walk_counts,
     complement,
     evaluate_series,
+    fixed_point,
+    g_family,
     identify_complexity,
     identify_complexity_report,
     is_connected,
     iter_closed_walk_counts,
     laplacian_traces,
+    measure_synchrony,
+    named_graph,
+    parse_edge_list,
+    prop1_lower,
+    prop2_lower,
+    random_regular,
+    random_regular_bipartite,
     regular_degree,
     spanning_tree_count,
+    spread_step,
+    synchrony_index,
     thm2_lower,
     thm3_bounds,
     triangle_count,
@@ -179,3 +191,68 @@ def test_cli_accepts_irregular_edge_lists(tmp_path, argv, gid):
     assert doc["parameters"]["d"] is None
     assert doc["preconditions_ok"] == is_connected(complement(IRREGULAR[gid]))
 
+
+
+PETERSEN = named_graph("petersen")
+BIPARTITE = named_graph("paper-bipartite")
+
+# (call, message): a float or a bool where an int belongs, and a non-bool directed flag
+NON_INT_PARAMETERS = {
+    "random_regular n": (lambda: random_regular(10.0, 3, 1), "vertex count must be an int, got 10.0"),
+    "random_regular d": (lambda: random_regular(10, 3.0, 1), "d must be an int, got 3.0"),
+    "random_regular seed": (lambda: random_regular(10, 3, 1.5), "seed must be an int, got 1.5"),
+    "random_regular_bipartite n": (
+        lambda: random_regular_bipartite(True, 0, 1),
+        "vertex count must be an int, got True",
+    ),
+    "random_regular_bipartite d": (lambda: random_regular_bipartite(10, 2.0, 1), "d must be an int, got 2.0"),
+    "random_regular_bipartite seed": (
+        lambda: random_regular_bipartite(10, 2, 1.0),
+        "seed must be an int, got 1.0",
+    ),
+    "g_family k": (lambda: g_family(2.0, 1), "k must be an int, got 2.0"),
+    "g_family l": (lambda: g_family(2, True), "l must be an int, got True"),
+    "spread_step t": (lambda: spread_step(PETERSEN, [0], 1.0), "threshold t must be an int, got 1.0"),
+    "synchrony_index t": (lambda: synchrony_index(PETERSEN, [0], 2.5), "threshold t must be an int, got 2.5"),
+    "fixed_point seed vertex": (
+        lambda: fixed_point(PETERSEN, [0.0], 1),
+        "seed vertex must be an int, got 0.0",
+    ),
+    "measure_synchrony t": (
+        lambda: measure_synchrony(PETERSEN, True, 2),
+        "threshold t must be an int, got True",
+    ),
+    "measure_synchrony k": (lambda: measure_synchrony(PETERSEN, 1, 2.0), "k must be an int, got 2.0"),
+    "measure_synchrony samples": (
+        lambda: measure_synchrony(PETERSEN, 2, 2, mode="monte-carlo", samples=2.5, seed64=1),
+        "samples must be an int, got 2.5",
+    ),
+    "measure_synchrony seed64": (
+        lambda: measure_synchrony(PETERSEN, 2, 2, mode="monte-carlo", samples=2, seed64=1.0),
+        "seed64 must be an int, got 1.0",
+    ),
+    "closed_walk_counts max_k": (lambda: closed_walk_counts(PETERSEN, 3.0), "max_k must be an int, got 3.0"),
+    "laplacian_traces max_r": (lambda: laplacian_traces(PETERSEN, 3.0), "max_r must be an int, got 3.0"),
+    "evaluate_series max_k": (lambda: evaluate_series(PETERSEN, 3.0), "max_k must be an int, got 3.0"),
+    "thm2_lower m": (lambda: thm2_lower(PETERSEN, 2.5), "m must be an int, got 2.5"),
+    "thm3_bounds m": (lambda: thm3_bounds(BIPARTITE, 1.0, 1), "m must be an int, got 1.0"),
+    "thm3_bounds k": (lambda: thm3_bounds(BIPARTITE, 1, True), "k must be an int, got True"),
+    "prop1_lower n": (lambda: prop1_lower(10.0, 9), "n must be an int, got 10.0"),
+    "prop1_lower d": (lambda: prop1_lower(10, 9.0), "d must be an int, got 9.0"),
+    "prop2_lower n": (lambda: prop2_lower(10.0, 3, 0), "n must be an int, got 10.0"),
+    "prop2_lower d": (lambda: prop2_lower(10, 3.0, 0), "d must be an int, got 3.0"),
+    "prop2_lower triangles": (lambda: prop2_lower(10, 3, 0.0), "triangles must be an int, got 0.0"),
+    "Graph directed": (lambda: Graph(3, [(0, 1)], directed="no"), "directed must be a bool, got 'no'"),
+    "parse_edge_list directed": (
+        lambda: parse_edge_list("2\n0 1\n", directed=1),
+        "directed must be a bool, got 1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_INT_PARAMETERS))
+def test_non_int_parameters_raise_a_value_error_naming_them(name):
+    call, message = NON_INT_PARAMETERS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message

@@ -374,6 +374,13 @@ def test_walk_table_bounds_checking():
         closed_walk_counts(cycle(5), 0)
 
 
+def test_laplacian_trace_table_bounds_checking():
+    with pytest.raises(ValueError, match="max_r must be at least 1"):
+        laplacian_traces(cycle(5), 0)
+    with pytest.raises(ValueError, match=r"power 99 outside table range 1\.\.3"):
+        laplacian_traces(cycle(5), 3).trace(99)
+
+
 def test_triangle_counts():
     assert triangle_count(complete(3)) == 1
     assert triangle_count(complete(6)) == comb(6, 3)

@@ -151,8 +151,13 @@ def test_random_regular_forced_outcomes_and_errors(monkeypatch):
         random_regular(4, 4, seed=0)
     monkeypatch.setattr(families, "_MAX_ATTEMPTS", 1)
     # a 5-regular pairing on 12 vertices is simple in about e^-6.9 of its attempts
-    with pytest.raises(RetryBudgetError):
+    with pytest.raises(RetryBudgetError, match="^no simple 5-regular pairing on 12 vertices within 1 attempts$"):
         random_regular(12, 5, seed=0)
+    # a bipartite 4-regular pairing on 40 vertices repeats a pair in most attempts
+    with pytest.raises(
+        RetryBudgetError, match="^no simple bipartite 4-regular pairing on 40 vertices within 1 attempts$"
+    ):
+        random_regular_bipartite(40, 4, seed=1)
 
 
 def test_the_shuffle_reads_the_words_rng_shuffle_reads():

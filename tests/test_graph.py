@@ -138,6 +138,8 @@ def test_parse_edge_list_errors_carry_line_numbers():
         parse_edge_list("3\n0 1 2\n")
     with pytest.raises(EdgeListParseError, match="missing vertex count"):
         parse_edge_list("# nothing here\n")
+    with pytest.raises(EdgeListParseError, match="line 1: expected a single vertex count"):
+        parse_edge_list("3 4\n")
 
 
 def test_parse_serialize_round_trip():
@@ -166,6 +168,8 @@ def test_graph6_rejects_bad_input():
         parse_graph6("C~~")
     with pytest.raises(EdgeListParseError, match="invalid graph6 character"):
         parse_graph6("C\x19")
+    with pytest.raises(EdgeListParseError, match="graph6 vertex count must be at least 1"):
+        parse_graph6("?")
 
 
 def _complement_inputs() -> list[Graph]:
