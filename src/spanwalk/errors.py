@@ -69,7 +69,11 @@ class ConvergenceDomainError(ToolkitError):
 
 
 class WorkBudgetError(ToolkitError):
-    """A computation would exceed its fixed work budget; raised before the work starts."""
+    """A computation would exceed its fixed work budget.
+
+    Raised before the work starts, or, where the work is metered as it runs,
+    before the step that would pass the budget.
+    """
 
     code = "work-budget"
 

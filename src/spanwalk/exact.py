@@ -342,6 +342,7 @@ class WalkTable:
         return len(self.counts)
 
     def w(self, k: int) -> int:
+        require_type("walk order", k)
         if not 1 <= k <= self.max_k:
             raise ValueError(f"walk order {shown(k)} outside table range 1..{self.max_k}")
         return self.counts[k - 1]
@@ -376,6 +377,7 @@ class LaplacianTraceTable:
         return len(self.traces)
 
     def trace(self, r: int) -> int:
+        require_type("power", r)
         if not 1 <= r <= self.max_r:
             raise ValueError(f"power {shown(r)} outside table range 1..{self.max_r}")
         return self.traces[r - 1]

@@ -19,6 +19,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
+from math import inf
 from typing import ClassVar
 
 from mpmath.libmp import (
@@ -50,15 +51,21 @@ _RND = round_nearest  # their rounding mode, at every step
 def series_term(n: int, d: int, w_k: int, k: int) -> float:
     """Signed series term (-1)^(k-1) w_k / (k (n-d)^k), correctly rounded.
 
-    Integer true division rounds the exact quotient once.
+    Integer true division rounds the exact quotient once; a quotient past
+    the float range rounds to the signed infinity.
     """
+    for name, x in (("n", n), ("d", d), ("w_k", w_k), ("k", k)):
+        require_type(name, x)
     if k < 2:
         raise ValueError("series terms start at k = 2")
     if not 0 <= d < n:
         raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if w_k < 0:
         raise ValueError("walk counts are nonnegative")
-    return (w_k if k % 2 else -w_k) / (k * (n - d) ** k)
+    try:
+        return (w_k if k % 2 else -w_k) / (k * (n - d) ** k)
+    except OverflowError:  # w_k > 0 here
+        return inf if k % 2 else -inf
 
 
 @dataclass(frozen=True)

@@ -25,13 +25,14 @@ from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
-from typing import Iterable
+from typing import Callable, Iterable, Iterator
 
 from .errors import WorkBudgetError, require_type, shown
-from .graph import Graph, _depths
+from .graph import Graph
 
 _MAX_SWEEP_WORK = 2**23  # most lane-int operations one sweep may cost: building its seeds, then its rounds
 _MAX_BLOCK_BITS = 1 << 22  # most n × lanes bits of lane ints that one block of seeds holds
+_Rounds = Callable[[list[int]], Iterator[list[int]]]  # x, then x after each round that changes it
 
 # The engine is bit-sliced (Biham, FSE 1997): every vertex holds one int whose
 # bit s says "active under seed s", so one round advances every seed (lane) of
@@ -43,32 +44,52 @@ def _live_sources(g: Graph, t: int) -> list[tuple[int, tuple[int, ...]]]:
     return [(v, src) for v, src in enumerate(g.in_adjacency) if len(src) >= t]
 
 
-def _priced_live(
-    g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str = ""
-) -> list[tuple[int, tuple[int, ...]]]:
-    """g's live sources at threshold t, once seed_work plus the rounds of blocks fit _MAX_SWEEP_WORK.
+def _metered(g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str = "") -> _Rounds:
+    """The rounds of one sweep at threshold t, charged as they run: rounds(x) for a block x.
 
-    A round that changes a lane turns on a live vertex in it, so a block runs
-    at most |live| + 1 rounds, each costing n + Σ_live |src|·min(t, |src|)
-    lane-int operations.  At t = 1 on an undirected graph a seed set turns on
-    at round i the vertices at distance i from it, so a lane changes in no
-    round past the largest distance within one component: at most twice the
-    largest depth of graph._depths, which bounds the rounds instead when it is
-    smaller.  Over the budget WorkBudgetError is raised, before any seed is
-    built.
+    Before any seed is built the sweep is charged seed_work and one round for
+    each of at most blocks blocks.  A round costs n + Σ_live |src|·min(t, |src|)
+    lane-int operations: one pass over the vertex ints, and at most
+    min(t, |src|) counter updates for each in-neighbour of a live vertex.
+    rounds(x) yields x, then x after each round that changes it, and stops
+    after a round that changes nothing; each _round call but a block's first
+    is charged just before it runs.  WorkBudgetError is raised as soon as the
+    charge passes _MAX_SWEEP_WORK.
+
+    No sweep that fits the a-priori price this meter replaced is refused.
+    Once a round leaves a lane unchanged it stays at a fixed point, and a
+    round that changes it turns on a live vertex in it, so a lane changes in
+    at most |live| rounds, all before its first unchanged round, and a block
+    makes at most |live| + 1 _round calls.  At t = 1 on an undirected graph
+    a seed set turns on at round i the vertices at distance i from it, so no
+    lane changes past twice the largest breadth-first depth of a component,
+    and a block makes at most that + 1 calls.  A block is charged
+    max(calls, 1) rounds and a sweep runs at most blocks blocks, so the
+    charge never passes seed_work + blocks·(depth + 1)·(cost of a round),
+    depth the smaller bound: the price that was checked before any work.
     """
     live = _live_sources(g, t)
-    depth = len(live)
-    if t == 1 and not g.directed:
-        depth = min(depth, 2 * max(_depths(g)))
     round_work = g.n + sum(len(src) * min(t, len(src)) for _, src in live)
-    price = seed_work + blocks * (depth + 1) * round_work
-    if price > _MAX_SWEEP_WORK:
-        raise WorkBudgetError(
-            f"{what} on {g.n} vertices costs {shown(price)} lane-int operations; "
-            f"the budget is {_MAX_SWEEP_WORK}{hint}"
-        )
-    return live
+    spent = 0
+
+    def charge(work: int) -> None:
+        nonlocal spent
+        spent += work
+        if spent > _MAX_SWEEP_WORK:
+            raise WorkBudgetError(
+                f"{what} on {g.n} vertices is charged {shown(spent)} lane-int operations; "
+                f"the budget is {_MAX_SWEEP_WORK}{hint}"
+            )
+
+    def rounds(x: list[int]) -> Iterator[list[int]]:
+        yield x
+        while (nxt := _round(live, t, x)) != x:
+            x = nxt
+            yield x
+            charge(round_work)
+
+    charge(seed_work + blocks * round_work)
+    return rounds
 
 
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
@@ -119,18 +140,17 @@ def spread_step(g: Graph, active: Iterable[int], t: int) -> frozenset[int]:
 def fixed_point(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
     """The limit of repeated spreading from seed (reached within n rounds)."""
     _check_threshold(t)
-    live = _priced_live(g, t, g.n, 1, "spreading from one seed")
-    x = _one_lane(g, seed)
-    while (nxt := _round(live, t, x)) != x:
-        x = nxt
+    rounds = _metered(g, t, g.n, 1, "spreading from one seed")
+    for x in rounds(_one_lane(g, seed)):
+        pass  # the last state is the limit
     return _active(x)
 
 
 def synchrony_index(g: Graph, seed: Iterable[int], t: int) -> int | float:
     """Rounds until full activation: 0 for the full seed, math.inf when spreading stalls."""
     _check_threshold(t)
-    live = _priced_live(g, t, g.n, 1, "spreading from one seed")
-    histogram, stalled = _sweep(live, t, [(_one_lane(g, seed), 1)])
+    rounds = _metered(g, t, g.n, 1, "spreading from one seed")
+    histogram, stalled = _sweep(rounds, [(_one_lane(g, seed), 1)])
     return math.inf if stalled else next(iter(histogram))
 
 
@@ -173,16 +193,17 @@ def measure_synchrony(
 ) -> SynchronyOutcome:
     """Measure p_k and e_k over k-subsets, exhaustively or by Monte Carlo.
 
-    Both modes run one bit-sliced sweep, priced before any seed is built or
-    drawn (see _priced_live).  Building the seeds costs n for each of the
-    C(n - k + r, r) exhaustive groups of r-vertex prefixes (see
+    Both modes run one bit-sliced sweep, metered by _metered: building the
+    seeds and one round per block are charged before any seed is built or
+    drawn, and each later round as it runs.  Building the seeds costs n for
+    each of the C(n - k + r, r) exhaustive groups of r-vertex prefixes (see
     _prefix_length) and samples·(k + n) for Monte Carlo draws.  With b
     lanes a block, an exhaustive sweep runs at most 2⌈C(n, k)/b⌉ − 1 blocks,
     because two consecutive blocks hold more than b lanes; a Monte Carlo
     sweep runs ⌈samples/b⌉.  Over _MAX_SWEEP_WORK, WorkBudgetError is raised.
     When C(n, k) >= 2^min(k, n - k) alone puts the blocks past 2^64, that
-    lower bound is priced instead, before any binomial is computed: such a
-    refusal prints its price only as a power of two.
+    lower bound is charged instead, before any binomial is computed: such a
+    refusal prints its charge only as a power of two.
     """
     _check_threshold(t)
     n = g.n
@@ -195,11 +216,11 @@ def measure_synchrony(
         hint = "; use monte-carlo mode"
         floor = min(k, n - k) - per_block.bit_length()
         if floor > 64:  # C(n, k) >= 2^min(k, n - k) lanes fill over 2^floor blocks: always refused
-            _priced_live(g, t, 0, 1 << floor, what, hint)
+            _metered(g, t, 0, 1 << floor, what, hint)
         r = _prefix_length(n, k, per_block)
         total = comb(n, k)
         groups = total if r == k else comb(n - k + r, r)  # a group is one subset at r = k
-        live = _priced_live(g, t, groups * n, 2 * -(-total // per_block) - 1, what, hint)
+        rounds = _metered(g, t, groups * n, 2 * -(-total // per_block) - 1, what, hint)
         blocks = _exhaustive_blocks(n, k, r, per_block)
     elif mode == "monte-carlo":
         if samples is not None:
@@ -211,12 +232,12 @@ def measure_synchrony(
         require_type("seed64", seed64)
         total = samples
         what = f"a sweep of {shown(samples)} samples"
-        live = _priced_live(g, t, samples * (k + n), -(-samples // per_block), what)
+        rounds = _metered(g, t, samples * (k + n), -(-samples // per_block), what)
         # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
         blocks = _sampled_blocks(n, k, samples, per_block, random.Random(seed64 & 0xFFFFFFFFFFFFFFFF))
     else:
         raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
-    histogram, stalled = _sweep(live, t, blocks)
+    histogram, stalled = _sweep(rounds, blocks)
     p_k = Fraction(total - stalled, total)
     e_k = sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total
     if mode == "exhaustive":
@@ -229,37 +250,30 @@ def measure_synchrony(
     return SynchronyOutcome(k, t, mode, total, p_hat, float(e_k), p_stderr, e_stderr, histogram, stalled)
 
 
-def _sweep(
-    live: list[tuple[int, tuple[int, ...]]], t: int, blocks: Iterable[tuple[list[int], int]]
-) -> tuple[dict[int, int], int]:
+def _sweep(rounds: _Rounds, blocks: Iterable[tuple[list[int], int]]) -> tuple[dict[int, int], int]:
     """Histogram of the finite synchrony indices over every lane of blocks, and the stalled count.
 
-    A block is (x, lanes): x[v] is vertex v's lane int.  A lane's index is the
-    round at which the AND of all x first sets its bit; a block stops when all
-    its lanes are full or a round changes no int.  Keys come in ascending order.
+    A block is (x, lanes): x[v] is vertex v's lane int, and rounds(x) its
+    metered rounds (see _metered).  A lane's index is the round at which the
+    AND of all x first sets its bit; a block stops when all its lanes are
+    full or a round changes no int.  Keys come in ascending order.
     """
     histogram: dict[int, int] = {}
     stalled = 0
     for x, lanes in blocks:
         ones = (1 << lanes) - 1
         counted = 0  # lanes whose index is known
-        rounds = 0
-        while True:
+        for i, x in enumerate(rounds(x)):
             full = ones
             for xv in x:
                 full &= xv
                 if not full:
                     break
             if full != counted:
-                histogram[rounds] = histogram.get(rounds, 0) + (full ^ counted).bit_count()
+                histogram[i] = histogram.get(i, 0) + (full ^ counted).bit_count()
                 counted = full
             if counted == ones:
                 break
-            nxt = _round(live, t, x)
-            if nxt == x:
-                break
-            x = nxt
-            rounds += 1
         stalled += lanes - counted.bit_count()
     return dict(sorted(histogram.items())), stalled
 

@@ -42,6 +42,7 @@ from spanwalk import (
     random_regular,
     random_regular_bipartite,
     regular_degree,
+    series_term,
     spanning_tree_count,
     spread_step,
     synchrony_index,
@@ -233,6 +234,16 @@ NON_INT_PARAMETERS = {
     ),
     "closed_walk_counts max_k": (lambda: closed_walk_counts(PETERSEN, 3.0), "max_k must be an int, got 3.0"),
     "laplacian_traces max_r": (lambda: laplacian_traces(PETERSEN, 3.0), "max_r must be an int, got 3.0"),
+    "WalkTable.w order": (lambda: closed_walk_counts(PETERSEN, 4).w(2.0), "walk order must be an int, got 2.0"),
+    "WalkTable.w bool": (lambda: closed_walk_counts(PETERSEN, 4).w(True), "walk order must be an int, got True"),
+    "LaplacianTraceTable.trace power": (
+        lambda: laplacian_traces(PETERSEN, 3).trace(1.5),
+        "power must be an int, got 1.5",
+    ),
+    "series_term n": (lambda: series_term(10.0, 3, 5, 2), "n must be an int, got 10.0"),
+    "series_term d": (lambda: series_term(10, True, 5, 2), "d must be an int, got True"),
+    "series_term w_k": (lambda: series_term(10, 3, 5.0, 2), "w_k must be an int, got 5.0"),
+    "series_term k": (lambda: series_term(10, 3, 5, 2.5), "k must be an int, got 2.5"),
     "evaluate_series max_k": (lambda: evaluate_series(PETERSEN, 3.0), "max_k must be an int, got 3.0"),
     "thm2_lower m": (lambda: thm2_lower(PETERSEN, 2.5), "m must be an int, got 2.5"),
     "thm3_bounds m": (lambda: thm3_bounds(BIPARTITE, 1.0, 1), "m must be an int, got 1.0"),

@@ -60,6 +60,16 @@ def test_series_term_validation():
         series_term(3, 3, 0, 2)
     with pytest.raises(ValueError):
         series_term(10, 3, -1, 2)
+    with pytest.raises(ValueError, match="k must be an int, got 2.5"):
+        series_term(10, 3, 5, 2.5)
+
+
+def test_series_term_past_the_float_range_is_a_signed_infinity():
+    # the nearest double to a quotient past the float range is infinite, where int true division raises OverflowError
+    assert series_term(10, 3, 10**400, 2) == -math.inf
+    assert series_term(10, 3, 10**400, 3) == math.inf
+    assert series_term(10, 3, 0, 2) == 0.0
+    assert series_term(10, 3, 2 * 49 * int(sys.float_info.max), 2) == -sys.float_info.max
 
 
 def test_evaluate_series_petersen_matches_frozen_partials():

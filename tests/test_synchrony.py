@@ -6,6 +6,7 @@ import io
 import json
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -369,13 +370,11 @@ def _no_sweeping(monkeypatch):
         monkeypatch.setattr(synchrony, name, fail)
 
 
-# The first four took 8 to 28 s before every loop over rounds paid one price;
-# the last two cost far past 2^64, and a refusal prints no huge int.
+# Refused before any seed is built: exhaustive k = 1 on cycle(3000) took
+# 8 to 28 s before every loop over rounds paid a price; the last two cost far
+# past 2^64, and a refusal prints no huge int.
 _OVER_THE_PRICE = {
     "exhaustive": (cycle(3000), lambda g: measure_synchrony(g, t=1, k=1)),
-    "monte-carlo": (cycle(2000), lambda g: measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=4000, seed64=1)),
-    "synchrony_index": (cycle(4000), lambda g: synchrony_index(g, [0], 1)),
-    "fixed_point": (cycle(4000), lambda g: fixed_point(g, [0], 1)),
     "exhaustive-half": (Graph(50_000), lambda g: measure_synchrony(g, t=1, k=25_000)),
     "monte-carlo-huge": (named_graph("petersen"), lambda g: measure_synchrony(g, 2, 3, "monte-carlo", 10**5000, 1)),
 }
@@ -390,6 +389,43 @@ def test_sweeps_over_the_price_are_refused_at_once(monkeypatch, name):
         call(g)
     assert time.perf_counter() - start < 1.0
     assert len(str(info.value)) < 200
+
+
+# Refused by the meter part way through their rounds: (graph, call, cost of
+# building the seeds, blocks).  A round on a cycle costs 3n.
+_OVER_THE_METER = {
+    "monte-carlo": (
+        cycle(2000),
+        lambda g: measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=4000, seed64=1),
+        4000 * (1 + 2000),
+        2,
+    ),
+    "synchrony_index": (cycle(4000), lambda g: synchrony_index(g, [0], 1), 4000, 1),
+    "fixed_point": (cycle(4000), lambda g: fixed_point(g, [0], 1), 4000, 1),
+}
+
+
+@pytest.mark.parametrize("name", _OVER_THE_METER)
+def test_metered_refusals_charge_at_most_one_round_past_the_budget(monkeypatch, name):
+    g, call, seed_work, blocks = _OVER_THE_METER[name]
+    round_work = 3 * g.n  # n, plus two in-neighbours of each of the n live vertices
+    calls = []
+    real_round = synchrony._round
+
+    def counted(*args):
+        calls.append(None)
+        return real_round(*args)
+
+    monkeypatch.setattr(synchrony, "_round", counted)
+    with pytest.raises(WorkBudgetError, match=r"lane-int operations; the budget is 8388608$") as info:
+        call(g)
+    charged = int(re.search(r"is charged (\d+) ", str(info.value)).group(1))
+    assert synchrony._MAX_SWEEP_WORK < charged <= synchrony._MAX_SWEEP_WORK + round_work
+    # the rounds run fit the budget, and only the refused round and the
+    # prepaid first rounds of blocks not yet started go uncounted
+    done = seed_work + len(calls) * round_work
+    assert done <= synchrony._MAX_SWEEP_WORK < done + blocks * round_work
+    assert charged == done + blocks * round_work
 
 
 def test_exhaustive_half_subsets_are_refused_before_the_binomial(monkeypatch):
@@ -417,21 +453,41 @@ def test_exhaustive_cli_on_200000_vertices_exits_2_at_once(monkeypatch, tmp_path
 
 
 def test_one_seed_price_is_tight_on_a_path(monkeypatch):
-    # a seed at the end of a path takes n - 1 rounds, so |live| + 1 = n + 1 (below
-    # the breadth bound 2(n - 1) + 1) is nearly exact; each round costs
-    # n + 2(n - 1): path(1671) prices 8 380 063
-    class Admitted(Exception):
-        pass
+    # from one end of a path, round i turns on vertex i: synchrony_index runs
+    # n - 1 rounds and fixed_point one more that changes nothing, each costing
+    # n + 2(n - 1).  A stand-in round makes the same states without the work.
+    def next_vertex(live, t, x):
+        nxt = x[:]
+        if 0 in x:
+            nxt[x.index(0)] = 1
+        return nxt
 
-    def admitted(*args):
-        raise Admitted
+    small = path(40)
+    x = synchrony._one_lane(small, [0])
+    for _ in range(41):
+        assert next_vertex(None, 1, x) == synchrony._round(synchrony._live_sources(small, 1), 1, x)
+        x = next_vertex(None, 1, x)
+    monkeypatch.setattr(synchrony, "_round", next_vertex)
+    # charged 1672 + 1671·5014 = 8 380 066 and 1672 + 1672·5014 = 8 385 080
+    assert synchrony_index(path(1672), [0], 1) == 1671
+    assert len(fixed_point(path(1672), [0], 1)) == 1672
+    for f in (synchrony_index, fixed_point):  # 1673 + 1672·5017 passes 2^23 at the last round
+        with pytest.raises(WorkBudgetError, match="is charged 8390097 "):
+            f(path(1673), [0], 1)
 
-    monkeypatch.setattr(synchrony, "_round", admitted)
-    for f in (synchrony_index, fixed_point):
-        with pytest.raises(Admitted):
-            f(path(1671), [0], 1)
-        with pytest.raises(WorkBudgetError, match="8390094"):
-            f(path(1672), [0], 1)
+
+def test_one_seed_at_the_end_of_path_1672_reaches_every_vertex():
+    # its 1672 rounds fit the budget, though |live| + 1 = 1673 rounds would not
+    g = path(1672)
+    assert synchrony_index(g, [0], 1) == 1671
+    assert fixed_point(g, [0], 1) == frozenset(range(1672))
+
+
+def test_sparse_monte_carlo_at_t2_is_admitted():
+    # |live| + 1 = 1101 rounds would pass the budget, but no sample spreads,
+    # so the one block stops after one round
+    out = measure_synchrony(random_regular(1100, 3, 1), t=2, k=3, mode="monte-carlo", samples=10, seed64=1)
+    assert out.non_synchronizing == 10 and out.i_star_histogram == {}
 
 
 def test_breadth_bound_covers_every_round_at_t1(monkeypatch):
