@@ -12,17 +12,19 @@ from heapq import heapify, heappop, heappush
 from itertools import compress, islice
 from math import comb
 from operator import mul
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .errors import ExactInvariantError, WorkBudgetError, require_type, shown
 from .graph import Adjacency, Graph, _complement_rows, is_connected
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
-_WALK_CACHE_GRAPHS = 8  # row tuples whose power-sum prefix the walk cache keeps
+_WALK_CACHE_GRAPHS = 8  # matrices whose power-sum prefix the walk cache keeps
 
-# rows counted -> their longest counted prefix (p_1, p_2, ...), least recently used first
-_walk_cache: OrderedDict[Adjacency, tuple[int, ...]] = OrderedDict()
+_Loops = tuple[tuple[int, int], ...]  # (v, c) pairs, c > 0: c on the diagonal at v
+
+# (rows, loops) counted -> their longest counted prefix (p_1, p_2, ...), least recently used first
+_walk_cache: OrderedDict[tuple[Adjacency, _Loops], tuple[int, ...]] = OrderedDict()
 
 
 def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
@@ -176,23 +178,25 @@ def _widen(row: int, n: int, old: int, new: int) -> int:
     return int.from_bytes(dst, "little")
 
 
-def _packed_walks(nbrs: Adjacency) -> Iterator[int]:
-    """Yield w_1..w_n, one count per order, from adjacency powers packed one row per integer.
+def _packed_walks(nbrs: Adjacency, loops: _Loops) -> Iterator[int]:
+    """Yield p_1..p_n of M = A + diag(c), one per order, from powers of M packed one row per integer.
 
-    Row i of A^k is one int whose slot j, `width` bytes wide, holds entry
-    (i, j) (Kronecker substitution; Kronecker 1882).  Row i of A^(k+1) is
-    the sum of the rows of A^k at the neighbours of i, one big-integer
-    addition each, and w_k is the sum of the diagonal slots.  Entries of A^k
-    are at most D^k, D the largest degree, so no slot carries into the next
-    on any undirected graph.  Before the order whose bound D^k would not fit
-    a slot, every row is widened to the bytes that orders up to min(2k, n)
-    need: the width follows the orders counted, not n.
+    A has these rows and c is 0 but at the vertices `loops` names.  Row i of
+    M^k is one int whose slot j, `width` bytes wide, holds entry (i, j)
+    (Kronecker substitution; Kronecker 1882).  Row i of M^(k+1) is the sum
+    of the rows of M^k at the neighbours of i, one big-integer addition each,
+    plus c_i times row i of M^k, and p_k is the sum of the diagonal slots.
+    Entries of M^k are at most D^k, D the largest row sum of M (degree plus
+    loops), so no slot carries into the next.  Before the order whose bound
+    D^k would not fit a slot, every row is widened to the bytes that orders
+    up to min(2k, n) need: the width follows the orders counted, not n.
     """
     n = len(nbrs)
-    delta = max(map(len, nbrs), default=0)
+    diagonal = dict(loops)
+    delta = max((len(s) + diagonal.get(v, 0) for v, s in enumerate(nbrs)), default=0)
     width = 1
-    rows = [1 << 8 * i for i in range(n)]  # A^0
-    bound = 1  # delta^k, the largest entry A^k may hold
+    rows = [1 << 8 * i for i in range(n)]  # M^0
+    bound = 1  # delta^k, the largest entry M^k may hold
     for k in range(1, n + 1):
         bound *= delta
         if bound.bit_length() > 8 * width:
@@ -200,8 +204,10 @@ def _packed_walks(nbrs: Adjacency) -> Iterator[int]:
             for i, row in enumerate(rows):
                 rows[i] = _widen(row, n, width, wider)
             width = wider
-        get = rows.__getitem__
+        get = rows.__getitem__  # still reads M^k once rows holds M^(k+1)
         rows = [sum(map(get, nb)) for nb in nbrs]
+        for v, c in loops:
+            rows[v] += c * get(v)
         shift = 8 * width
         mask = (1 << shift) - 1
         yield sum((row >> shift * i) & mask for i, row in enumerate(rows))
@@ -251,17 +257,16 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
 def check_table_price(n: int, arcs: int, count: int) -> int:
     """The price of `count` power sums of a nonnegative matrix given as n rows of `arcs` entries in all.
 
-    The rows are those the walk engine counts: g's adjacency, with
-    arcs = 2|E|, or the loop-padded rows of DI - L(g) (_with_loops), with
-    arcs = nD, D the largest degree; the caller passes the arc count, so a
-    padded table is priced before its rows are built.  The price is counted
-    in integer operations from integers alone.  Orders up to n are priced as
-    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
-    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
-    of its integers: walk counts, Laplacian traces and the series
-    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor n,
-    about k bit_length(2n) bits.  Raises WorkBudgetError, before any work,
-    when the price exceeds _MAX_WALK_WORK.
+    The matrix is one the walk engine counts (_power_sum_table): g's
+    adjacency, with arcs = 2|E|, or B = DI - L(g) = A + diag(D - deg), D the
+    largest degree, whose rows and loops hold arcs = nD entries.  The price
+    is counted in integer operations from integers alone.  Orders up to n
+    are priced as ceil(min(count, n)/2) matrix products of n(arcs + 2n)
+    operations, n^2 (d+2) for a d-regular graph.  Past order n each order
+    adds the size of its integers: walk counts, Laplacian traces and the
+    series denominators k(n-d)^k at order k all stay below (2n)^k up to a
+    factor n, about k bit_length(2n) bits.  Raises WorkBudgetError, before
+    any work, when the price exceeds _MAX_WALK_WORK.
 
     The first term is the cost of the list-of-lists Frobenius loop that
     counted two orders per product.  The packed-row engine that replaced it
@@ -271,7 +276,7 @@ def check_table_price(n: int, arcs: int, count: int) -> int:
     Python 3.11): C_322 3.2 -> 0.8 s, C_195(1..8) 6.0 -> 3.1 s, C_126(1..32)
     5.8 -> 3.8 s, C_100(1..25) 2.2 -> 1.2 s.  So the old price still bounds
     the engine's time, and no refusal moved: C_322 is admitted and C_323
-    refused.  A star's padded rows hold n(n-1) arcs, not 2(n-1): star(107)'s
+    refused.  A star's B holds n(n-1) entries, not 2(n-1): star(107)'s
     Laplacian table to order n is admitted and star(108)'s refused.
     """
     price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
@@ -285,8 +290,8 @@ def check_table_price(n: int, arcs: int, count: int) -> int:
     return price
 
 
-def _power_sums(rows: Adjacency) -> Iterator[int]:
-    """Yield p_1, p_2, ... where p_k is the trace of the k-th power of the matrix with these rows.
+def _power_sums(rows: Adjacency, loops: _Loops) -> Iterator[int]:
+    """Yield p_1, p_2, ... where p_k is the trace of M^k, M = A + diag(c) with these rows and loops.
 
     Orders k <= n come from the diagonals of packed-row powers
     (_packed_walks), each order counted only when it is asked for, and later
@@ -295,7 +300,7 @@ def _power_sums(rows: Adjacency) -> Iterator[int]:
     """
     head = []
     # the packed rows are released when the first phase ends
-    for p in _packed_walks(rows):
+    for p in _packed_walks(rows, loops):
         head.append(p)
         yield p
     yield from _power_sums_past(head)
@@ -304,28 +309,33 @@ def _power_sums(rows: Adjacency) -> Iterator[int]:
 def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
 
-    The power sums of g's adjacency rows (_power_sums), on exact integers.
-    Callers that stop at a known order price the table first (check_table_price).
+    The power sums of g's adjacency rows with no loops (_power_sums), on
+    exact integers, uncached.  Callers that stop at a known order price the
+    table first (check_table_price).
     """
-    yield from _power_sums(g.adjacency())
+    yield from _power_sums(g.adjacency(), ())
 
 
-def _cached_power_sums(
-    rows: Adjacency, count: int, fresh: Callable[[], Iterator[int]]
-) -> tuple[int, ...]:
-    """p_1..p_count of the matrix with these rows: a cached prefix, or fresh() counted to `count`.
+def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, ...]:
+    """p_1..p_count of M = A + diag(c) with these rows and loops: priced, then cached or counted.
 
-    The last _WALK_CACHE_GRAPHS row tuples keep their longest counted prefix,
-    so repeated tables of one matrix are counted once.  The key is the rows
-    counted: equal rows share a prefix, so the tables of a regular graph's
-    adjacency and of its loop-padded rows (the same tuples) are one entry,
-    and a relabelled copy is a miss.  A prefix too short is counted afresh
-    to `count` and replaces the old one.
+    The price (check_table_price) counts M's entries, the row lengths plus
+    the loops, and refuses before any lookup or count.  The last
+    _WALK_CACHE_GRAPHS (rows, loops) keys keep their longest counted prefix,
+    so repeated tables of one matrix are counted once: a regular graph's
+    adjacency and its B = DI - L have no loops and share one entry, and a
+    relabelled copy is a miss.  A prefix too short is extended to `count`
+    and replaces the old one: from its first n sums by the recurrence
+    (_power_sums_past) when it holds them, else counted afresh (_power_sums).
     """
-    sums = _walk_cache.get(rows)
-    if sums is None or len(sums) < count:
-        sums = _walk_cache[rows] = tuple(islice(fresh(), count))
-    _walk_cache.move_to_end(rows)
+    check_table_price(n := len(rows), sum(map(len, rows)) + sum(c for _, c in loops), count)
+    key = (rows, loops)
+    sums = _walk_cache.get(key)
+    if sums is not None and n <= len(sums) < count:
+        sums = _walk_cache[key] = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
+    elif sums is None or len(sums) < count:
+        sums = _walk_cache[key] = tuple(islice(_power_sums(rows, loops), count))
+    _walk_cache.move_to_end(key)
     if len(_walk_cache) > _WALK_CACHE_GRAPHS:
         _walk_cache.popitem(last=False)
     return sums[:count]
@@ -349,16 +359,11 @@ class WalkTable:
 
 
 def closed_walk_counts(g: Graph, max_k: int) -> WalkTable:
-    """Closed-walk counts up to order max_k, through the walk cache (_cached_power_sums).
-
-    A refusal comes before any lookup; a miss starts iter_closed_walk_counts.
-    """
+    """Closed-walk counts up to order max_k: the power sums of g's adjacency (_power_sum_table)."""
     require_type("max_k", max_k)
     if max_k < 1:
         raise ValueError("max_k must be at least 1")
-    rows = g.adjacency()  # refuses a directed graph before the cache
-    check_table_price(g.n, 2 * g.size, max_k)
-    return WalkTable(_cached_power_sums(rows, max_k, lambda: iter_closed_walk_counts(g)))
+    return WalkTable(_power_sum_table(g.adjacency(), (), max_k))
 
 
 def triangle_count(g: Graph) -> int:
@@ -383,41 +388,30 @@ class LaplacianTraceTable:
         return self.traces[r - 1]
 
 
-def _with_loops(g: Graph) -> Adjacency:
-    """Rows of B = DI - L(g), D the largest degree: the neighbours of each v, then D - deg(v) copies of v.
-
-    B is the adjacency matrix of the D-regular multigraph made of g and
-    D - deg(v) loops at each v: nonnegative, every row summing to D, so the
-    entries of B^k are at most D^k and the walk engine counts its traces in
-    the slots of g's own walks.  On a regular graph the rows are g's
-    adjacency.
-    """
-    nbrs = g.adjacency()
-    delta = max(map(len, nbrs))
-    return tuple(s + (v,) * (delta - len(s)) for v, s in enumerate(nbrs))
-
-
 def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     """Traces tr(L^r) for r = 1..max_r of an undirected graph.
 
     Powers up to n expand L = DI - B binomially over the traces of
-    B = DI - L, D the largest degree, counted from its loop-padded rows
-    (_with_loops) through the walk cache; later powers continue from those
-    n traces by the Cayley-Hamilton recurrence of L.  The table is priced
-    by the padded rows' nD arcs before they are built.
+    B = DI - L = A + diag(D - deg), D the largest degree: the adjacency of
+    the D-regular multigraph made of g and D - deg(v) loops at each v, kept
+    as a diagonal beside g's own rows (_power_sum_table).  B is nonnegative
+    with every row summing to D, so the walk engine counts it in the slots
+    of g's own walks; on a regular graph it has no loops and is A.  All
+    max_r orders of B are priced by its nD entries, then counted and cached;
+    powers of L past n continue from the first n traces by the
+    Cayley-Hamilton recurrence of L.
     """
     require_type("max_r", max_r)
     if max_r < 1:
         raise ValueError("max_r must be at least 1")
-    n = g.n
-    delta = max(map(len, g.adjacency()))
-    check_table_price(n, n * delta, max_r)
-    rows = _with_loops(g)
-    sums = (n,) + _cached_power_sums(rows, min(max_r, n), lambda: _power_sums(rows))  # tr(B^0) = n
+    nbrs = g.adjacency()
+    delta = max(map(len, nbrs))
+    loops = tuple((v, delta - len(s)) for v, s in enumerate(nbrs) if len(s) < delta)
+    sums = (g.n,) + _power_sum_table(nbrs, loops, max_r)  # tr(B^0) = n
     traces = [
         sum((-1) ** i * comb(r, i) * delta ** (r - i) * sums[i] for i in range(r + 1))
-        for r in range(1, len(sums))
+        for r in range(1, min(max_r, g.n) + 1)
     ]
-    if max_r > n:
-        traces += islice(_power_sums_past(traces[:]), max_r - n)
+    if max_r > g.n:
+        traces += islice(_power_sums_past(traces[:]), max_r - g.n)
     return LaplacianTraceTable(traces=tuple(traces))

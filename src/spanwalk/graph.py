@@ -119,7 +119,9 @@ class Graph:
         return sum(map(len, self.in_adjacency)) // (1 if self.directed else 2)  # an edge sits in two rows
 
     def has_edge(self, u: int, v: int) -> bool:
-        """True when u-v is an edge (an arc u -> v when directed); False for a vertex outside 0..n-1."""
+        """True when u-v is an edge (an arc u -> v when directed); False for an int outside 0..n-1."""
+        require_type("vertex", u)
+        require_type("vertex", v)
         s = self.in_adjacency[v] if 0 <= v < self.n else ()  # a u outside 0..n-1 is in no row
         i = bisect(s, u)
         return i > 0 and s[i - 1] == u

@@ -253,6 +253,9 @@ NON_INT_PARAMETERS = {
     "prop2_lower n": (lambda: prop2_lower(10.0, 3, 0), "n must be an int, got 10.0"),
     "prop2_lower d": (lambda: prop2_lower(10, 3.0, 0), "d must be an int, got 3.0"),
     "prop2_lower triangles": (lambda: prop2_lower(10, 3, 0.0), "triangles must be an int, got 0.0"),
+    "Graph.has_edge float tail": (lambda: PETERSEN.has_edge(0.0, 1), "vertex must be an int, got 0.0"),
+    "Graph.has_edge bool head": (lambda: PETERSEN.has_edge(0, True), "vertex must be an int, got True"),
+    "Graph.has_edge float head": (lambda: PETERSEN.has_edge(0, 1.0), "vertex must be an int, got 1.0"),
     "Graph directed": (lambda: Graph(3, [(0, 1)], directed="no"), "directed must be a bool, got 'no'"),
     "parse_edge_list directed": (
         lambda: parse_edge_list("2\n0 1\n", directed=1),

@@ -432,14 +432,20 @@ def test_laplacian_traces_high_orders_cross_check():
 )
 def test_table_price_at_order_n_is_the_matrix_phase(g):
     n, d = g.n, 2 * g.size // g.n
-    arcs = sum(map(len, exact._with_loops(g)))
-    assert arcs == 2 * g.size  # a regular graph's padded rows are its adjacency
+    arcs = 2 * g.size
+    assert arcs == n * max(map(len, g.adjacency()))  # B = DI - L of a regular graph is its adjacency
     assert exact.check_table_price(n, arcs, n) == -(-n // 2) * n * n * (d + 2)
     assert exact.check_table_price(n, arcs, n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
     # order k past n adds k bit_length(2n), the bits of its integers
     bits = (2 * n).bit_length()
     past = exact.check_table_price(n, arcs, n + 3) - exact.check_table_price(n, arcs, n)
     assert past == bits * (3 * n + 6)
+
+
+def _loops(g):
+    """The (v, D - deg(v)) pairs of B = DI - L(g) = A + diag(D - deg), where D - deg(v) > 0."""
+    delta = max(map(len, g.adjacency()))
+    return tuple((v, delta - len(s)) for v, s in enumerate(g.adjacency()) if len(s) < delta)
 
 
 def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_engine):
@@ -449,18 +455,30 @@ def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_eng
     for g in graphs:
         max_r = 2 * g.n + 3  # past n, where the Cayley-Hamilton recurrence of L takes over
         assert laplacian_traces(g, max_r).traces == tuple(direct_laplacian_traces(g, max_r)), g
-        # the cached prefix is tr(B^1..B^n) of B = DI - L, keyed by B's rows
-        assert exact._walk_cache[exact._with_loops(g)] == tuple(dense_loop_padded_traces(g, g.n)), g
-    assert counted_engine == []  # the padded rows are counted privately, never as g's walks
+        # the cached prefix is tr(B^1..B^max_r) of B = DI - L, keyed by g's rows and B's loops
+        key = (g.adjacency(), _loops(g))
+        assert exact._walk_cache[key] == tuple(dense_loop_padded_traces(g, max_r)), g
+    # each table is counted once, as B with its loops, never as g's walks
+    assert counted_engine == [(g.adjacency(), _loops(g)) for g in graphs]
+
+
+def test_laplacian_traces_of_the_largest_admitted_star_take_its_closed_form(monkeypatch):
+    # the Laplacian spectrum of star(n) is 0, 1 (n - 2 times), n.  star(107) is the largest
+    # star the price admits to order n; B's n - 1 loops are counted as a diagonal, not as
+    # n(n-1) row entries at every order.  Smaller stars are checked by the dense oracle above
+    monkeypatch.setattr(exact, "_walk_cache", type(exact._walk_cache)())
+    n = 107
+    start = time.perf_counter()
+    assert list(laplacian_traces(star(n), n + 3).traces) == [n - 2 + n**r for r in range(1, n + 4)]
+    assert time.perf_counter() - start < 1.0
 
 
 def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):
-    # star(n)'s padded rows hold n(n-1) entries, not its 2(n-1) arcs
+    # star(n)'s B = DI - L holds n(n-1) entries, its 2(n-1) arcs and (n-1)(n-2) loops
     assert exact.check_table_price(107, 107 * 106, 107) == 66_770_568
     with pytest.raises(WorkBudgetError):
         exact.check_table_price(108, 108 * 107, 108)
-    # refused from the arc count, before the padded rows are built or counted
-    monkeypatch.setattr(exact, "_with_loops", _no_walks)
+    # refused from the entry count, before anything is counted
     monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     for n in (150, 20_000):
         g = star(n)
@@ -472,20 +490,20 @@ def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):
 
 @pytest.fixture
 def counted_engine(monkeypatch):
-    """An empty walk cache, and the graphs the walk engine is started on, in order."""
+    """An empty walk cache, and the (rows, loops) the walk engine is started on, in order."""
     monkeypatch.setattr(exact, "_walk_cache", type(exact._walk_cache)())
     started = []
-    engine = exact.iter_closed_walk_counts
+    engine = exact._power_sums
 
-    def counted(g):
-        started.append(g)
-        return engine(g)
+    def counted(rows, loops):
+        started.append((rows, loops))
+        return engine(rows, loops)
 
-    monkeypatch.setattr(exact, "iter_closed_walk_counts", counted)
+    monkeypatch.setattr(exact, "_power_sums", counted)
     return started
 
 
-def _no_walks(g):
+def _no_walks(*args):
     raise AssertionError("the walk engine ran")
 
 
@@ -496,7 +514,9 @@ def test_cached_walk_prefixes_equal_a_fresh_count(counted_engine, g):
     fresh = tuple(islice(iter_closed_walk_counts(g), 2 * n + 5))
     for max_k in (5, 3, n, n, 2 * n + 5, 4, n + 1):
         assert closed_walk_counts(g, max_k).counts == fresh[:max_k], max_k
-    assert len(counted_engine) == 3  # orders 5, n and 2n + 5 count; every other call is a hit
+    # the fresh count, then orders 5 and n; 2n + 5 extends the n-prefix by the recurrence,
+    # and every other call is a hit
+    assert len(counted_engine) == 3
 
 
 def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
@@ -509,8 +529,8 @@ def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
         closed_walk_counts(g, 4)
     assert len(exact._walk_cache) == cap
     recent = [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
-    assert list(exact._walk_cache) == [g.adjacency() for g in recent]  # keyed by the rows counted
-    assert counted_engine == graphs  # the hit started no count
+    assert list(exact._walk_cache) == [(g.adjacency(), ()) for g in recent]  # keyed by the matrix counted
+    assert counted_engine == [(g.adjacency(), ()) for g in graphs]  # the hit started no count
 
 
 def test_walk_cache_is_keyed_on_labels(counted_engine):
@@ -518,13 +538,13 @@ def test_walk_cache_is_keyed_on_labels(counted_engine):
     relabelled = Graph(7, frozenset(((3 * u) % 7, (3 * v) % 7) for u, v in g.edges))
     assert closed_walk_counts(g, 6) == closed_walk_counts(relabelled, 6)
     assert closed_walk_counts(Graph(7, g.edges), 6) == closed_walk_counts(g, 6)
-    assert counted_engine == [g, relabelled]
+    assert counted_engine == [(g.adjacency(), ()), (relabelled.adjacency(), ())]
 
 
 def test_refusals_come_before_the_walk_cache(monkeypatch, counted_engine):
     g = named_graph("petersen")
     closed_walk_counts(g, 5)
-    monkeypatch.setattr(exact, "iter_closed_walk_counts", _no_walks)
+    monkeypatch.setattr(exact, "_power_sums", _no_walks)
     with pytest.raises(WorkBudgetError):
         closed_walk_counts(g, 200_000)
     with pytest.raises(ValueError):
@@ -543,4 +563,4 @@ def test_bound_tables_share_one_walk_prefix(monkeypatch, counted_engine):
     monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     assert (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8)) == want
     assert laplacian_traces(g, 30).traces == tuple(direct_laplacian_traces(g, 30))
-    assert list(exact._walk_cache) == [g.adjacency()]  # the padded rows of a regular graph are its adjacency
+    assert list(exact._walk_cache) == [(g.adjacency(), ())]  # B = DI - L of a regular graph has no loops
