@@ -19,7 +19,6 @@ from .errors import (
     EdgeListParseError,
     InputReadError,
     RegularityRequiredError,
-    RetryBudgetError,
     ToolkitError,
     WorkBudgetError,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "InputReadError",
     "LaplacianTraceTable",
     "RegularityRequiredError",
-    "RetryBudgetError",
     "SeriesEvaluation",
     "SynchronyOutcome",
     "ToolkitError",

@@ -84,12 +84,6 @@ class BipartiteRequiredError(ToolkitError):
     code = "bipartite-required"
 
 
-class RetryBudgetError(ToolkitError):
-    """A rejection sampler ran out of attempts before producing a valid graph."""
-
-    code = "retry-budget"
-
-
 class ExactInvariantError(ToolkitError):
     """An identity that exact integer arithmetic guarantees failed: a defect, not bad input."""
 

@@ -397,9 +397,9 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     as a diagonal beside g's own rows (_power_sum_table).  B is nonnegative
     with every row summing to D, so the walk engine counts it in the slots
     of g's own walks; on a regular graph it has no loops and is A.  All
-    max_r orders of B are priced by its nD entries, then counted and cached;
-    powers of L past n continue from the first n traces by the
-    Cayley-Hamilton recurrence of L.
+    max_r orders are priced by B's nD entries, but only the first
+    min(max_r, n) traces of B are counted and cached: powers of L past n
+    continue from L's first n traces by the Cayley-Hamilton recurrence of L.
     """
     require_type("max_r", max_r)
     if max_r < 1:
@@ -407,7 +407,8 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     nbrs = g.adjacency()
     delta = max(map(len, nbrs))
     loops = tuple((v, delta - len(s)) for v, s in enumerate(nbrs) if len(s) < delta)
-    sums = (g.n,) + _power_sum_table(nbrs, loops, max_r)  # tr(B^0) = n
+    check_table_price(g.n, g.n * delta, max_r)
+    sums = (g.n,) + _power_sum_table(nbrs, loops, min(max_r, g.n))  # tr(B^0) = n
     traces = [
         sum((-1) ** i * comb(r, i) * delta ** (r - i) * sums[i] for i in range(r + 1))
         for r in range(1, min(max_r, g.n) + 1)

@@ -8,11 +8,10 @@ import random
 from operator import add, eq, mul
 from typing import Callable, Iterable
 
-from .errors import RetryBudgetError, WorkBudgetError, require_type, shown
+from .errors import WorkBudgetError, require_type, shown
 from .graph import Edge, Graph, _check_complement_price, _check_vertex_count, _rows, complement
 
-_MAX_ATTEMPTS = 200_000  # pairings a random regular sampler tries before RetryBudgetError
-_MAX_PAIRING_WORK = 1 << 22  # most expected stub placements a random regular request may price
+_MAX_PAIRING_WORK = 1 << 26  # most stub placements one random regular draw makes, over all its attempts
 _MAX_FAMILY_PAIRS = 1 << 16  # most x-y pairs g_family lays out before WorkBudgetError
 
 # Bundled example graphs, given as literal edge sets on vertices 0..9.
@@ -106,19 +105,21 @@ def _check_pairing_price(n: int, d: int, bipartite: bool) -> None:
     attempts: exp((d^2-1)/4 + d^3/(12n)) for random_regular (McKay and
     Wormald 1991) and exp((d-1)^2/2) for random_regular_bipartite (O'Neil
     1969).  It is compared in the log domain, so no degree overflows a float;
-    past _MAX_PAIRING_WORK, WorkBudgetError is raised.
+    past 1/16 of _MAX_PAIRING_WORK, WorkBudgetError is raised.  So an
+    admitted draw has at least 16 times its expected placements to spend
+    (_first_simple).
     """
     stubs = n * d
     if not stubs:
         return
     log_price = math.log(stubs)
-    if stubs <= _MAX_PAIRING_WORK:  # else the stubs alone are over, and d may not fit a float
+    if stubs <= _MAX_PAIRING_WORK >> 4:  # else the stubs alone are over, and d may not fit a float
         log_price += (d - 1) ** 2 / 2 if bipartite else (d * d - 1) / 4 + d**3 / (12 * n)
-    if log_price > math.log(_MAX_PAIRING_WORK):
+    if log_price > math.log(_MAX_PAIRING_WORK >> 4):
         kind = "bipartite " if bipartite else ""
         raise WorkBudgetError(
             f"a random {kind}{shown(d)}-regular pairing on {shown(n)} vertices expects about "
-            f"e^{log_price:.1f} stub placements, over the budget of {_MAX_PAIRING_WORK}"
+            f"e^{log_price:.1f} stub placements, over 1/16 of the budget of {_MAX_PAIRING_WORK}"
         )
 
 
@@ -149,15 +150,18 @@ def _first_simple(
     again, reading random.Random(seed).getrandbits in random.Random.shuffle's
     own order (_shuffle), and hands them to simple, which returns the
     attempt's edges when its pairing is simple and None when it rejects it.
-    After _MAX_ATTEMPTS rejections RetryBudgetError is raised.
+    An attempt places len(stubs) stubs, so after _MAX_PAIRING_WORK //
+    len(stubs) rejections, the placements the budget holds, WorkBudgetError
+    is raised.
     """
     getrandbits = random.Random(seed).getrandbits
     plan = _shuffle_plan(len(stubs))
-    for _ in range(_MAX_ATTEMPTS):
+    attempts = _MAX_PAIRING_WORK // max(len(stubs), 1)
+    for _ in range(attempts):
         _shuffle(stubs, plan, getrandbits)
         if (pairs := simple(stubs)) is not None:
             return Graph._from_rows(_rows(n, pairs, False))  # simple by the test
-    raise RetryBudgetError(f"no simple {what} pairing on {n} vertices within {_MAX_ATTEMPTS} attempts")
+    raise WorkBudgetError(f"no simple {what} pairing on {n} vertices in {attempts} attempts of {len(stubs)} stubs")
 
 
 def _consecutive_pairs(stubs: list[int]) -> Iterable[Edge] | None:
@@ -191,9 +195,11 @@ def random_regular(n: int, d: int, seed: int) -> Graph:
     (n-1-d)-regular graph is drawn with the same seed and its complement
     returned: complementation is a bijection on labelled graphs, so this stays
     uniform, and its attempts are those of the smaller degree.  A request
-    whose expected work, at the degree drawn, is over _MAX_PAIRING_WORK stub
-    placements, or whose nd/2 edges are over the complement's price, raises
-    WorkBudgetError before the first shuffle.  n, d and seed must be ints.
+    whose expected work, at the degree drawn, is over 1/16 of
+    _MAX_PAIRING_WORK stub placements, or whose nd/2 edges are over the
+    complement's price, raises WorkBudgetError before the first shuffle; a
+    draw that spends all _MAX_PAIRING_WORK placements raises it then.  n, d
+    and seed must be ints.
     """
     for name, x in (("vertex count", n), ("d", d), ("seed", seed)):
         require_type(name, x)

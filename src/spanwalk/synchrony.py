@@ -203,7 +203,9 @@ def measure_synchrony(
     sweep runs ⌈samples/b⌉.  Over _MAX_SWEEP_WORK, WorkBudgetError is raised.
     When C(n, k) >= 2^min(k, n - k) alone puts the blocks past 2^64, that
     lower bound is charged instead, before any binomial is computed: such a
-    refusal prints its charge only as a power of two.
+    refusal prints its charge only as a power of two.  samples and seed64
+    belong to monte-carlo mode: passing either in exhaustive mode raises
+    ValueError.
     """
     _check_threshold(t)
     n = g.n
@@ -212,6 +214,8 @@ def measure_synchrony(
         raise ValueError(f"need 1 <= k <= n, got k={shown(k)}, n={n}")
     per_block = _MAX_BLOCK_BITS // n
     if mode == "exhaustive":
+        if samples is not None or seed64 is not None:
+            raise ValueError("samples and seed64 apply only to monte-carlo mode")
         what = f"an exhaustive sweep of the C({n}, {k}) subsets"
         hint = "; use monte-carlo mode"
         floor = min(k, n - k) - per_block.bit_length()

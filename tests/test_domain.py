@@ -270,3 +270,11 @@ def test_non_int_parameters_raise_a_value_error_naming_them(name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("extra", [{"samples": True, "seed64": "x"}, {"samples": 10}, {"seed64": 1}], ids=repr)
+def test_exhaustive_synchrony_refuses_monte_carlo_arguments(extra):
+    # in exhaustive mode these would do nothing, so they are refused, as the CLI refuses them
+    with pytest.raises(ValueError) as info:
+        measure_synchrony(PETERSEN, 2, 3, **extra)
+    assert str(info.value) == "samples and seed64 apply only to monte-carlo mode"

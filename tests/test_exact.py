@@ -455,9 +455,10 @@ def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_eng
     for g in graphs:
         max_r = 2 * g.n + 3  # past n, where the Cayley-Hamilton recurrence of L takes over
         assert laplacian_traces(g, max_r).traces == tuple(direct_laplacian_traces(g, max_r)), g
-        # the cached prefix is tr(B^1..B^max_r) of B = DI - L, keyed by g's rows and B's loops
+        # the cached prefix is tr(B^1..B^n) of B = DI - L, keyed by g's rows and B's loops:
+        # past n only L's own recurrence runs
         key = (g.adjacency(), _loops(g))
-        assert exact._walk_cache[key] == tuple(dense_loop_padded_traces(g, max_r)), g
+        assert exact._walk_cache[key] == tuple(dense_loop_padded_traces(g, g.n)), g
     # each table is counted once, as B with its loops, never as g's walks
     assert counted_engine == [(g.adjacency(), _loops(g)) for g in graphs]
 
@@ -471,6 +472,15 @@ def test_laplacian_traces_of_the_largest_admitted_star_take_its_closed_form(monk
     start = time.perf_counter()
     assert list(laplacian_traces(star(n), n + 3).traces) == [n - 2 + n**r for r in range(1, n + 4)]
     assert time.perf_counter() - start < 1.0
+
+
+def test_laplacian_traces_far_past_n_count_and_cache_only_n_orders_of_b(monkeypatch):
+    # star(12) to order 5180 is admitted by the price of all 5180 orders of B, but B is
+    # counted and cached to order n only; L's recurrence gives the rest, tr(L^r) = n - 2 + n^r
+    monkeypatch.setattr(exact, "_walk_cache", type(exact._walk_cache)())
+    n, max_r = 12, 5180
+    assert list(laplacian_traces(star(n), max_r).traces) == [n - 2 + n**r for r in range(1, max_r + 1)]
+    assert [len(sums) for sums in exact._walk_cache.values()] == [n]
 
 
 def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):

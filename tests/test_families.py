@@ -12,7 +12,6 @@ import mpmath
 import pytest
 
 from spanwalk import (
-    RetryBudgetError,
     WorkBudgetError,
     bipartition,
     complement,
@@ -149,15 +148,25 @@ def test_random_regular_forced_outcomes_and_errors(monkeypatch):
         random_regular(5, 3, seed=0)
     with pytest.raises(ValueError):
         random_regular(4, 4, seed=0)
-    monkeypatch.setattr(families, "_MAX_ATTEMPTS", 1)
+    # with no price and a budget of one attempt's stubs, a draw gets one attempt
+    monkeypatch.setattr(families, "_check_pairing_price", lambda n, d, bipartite: None)
+    monkeypatch.setattr(families, "_MAX_PAIRING_WORK", 60)
     # a 5-regular pairing on 12 vertices is simple in about e^-6.9 of its attempts
-    with pytest.raises(RetryBudgetError, match="^no simple 5-regular pairing on 12 vertices within 1 attempts$"):
+    with pytest.raises(WorkBudgetError, match="^no simple 5-regular pairing on 12 vertices in 1 attempts of 60 stubs$"):
         random_regular(12, 5, seed=0)
-    # a bipartite 4-regular pairing on 40 vertices repeats a pair in most attempts
+    # a bipartite 4-regular pairing on 40 vertices repeats a pair in most attempts; it shuffles 80 right stubs
+    monkeypatch.setattr(families, "_MAX_PAIRING_WORK", 80)
     with pytest.raises(
-        RetryBudgetError, match="^no simple bipartite 4-regular pairing on 40 vertices within 1 attempts$"
+        WorkBudgetError, match="^no simple bipartite 4-regular pairing on 40 vertices in 1 attempts of 80 stubs$"
     ):
         random_regular_bipartite(40, 4, seed=1)
+
+
+def test_a_slow_seed_draws_within_the_budget_of_stub_placements():
+    # seed 977 needs 224 819 attempts at (14, 6), where about 30 200 are the mean and the
+    # price expects 22 800; the budget allows 2^26 // 84 = 798 915 attempts of 84 stubs
+    assert families._MAX_PAIRING_WORK // (14 * 6) == 798_915
+    assert regular_degree(random_regular(14, 6, 977)) == 6
 
 
 def test_the_shuffle_reads_the_words_rng_shuffle_reads():
@@ -216,7 +225,7 @@ def test_samplers_check_the_vertex_count_before_laying_out_stubs():
 
 
 def test_dense_random_regulars_are_drawn_from_the_sparser_side():
-    # (8, 6) and (9, 6) once spent all their 6-regular attempts and raised RetryBudgetError;
+    # drawn by 6-regular rejection, (8, 6) and (9, 6) would run for seconds;
     # drawn at degrees 1 and 2 they return at once
     for n, d, seed in ((8, 6, 2), (9, 6, 2)):
         start = time.perf_counter()
