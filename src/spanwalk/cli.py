@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from fractions import Fraction
@@ -81,9 +82,7 @@ def _json(value: Any, indent: int = 0) -> str:
     if isinstance(value, float):
         return _format_real(value) if math.isfinite(value) else "null"
     if isinstance(value, str):
-        import json as _json_std
-
-        return _json_std.dumps(value)
+        return json.dumps(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -126,7 +125,7 @@ def _load_graph(args: argparse.Namespace) -> Graph:
         g = families.named_graph(args.named)
     elif args.edge_list is not None:
         try:
-            with open(args.edge_list, encoding="utf-8") as fh:
+            with open(args.edge_list, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
             raise InputReadError(f"cannot read {args.edge_list}: {exc.strerror}") from exc

@@ -254,31 +254,28 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
         yield p
 
 
-def check_table_price(n: int, arcs: int, count: int) -> int:
-    """The price of `count` power sums of a nonnegative matrix given as n rows of `arcs` entries in all.
+def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
+    """The price of `count` power sums of M = A + diag(c) with these rows and loops.
 
-    The matrix is one the walk engine counts (_power_sum_table): g's
-    adjacency, with arcs = 2|E|, or B = DI - L(g) = A + diag(D - deg), D the
-    largest degree, whose rows and loops hold arcs = nD entries.  The price
-    is counted in integer operations from integers alone.  Orders up to n
-    are priced as ceil(min(count, n)/2) matrix products of n(arcs + 2n)
-    operations, n^2 (d+2) for a d-regular graph.  Past order n each order
-    adds the size of its integers: walk counts, Laplacian traces and the
-    series denominators k(n-d)^k at order k all stay below (2n)^k up to a
-    factor n, about k bit_length(2n) bits.  Raises WorkBudgetError, before
-    any work, when the price exceeds _MAX_WALK_WORK.
+    The matrix is one the walk engine counts (_power_sums), and its entries
+    are counted here, the row lengths plus the loop multiplicities: 2|E| for
+    g's adjacency, nD for B = DI - L(g) = A + diag(D - deg), D the largest
+    degree.  The price is counted in integer operations from integers
+    alone.  With `arcs` entries on n rows, orders up to n are priced as
+    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
+    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
+    of its integers: walk counts, Laplacian traces and the series
+    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor
+    n, about k bit_length(2n) bits.  Raises WorkBudgetError, before any
+    work, when the price exceeds _MAX_WALK_WORK.
 
     The first term is the cost of the list-of-lists Frobenius loop that
-    counted two orders per product.  The packed-row engine that replaced it
-    (_packed_walks) does one order per step: `arcs` additions of n-slot
-    integers, each slot wide enough for D^min(2k, n).  It was faster than
-    that loop on every admitted extreme probed (w_1..w_n, one 2-vCPU host,
-    Python 3.11): C_322 3.2 -> 0.8 s, C_195(1..8) 6.0 -> 3.1 s, C_126(1..32)
-    5.8 -> 3.8 s, C_100(1..25) 2.2 -> 1.2 s.  So the old price still bounds
-    the engine's time, and no refusal moved: C_322 is admitted and C_323
-    refused.  A star's B holds n(n-1) entries, not 2(n-1): star(107)'s
-    Laplacian table to order n is admitted and star(108)'s refused.
+    counted two orders per product; the packed-row engine that replaced it
+    (_packed_walks) was faster than that loop on every admitted extreme
+    probed, so the old price still bounds the engine's time.
     """
+    n = len(rows)
+    arcs = sum(map(len, rows)) + sum(c for _, c in loops)
     price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
     if count > n:
         price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
@@ -310,28 +307,33 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
 
     The power sums of g's adjacency rows with no loops (_power_sums), on
-    exact integers, uncached.  Callers that stop at a known order price the
-    table first (check_table_price).
+    exact integers, uncached.  Nothing runs until the first value is asked
+    for; then the packed phase, n orders of g's rows, is priced
+    (check_table_price), and WorkBudgetError is raised before any row is
+    built.  The recurrence past order n is not priced here: a caller that
+    reads past w_n bounds how far.
     """
-    yield from _power_sums(g.adjacency(), ())
+    rows = g.adjacency()
+    check_table_price(rows, (), len(rows))
+    yield from _power_sums(rows, ())
 
 
 def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, ...]:
     """p_1..p_count of M = A + diag(c) with these rows and loops: priced, then cached or counted.
 
-    The price (check_table_price) counts M's entries, the row lengths plus
-    the loops, and refuses before any lookup or count.  The last
-    _WALK_CACHE_GRAPHS (rows, loops) keys keep their longest counted prefix,
-    so repeated tables of one matrix are counted once: a regular graph's
-    adjacency and its B = DI - L have no loops and share one entry, and a
-    relabelled copy is a miss.  A prefix too short is extended to `count`
-    and replaces the old one: from its first n sums by the recurrence
-    (_power_sums_past) when it holds them, else counted afresh (_power_sums).
+    The price of all `count` orders (check_table_price) refuses before any
+    lookup or count.  The last _WALK_CACHE_GRAPHS (rows, loops) keys keep
+    their longest counted prefix, so repeated tables of one matrix are
+    counted once: a regular graph's adjacency and its B = DI - L have no
+    loops and share one entry, and a relabelled copy is a miss.  A prefix
+    too short is extended to `count` and replaces the old one: from its
+    first n sums by the recurrence (_power_sums_past) when it holds them,
+    else counted afresh (_power_sums).
     """
-    check_table_price(n := len(rows), sum(map(len, rows)) + sum(c for _, c in loops), count)
+    check_table_price(rows, loops, count)
     key = (rows, loops)
     sums = _walk_cache.get(key)
-    if sums is not None and n <= len(sums) < count:
+    if sums is not None and (n := len(rows)) <= len(sums) < count:
         sums = _walk_cache[key] = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
     elif sums is None or len(sums) < count:
         sums = _walk_cache[key] = tuple(islice(_power_sums(rows, loops), count))
@@ -407,7 +409,7 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     nbrs = g.adjacency()
     delta = max(map(len, nbrs))
     loops = tuple((v, delta - len(s)) for v, s in enumerate(nbrs) if len(s) < delta)
-    check_table_price(g.n, g.n * delta, max_r)
+    check_table_price(nbrs, loops, max_r)
     sums = (g.n,) + _power_sum_table(nbrs, loops, min(max_r, g.n))  # tr(B^0) = n
     traces = [
         sum((-1) ** i * comb(r, i) * delta ** (r - i) * sums[i] for i in range(r + 1))

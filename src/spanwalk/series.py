@@ -37,7 +37,6 @@ from mpmath.libmp import (
 
 from .errors import ConvergenceDomainError, ExactInvariantError, require_type, shown
 from .exact import (
-    check_table_price,
     closed_walk_counts,
     elementary_symmetric,
     iter_closed_walk_counts,
@@ -126,9 +125,9 @@ def _partial_sums(n: int, d: int, counts: Sequence[int], max_k: int) -> list[tup
 def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
     """Evaluate the base term and all partial sums through walk order max_k.
 
-    Raises WorkBudgetError, before any walk is counted, when the walk table
-    costs too much (exact.check_table_price, which also prices the series
-    denominators).
+    The walk table comes through the priced door (closed_walk_counts), so
+    WorkBudgetError is raised, before any walk is counted, when the walk
+    price, which also covers the series denominators, is over its limit.
     """
     require_type("max_k", max_k)
     if max_k < 1:
@@ -184,13 +183,13 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     so identification needs no 2d < n: only the series' convergence does.  A
     remainder or a negative value raises ExactInvariantError.
 
-    w_1..w_n come from the packed-row walk engine, n orders of nd big-integer
-    additions.  Raises WorkBudgetError, before any walk is counted, when
-    their price, ceil(n/2) n^2 (d+2) integer operations, is over the walk
-    engine's limit (exact.check_table_price): C_322 is admitted, C_323 refused.
+    w_1..w_n come from the packed-row walk engine (iter_closed_walk_counts),
+    n orders of nd big-integer additions.  The generator prices them at its
+    first value, ceil(n/2) n^2 (d+2) integer operations, and raises
+    WorkBudgetError, before any walk is counted, when that is over the walk
+    engine's limit: C_322 is admitted, C_323 refused.
     """
     n, d = g.n, require_regular(g)
-    check_table_price(n, 2 * g.size, n)
     det = 0
     for e_j in elementary_symmetric(list(islice(iter_closed_walk_counts(g), n))):
         det = det * (n - d) + e_j

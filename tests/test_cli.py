@@ -86,6 +86,18 @@ def test_graph_info_and_export():
     assert doc2["regular_degree"] == 3
 
 
+def test_an_edge_list_with_a_utf8_bom_reads_like_one_without(tmp_path):
+    # editors on some systems write a byte order mark ahead of the vertex count
+    plain, marked = tmp_path / "plain.txt", tmp_path / "bom.txt"
+    plain.write_bytes(b"3\n0 1\n1 2\n")
+    marked.write_bytes(b"\xef\xbb\xbf3\n0 1\n1 2\n")
+    for command in (["graph", "info"], ["graph", "export"], ["complexity"]):
+        code, text = _run(command + ["--edge-list", str(marked)])
+        assert code == 0, text
+        assert (code, text) == _run(command + ["--edge-list", str(plain)])
+    assert _run_json(["graph", "info", "--edge-list", str(marked)])[1]["n"] == 3
+
+
 def test_graph_info_and_export_of_a_directed_edge_list(tmp_path):
     # 0 -> 2 and 2 -> 0 are two arcs; the export reads the arcs back off the in-rows, sorted
     path = tmp_path / "arcs.txt"

@@ -432,14 +432,17 @@ def test_laplacian_traces_high_orders_cross_check():
 )
 def test_table_price_at_order_n_is_the_matrix_phase(g):
     n, d = g.n, 2 * g.size // g.n
-    arcs = 2 * g.size
-    assert arcs == n * max(map(len, g.adjacency()))  # B = DI - L of a regular graph is its adjacency
-    assert exact.check_table_price(n, arcs, n) == -(-n // 2) * n * n * (d + 2)
-    assert exact.check_table_price(n, arcs, n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
+    rows = g.adjacency()
+    assert _loops(g) == ()  # B = DI - L of a regular graph is its adjacency
+
+    def price(count):
+        return exact.check_table_price(rows, (), count)
+
+    assert price(n) == -(-n // 2) * n * n * (d + 2)
+    assert price(n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
     # order k past n adds k bit_length(2n), the bits of its integers
     bits = (2 * n).bit_length()
-    past = exact.check_table_price(n, arcs, n + 3) - exact.check_table_price(n, arcs, n)
-    assert past == bits * (3 * n + 6)
+    assert price(n + 3) - price(n) == bits * (3 * n + 6)
 
 
 def _loops(g):
@@ -485,9 +488,9 @@ def test_laplacian_traces_far_past_n_count_and_cache_only_n_orders_of_b(monkeypa
 
 def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):
     # star(n)'s B = DI - L holds n(n-1) entries, its 2(n-1) arcs and (n-1)(n-2) loops
-    assert exact.check_table_price(107, 107 * 106, 107) == 66_770_568
+    assert exact.check_table_price(star(107).adjacency(), _loops(star(107)), 107) == 66_770_568
     with pytest.raises(WorkBudgetError):
-        exact.check_table_price(108, 108 * 107, 108)
+        exact.check_table_price(star(108).adjacency(), _loops(star(108)), 108)
     # refused from the entry count, before anything is counted
     monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     for n in (150, 20_000):
@@ -515,6 +518,17 @@ def counted_engine(monkeypatch):
 
 def _no_walks(*args):
     raise AssertionError("the walk engine ran")
+
+
+def test_walk_generator_prices_its_packed_phase_before_any_row(monkeypatch):
+    # C_5000's packed rows would take about n^2/2 bytes; w_1..w_n are priced at
+    # 2500 * 5000^2 * 4 integer operations, far over the budget
+    monkeypatch.setattr(exact, "_packed_walks", _no_walks)
+    walker = iter_closed_walk_counts(cycle(5000))
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="budget"):
+        next(walker)
+    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("g", [named_graph("petersen"), named_graph("paper-bipartite"), cycle(150)], ids=repr)

@@ -29,7 +29,7 @@ from spanwalk import (
     series_term,
     spanning_tree_count,
 )
-from spanwalk import families, graph, series
+from spanwalk import exact, families, graph, series
 from spanwalk.errors import ExactInvariantError
 from oracles import (
     circulant,
@@ -183,10 +183,11 @@ def test_identify_beyond_the_float_range_matches_bareiss():
 
 
 def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
-    def no_walks(g):
+    def no_walks(rows, loops):
         raise AssertionError("walks counted before the budget check")
 
-    monkeypatch.setattr(series, "iter_closed_walk_counts", no_walks)
+    # the price is the walk generator's first step, ahead of the engine
+    monkeypatch.setattr(exact, "_power_sums", no_walks)
     # C_323: 162 * 323^2 * 4 = 67 605 192 > 2^26 operations (C_322 is admitted);
     # C_500: 250 * 500^2 * 4 = 2.5e8; C_401(1..100), d = 200: about 6.5e9
     for g in (cycle(323), cycle(500), circulant(401, tuple(range(1, 101)))):
