@@ -205,6 +205,8 @@ def _shared_parser() -> _Parser:
 
 
 def _validate(args: argparse.Namespace, parser: _Parser) -> None:
+    if getattr(args, "directed", False) and args.edge_list is None:
+        parser.error("--directed applies only to --edge-list")
     if args.command == "series":
         if args.eval and args.max_k is None:
             parser.error("--eval requires --max-k")

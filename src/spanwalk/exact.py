@@ -257,17 +257,20 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
 def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     """The price of `count` power sums of M = A + diag(c) with these rows and loops.
 
-    The matrix is one the walk engine counts (_power_sums), and its entries
-    are counted here, the row lengths plus the loop multiplicities: 2|E| for
-    g's adjacency, nD for B = DI - L(g) = A + diag(D - deg), D the largest
-    degree.  The price is counted in integer operations from integers
-    alone.  With `arcs` entries on n rows, orders up to n are priced as
-    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
-    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
-    of its integers: walk counts, Laplacian traces and the series
-    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor
-    n, about k bit_length(2n) bits.  Raises WorkBudgetError, before any
-    work, when the price exceeds _MAX_WALK_WORK.
+    Its two callers price what they read: _power_sum_table, the one door
+    to the walk engine, the orders it returns, and laplacian_traces all
+    max_r orders of B before it asks that door for the first min(max_r, n).
+    The matrix's entries are counted here, the row lengths plus the loop
+    multiplicities: 2|E| for g's adjacency, nD for
+    B = DI - L(g) = A + diag(D - deg), D the largest degree.  The price is
+    counted in integer operations from integers alone.  With `arcs` entries
+    on n rows, orders up to n are priced as ceil(min(count, n)/2) matrix
+    products of n(arcs + 2n) operations, n^2 (d+2) for a d-regular graph.
+    Past order n each order adds the size of its integers: walk counts,
+    Laplacian traces and the series denominators k(n-d)^k at order k all
+    stay below (2n)^k up to a factor n, about k bit_length(2n) bits.
+    Raises WorkBudgetError, before any work, when the price exceeds
+    _MAX_WALK_WORK.
 
     The first term is the cost of the list-of-lists Frobenius loop that
     counted two orders per product; the packed-row engine that replaced it
@@ -287,56 +290,43 @@ def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     return price
 
 
-def _power_sums(rows: Adjacency, loops: _Loops) -> Iterator[int]:
-    """Yield p_1, p_2, ... where p_k is the trace of M^k, M = A + diag(c) with these rows and loops.
-
-    Orders k <= n come from the diagonals of packed-row powers
-    (_packed_walks), each order counted only when it is asked for, and later
-    orders from the characteristic polynomial by the Cayley-Hamilton
-    recurrence (_power_sums_past).  All arithmetic is on exact integers.
-    """
-    head = []
-    # the packed rows are released when the first phase ends
-    for p in _packed_walks(rows, loops):
-        head.append(p)
-        yield p
-    yield from _power_sums_past(head)
-
-
 def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
     """Yield w_1, w_2, ... where w_k is the trace of the k-th adjacency power.
 
-    The power sums of g's adjacency rows with no loops (_power_sums), on
-    exact integers, uncached.  Nothing runs until the first value is asked
-    for; then the packed phase, n orders of g's rows, is priced
-    (check_table_price), and WorkBudgetError is raised before any row is
-    built.  The recurrence past order n is not priced here: a caller that
-    reads past w_n bounds how far.
+    A thin generator over the one door to the walk engine: nothing runs
+    until the first value is asked for, and then w_1..w_n are one table of
+    g's adjacency rows with no loops (_power_sum_table), priced at n orders
+    before any row is built, read from the walk cache or counted whole and
+    cached.  Later values continue by the recurrence (_power_sums_past),
+    which is not priced here: a caller that reads past w_n bounds how far.
     """
-    rows = g.adjacency()
-    check_table_price(rows, (), len(rows))
-    yield from _power_sums(rows, ())
+    head = _power_sum_table(g.adjacency(), (), g.n)
+    yield from head
+    yield from _power_sums_past(list(head))
 
 
 def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, ...]:
-    """p_1..p_count of M = A + diag(c) with these rows and loops: priced, then cached or counted.
+    """p_1..p_count of M = A + diag(c) with these rows and loops: the one door to the walk engine.
 
     The price of all `count` orders (check_table_price) refuses before any
     lookup or count.  The last _WALK_CACHE_GRAPHS (rows, loops) keys keep
     their longest counted prefix, so repeated tables of one matrix are
-    counted once: a regular graph's adjacency and its B = DI - L have no
-    loops and share one entry, and a relabelled copy is a miss.  A prefix
-    too short is extended to `count` and replaces the old one: from its
-    first n sums by the recurrence (_power_sums_past) when it holds them,
-    else counted afresh (_power_sums).
+    counted once, identification's n orders among them: a regular graph's
+    adjacency and its B = DI - L have no loops and share one entry, and a
+    relabelled copy is a miss.  A prefix shorter than min(count, n) is
+    counted afresh from packed rows (_packed_walks), only to the orders
+    asked for; a prefix of at least n sums is extended past n by the
+    recurrence (_power_sums_past).  A prefix is stored only once it is
+    whole, so a count that is interrupted caches nothing.
     """
     check_table_price(rows, loops, count)
-    key = (rows, loops)
-    sums = _walk_cache.get(key)
-    if sums is not None and (n := len(rows)) <= len(sums) < count:
-        sums = _walk_cache[key] = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
-    elif sums is None or len(sums) < count:
-        sums = _walk_cache[key] = tuple(islice(_power_sums(rows, loops), count))
+    key, n = (rows, loops), len(rows)
+    sums = _walk_cache.get(key, ())
+    if len(sums) < min(count, n):
+        sums = tuple(islice(_packed_walks(rows, loops), count))
+    if len(sums) < count:
+        sums = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
+    _walk_cache[key] = sums
     _walk_cache.move_to_end(key)
     if len(_walk_cache) > _WALK_CACHE_GRAPHS:
         _walk_cache.popitem(last=False)

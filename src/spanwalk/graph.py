@@ -57,8 +57,12 @@ def _read_int(token: str) -> int:
 
 
 def _checked(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
-    """The one check of edges from outside: ValueError unless the ends are distinct ints in 0..n-1."""
-    for u, v in edges:
+    """The one check of edges from outside: ValueError unless each is a pair of distinct ints in 0..n-1."""
+    for edge in edges:
+        try:
+            u, v = edge
+        except (TypeError, ValueError):  # not iterable, or not two items
+            raise ValueError(f"an edge must be a pair of vertices, got {repr(edge)[:32]}") from None
         if type(u) is not int or type(v) is not int:  # a bool, or a float equal to an int, is refused
             raise ValueError(f"edge endpoints must be ints, got {repr((u, v))[:32]}")
         if u == v:

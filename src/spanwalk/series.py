@@ -184,10 +184,12 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     remainder or a negative value raises ExactInvariantError.
 
     w_1..w_n come from the packed-row walk engine (iter_closed_walk_counts),
-    n orders of nd big-integer additions.  The generator prices them at its
-    first value, ceil(n/2) n^2 (d+2) integer operations, and raises
+    n orders of nd big-integer additions, through the same priced, cached
+    table as every walk table: the generator prices them at its first
+    value, ceil(n/2) n^2 (d+2) integer operations, and raises
     WorkBudgetError, before any walk is counted, when that is over the walk
-    engine's limit: C_322 is admitted, C_323 refused.
+    engine's limit: C_322 is admitted, C_323 refused.  Once counted, they
+    serve later tables of the same labelled graph from the walk cache.
     """
     n, d = g.n, require_regular(g)
     det = 0

@@ -536,6 +536,10 @@ def test_usage_errors_exit_64():
         ["construct"],
         ["--threads", "0", "complexity", "--named", "petersen"],
         ["--threads", "1", "complexity", "--named", "petersen"],
+        # --directed reads an edge list as arcs; no other source has arcs to read
+        ["graph", "info", "--directed", "--named", "petersen"],
+        ["graph", "export", "--directed", "--graph6", "DhC"],
+        ["synchrony", "--directed", "--named", "petersen", "--t", "1", "--k", "1", "--mode", "exhaustive"],
     ]
     for argv in cases:
         code, _ = _run(argv)

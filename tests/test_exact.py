@@ -506,13 +506,13 @@ def counted_engine(monkeypatch):
     """An empty walk cache, and the (rows, loops) the walk engine is started on, in order."""
     monkeypatch.setattr(exact, "_walk_cache", type(exact._walk_cache)())
     started = []
-    engine = exact._power_sums
+    engine = exact._packed_walks
 
     def counted(rows, loops):
         started.append((rows, loops))
         return engine(rows, loops)
 
-    monkeypatch.setattr(exact, "_power_sums", counted)
+    monkeypatch.setattr(exact, "_packed_walks", counted)
     return started
 
 
@@ -534,13 +534,44 @@ def test_walk_generator_prices_its_packed_phase_before_any_row(monkeypatch):
 @pytest.mark.parametrize("g", [named_graph("petersen"), named_graph("paper-bipartite"), cycle(150)], ids=repr)
 def test_cached_walk_prefixes_equal_a_fresh_count(counted_engine, g):
     n = g.n
-    # below, at and past order n; a shorter prefix is extended, a longer one is sliced
+    # the generator's n-table and its recurrence, counted once; then an empty cache again
     fresh = tuple(islice(iter_closed_walk_counts(g), 2 * n + 5))
+    exact._walk_cache.clear()
+    counted_engine.clear()
+    # below, at and past order n; a shorter prefix is extended, a longer one is sliced
     for max_k in (5, 3, n, n, 2 * n + 5, 4, n + 1):
         assert closed_walk_counts(g, max_k).counts == fresh[:max_k], max_k
-    # the fresh count, then orders 5 and n; 2n + 5 extends the n-prefix by the recurrence,
+    # orders 5 and n are counted; 2n + 5 extends the n-prefix by the recurrence,
     # and every other call is a hit
-    assert len(counted_engine) == 3
+    assert len(counted_engine) == 2
+
+
+def test_identification_generator_and_tables_start_the_engine_once(counted_engine):
+    g = named_graph("petersen")
+    assert identify_complexity(g) == 2048000
+    assert tuple(islice(iter_closed_walk_counts(g), 2 * g.n)) == closed_walk_counts(g, 2 * g.n).counts
+    assert counted_engine == [(g.adjacency(), ())]
+
+
+class _Interrupted(BaseException):
+    """Stands for a deadline that fires inside a count."""
+
+
+def test_an_interrupted_count_caches_nothing(monkeypatch, counted_engine):
+    g = named_graph("paper-h")
+    engine = exact._packed_walks
+
+    def interrupted(rows, loops):
+        yield from islice(engine(rows, loops), 2)
+        raise _Interrupted
+
+    monkeypatch.setattr(exact, "_packed_walks", interrupted)
+    for read in (lambda: closed_walk_counts(g, 6), lambda: next(iter_closed_walk_counts(g))):
+        with pytest.raises(_Interrupted):
+            read()
+        assert (g.adjacency(), ()) not in exact._walk_cache
+    monkeypatch.setattr(exact, "_packed_walks", engine)
+    assert list(closed_walk_counts(g, 6).counts) == dense_closed_walks(g, 6)
 
 
 def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
@@ -568,7 +599,7 @@ def test_walk_cache_is_keyed_on_labels(counted_engine):
 def test_refusals_come_before_the_walk_cache(monkeypatch, counted_engine):
     g = named_graph("petersen")
     closed_walk_counts(g, 5)
-    monkeypatch.setattr(exact, "_power_sums", _no_walks)
+    monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     with pytest.raises(WorkBudgetError):
         closed_walk_counts(g, 200_000)
     with pytest.raises(ValueError):

@@ -63,8 +63,17 @@ def test_graph_refuses_non_int_vertex_counts_and_endpoints():
             with pytest.raises(ValueError, match="edge endpoints must be ints") as info:
                 Graph(3, frozenset({edge}), directed)
             assert str(info.value).endswith(f"got {edge!r}")
+    # an edge that is not a pair: no int to unpack, too many or too few values
+    for edge in (5, (0, 1, 2), (0,), None):
+        for directed in (False, True):
+            with pytest.raises(ValueError, match="an edge must be a pair of vertices") as info:
+                Graph(3, [edge], directed)
+            assert str(info.value).endswith(f"got {edge!r}")
     with pytest.raises(ValueError) as info:
         Graph(3, [("x" * 100_000, 1)])
+    assert len(str(info.value)) < 200
+    with pytest.raises(ValueError) as info:
+        Graph(3, [tuple(range(100_000))])
     assert len(str(info.value)) < 200
 
 

@@ -187,7 +187,7 @@ def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
         raise AssertionError("walks counted before the budget check")
 
     # the price is the walk generator's first step, ahead of the engine
-    monkeypatch.setattr(exact, "_power_sums", no_walks)
+    monkeypatch.setattr(exact, "_packed_walks", no_walks)
     # C_323: 162 * 323^2 * 4 = 67 605 192 > 2^26 operations (C_322 is admitted);
     # C_500: 250 * 500^2 * 4 = 2.5e8; C_401(1..100), d = 200: about 6.5e9
     for g in (cycle(323), cycle(500), circulant(401, tuple(range(1, 101)))):
