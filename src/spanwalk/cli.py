@@ -19,6 +19,7 @@ command (a JSON error document is still printed), 64 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -70,7 +71,10 @@ def _format_real(x: float) -> str:
 
 
 def _json(value: Any, indent: int = 0) -> str:
-    """Deterministic JSON: sorted keys, reals at 17 significant digits, null for inf and nan."""
+    """Deterministic JSON: sorted keys, reals at 17 significant digits, null for inf and nan.
+
+    A Fraction prints as its string, "p/q" or "p".
+    """
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if value is None:
@@ -81,8 +85,8 @@ def _json(value: Any, indent: int = 0) -> str:
         return str(value)
     if isinstance(value, float):
         return _format_real(value) if math.isfinite(value) else "null"
-    if isinstance(value, str):
-        return json.dumps(value)
+    if isinstance(value, (str, Fraction)):
+        return json.dumps(str(value))
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -99,13 +103,9 @@ def _json(value: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _rational(x: Fraction | float) -> Any:
-    if isinstance(x, Fraction):
-        return str(x)
-    return x
-
-
 def _add_graph_source(parser: argparse.ArgumentParser, directed_ok: bool = False) -> None:
+    """The input options of a command; the command's own parser reports _validate's usage errors."""
+    parser.set_defaults(parser=parser)
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--named", choices=families.NAMED_GRAPHS, help="bundled example graph")
     group.add_argument("--edge-list", metavar="PATH", help="path to an edge-list file")
@@ -204,21 +204,21 @@ def _shared_parser() -> _Parser:
     return build_parser()
 
 
-def _validate(args: argparse.Namespace, parser: _Parser) -> None:
+def _validate(args: argparse.Namespace) -> None:
     if getattr(args, "directed", False) and args.edge_list is None:
-        parser.error("--directed applies only to --edge-list")
+        args.parser.error("--directed applies only to --edge-list")
     if args.command == "series":
         if args.eval and args.max_k is None:
-            parser.error("--eval requires --max-k")
+            args.parser.error("--eval requires --max-k")
         if args.identify and args.max_k is not None:
-            parser.error("--max-k applies only to --eval")
+            args.parser.error("--max-k applies only to --eval")
     if args.command == "synchrony":
         if args.mode == "mc":
             if args.samples is None or args.seed is None:
-                parser.error("--mode mc requires --samples and --seed")
+                args.parser.error("--mode mc requires --samples and --seed")
         else:
             if args.samples is not None or args.seed is not None:
-                parser.error("--samples and --seed apply only to --mode mc")
+                args.parser.error("--samples and --seed apply only to --mode mc")
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -233,78 +233,63 @@ def _graph_summary(g: Graph) -> dict:
 
 
 def _bound_doc(report: bounds_mod.BoundReport) -> dict:
-    doc: dict[str, Any] = {
-        "name": report.name,
-        "target": report.target,
-        "preconditions_ok": report.preconditions_ok,
-        "reason": report.reason,
-        "parameters": dict(report.parameters),
+    """The report's fields; a failed bound's unset values are left out."""
+    return {
+        f.name: value
+        for f in dataclasses.fields(report)
+        if (value := getattr(report, f.name)) is not None
     }
-    if report.preconditions_ok:
-        doc["log_value"] = report.log_value
-        doc["linear_value"] = report.linear_value
-    return doc
 
 
-def _cmd_graph(args) -> str:
+def _cmd_graph(args) -> dict:
     g = _load_graph(args)
     if args.graph_command == "info":
-        return _json(_graph_summary(g)) + "\n"
-    return _json({"edge_list": to_edge_list_text(g)}) + "\n"
+        return _graph_summary(g)
+    return {"edge_list": to_edge_list_text(g)}
 
 
-def _cmd_complexity(args) -> str:
+def _cmd_complexity(args) -> dict:
     g = _load_graph(args)
-    return _json({"n": g.n, "spanning_trees": str(spanning_tree_count(g))}) + "\n"
+    return {"n": g.n, "spanning_trees": str(spanning_tree_count(g))}
 
 
-def _cmd_walks(args) -> str:
+def _cmd_walks(args) -> dict:
     g = _load_graph(args)
     table = closed_walk_counts(g, args.max_k)
-    return _json({"max_k": table.max_k, "counts": [str(w) for w in table.counts]}) + "\n"
+    return {"max_k": table.max_k, "counts": [str(w) for w in table.counts]}
 
 
-def _cmd_series(args) -> str:
+def _cmd_series(args) -> dict:
     g = _load_graph(args)
     if args.eval:
-        ev = series.evaluate_series(g, args.max_k)
-        doc = {
-            "n": ev.n,
-            "d": ev.d,
-            "base": ev.base,
-            "terms": list(ev.terms),
-            "partials": list(ev.partials),
-            "rounding_bound": ev.rounding_bound,
-        }
-        return _json(doc) + "\n"
+        return dataclasses.asdict(series.evaluate_series(g, args.max_k))
     report = series.identify_complexity_report(g)
-    doc = {
+    return {
         "t_complement": str(report.value),
         "terms_used": report.terms_used,
         "bracket_width": report.bracket_width,
         "precision_bits": report.precision_bits,
     }
-    return _json(doc) + "\n"
 
 
-def _cmd_bounds(args) -> str:
+def _cmd_bounds(args) -> dict | str:
     g = _load_graph(args)
     if args.bound == "prop1":
-        return _json(_bound_doc(bounds_mod.prop1_lower(g.n, require_regular(g)))) + "\n"
+        return _bound_doc(bounds_mod.prop1_lower(g.n, require_regular(g)))
     if args.bound == "prop2":
         d = require_regular(g)
-        return _json(_bound_doc(bounds_mod.prop2_lower(g.n, d, triangle_count(g)))) + "\n"
+        return _bound_doc(bounds_mod.prop2_lower(g.n, d, triangle_count(g)))
     if args.bound == "thm2":
-        return _json(_bound_doc(bounds_mod.thm2_lower(g, args.m))) + "\n"
+        return _bound_doc(bounds_mod.thm2_lower(g, args.m))
     lower, upper = bounds_mod.thm3_bounds(g, args.m, args.k)
     if args.format == "csv":
         low = _format_real(lower.linear_value) if lower.preconditions_ok else ""
         high = _format_real(upper.linear_value) if upper.preconditions_ok else ""
         return f"m,k,lower,upper\n{args.m},{args.k},{low},{high}\n"
-    return _json({"lower": _bound_doc(lower), "upper": _bound_doc(upper)}) + "\n"
+    return {"lower": _bound_doc(lower), "upper": _bound_doc(upper)}
 
 
-def _cmd_construct(args) -> str:
+def _cmd_construct(args) -> dict:
     if args.g_family is not None:
         k, l = args.g_family
         g = families.g_family(k, l)
@@ -317,10 +302,10 @@ def _cmd_construct(args) -> str:
     doc["origin"] = origin
     doc["edges"] = [[u, v] for u, v in sorted(g.edges)]
     doc["edge_list"] = to_edge_list_text(g)
-    return _json(doc) + "\n"
+    return doc
 
 
-def _cmd_synchrony(args) -> str:
+def _cmd_synchrony(args) -> dict | str:
     g = _load_graph(args)
     mode = "exhaustive" if args.mode == "exhaustive" else "monte-carlo"
     outcome = synchrony.measure_synchrony(
@@ -332,21 +317,10 @@ def _cmd_synchrony(args) -> str:
             lines.append(f"{index},{outcome.i_star_histogram[index]}")
         lines.append(f"inf,{outcome.non_synchronizing}")
         return "\n".join(lines) + "\n"
-    doc = {
-        "k": outcome.k,
-        "t": outcome.t,
-        "mode": outcome.mode,
-        "samples": outcome.samples,
-        "p_k": _rational(outcome.p_k),
-        "e_k": _rational(outcome.e_k),
-        "p_k_stderr": outcome.p_k_stderr,
-        "e_k_stderr": outcome.e_k_stderr,
-        "i_star_histogram": {str(i): c for i, c in outcome.i_star_histogram.items()},
-        "non_synchronizing": outcome.non_synchronizing,
-    }
-    return _json(doc) + "\n"
+    return dataclasses.asdict(outcome)
 
 
+# each handler returns its JSON document, which _run serializes, or CSV text
 _COMMANDS = {
     "graph": _cmd_graph,
     "complexity": _cmd_complexity,
@@ -384,11 +358,12 @@ def _run(argv: list[str], out) -> int:
     parser = _shared_parser()
     try:
         args = parser.parse_args(argv)
-        _validate(args, parser)
+        _validate(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = _COMMANDS[args.command](args)
+        doc = _COMMANDS[args.command](args)
+        text = doc if isinstance(doc, str) else _json(doc) + "\n"
     except ToolkitError as exc:
         code, message = exc.code, str(exc)
     except ValueError as exc:

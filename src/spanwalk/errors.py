@@ -7,10 +7,8 @@ kind without parsing message text.
 
 from __future__ import annotations
 
-
-def excerpt(text: str, width: int = 32) -> str:
-    """repr of text cut to its first width characters: an error message echoes input, never all of it."""
-    return repr(text[:width]) + ("..." if len(text) > width else "")
+import reprlib
+from itertools import islice
 
 
 def shown(x: int) -> int | str:
@@ -20,10 +18,47 @@ def shown(x: int) -> int | str:
     return f"{'under -' if x < 0 else 'over '}2^{x.bit_length() - 1}"
 
 
+class _Excerpt(reprlib.Repr):
+    """reprlib's limits on containers and strings, with every int passed through shown.
+
+    reprlib sorts a whole set or dict before it shows the first few items,
+    so only the first few past the limit, in iteration order, are passed on.
+    """
+
+    def repr_int(self, x: int, level: int) -> str:
+        return str(shown(x))
+
+    def repr_set(self, x: set, level: int) -> str:
+        return super().repr_set(set(islice(x, self.maxset + 1)), level)
+
+    def repr_frozenset(self, x: frozenset, level: int) -> str:
+        return super().repr_frozenset(frozenset(islice(x, self.maxfrozenset + 1)), level)
+
+    def repr_dict(self, x: dict, level: int) -> str:
+        return super().repr_dict(dict(islice(x.items(), self.maxdict + 1)), level)
+
+
+_EXCERPT = _Excerpt()
+
+
+def excerpt(x: object, width: int = 32) -> str:
+    """An error message's echo of any input, at a cost bounded whatever its size: never all of it.
+
+    A string is the repr of its first width characters.  Any other object is
+    its repr under reprlib's limits (the first few items of a container, an
+    int over 2^64 as shown prints it), cut to width characters.  "..." marks
+    a cut.
+    """
+    if isinstance(x, str):
+        return repr(x[:width]) + ("..." if len(x) > width else "")
+    text = _EXCERPT.repr(x)
+    return text[:width] + ("..." if len(text) > width else "")
+
+
 def require_type(name: str, x: object, kind: type = int) -> None:
     """ValueError unless type(x) is kind: a bool is no int, and a float equal to an int is refused."""
     if type(x) is not kind:
-        raise ValueError(f"{name} must be {'an' if kind is int else 'a'} {kind.__name__}, got {repr(x)[:32]}")
+        raise ValueError(f"{name} must be {'an' if kind is int else 'a'} {kind.__name__}, got {excerpt(x)}")
 
 
 class ToolkitError(Exception):

@@ -8,7 +8,7 @@ import random
 from operator import add, eq, mul
 from typing import Callable, Iterable
 
-from .errors import WorkBudgetError, require_type, shown
+from .errors import WorkBudgetError, excerpt, require_type, shown
 from .graph import Edge, Graph, _check_complement_price, _check_vertex_count, _rows, complement
 
 _MAX_PAIRING_WORK = 1 << 26  # most stub placements one random regular draw makes, over all its attempts
@@ -49,10 +49,9 @@ def named_graph(name: str) -> Graph:
     5, paper-h has exactly 3 triangles, and paper-bipartite is bipartite with
     parts {0..4} and {5..9}.
     """
-    try:
-        n, edges = _NAMED[name]
-    except KeyError:
-        raise ValueError(f"unknown graph name {name!r}; choose from {list(NAMED_GRAPHS)}") from None
+    if name not in NAMED_GRAPHS:  # compared by length first: a long name is never hashed
+        raise ValueError(f"unknown graph name {excerpt(name)}; choose from {list(NAMED_GRAPHS)}")
+    n, edges = _NAMED[name]
     return Graph(n, edges)
 
 

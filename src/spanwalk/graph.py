@@ -62,9 +62,9 @@ def _checked(n: int, edges: Iterable[Edge]) -> Iterator[Edge]:
         try:
             u, v = edge
         except (TypeError, ValueError):  # not iterable, or not two items
-            raise ValueError(f"an edge must be a pair of vertices, got {repr(edge)[:32]}") from None
+            raise ValueError(f"an edge must be a pair of vertices, got {excerpt(edge)}") from None
         if type(u) is not int or type(v) is not int:  # a bool, or a float equal to an int, is refused
-            raise ValueError(f"edge endpoints must be ints, got {repr((u, v))[:32]}")
+            raise ValueError(f"edge endpoints must be ints, got {excerpt((u, v))}")
         if u == v:
             raise ValueError(f"self-loop at vertex {shown(u)}")
         if not (0 <= u < n and 0 <= v < n):

@@ -137,12 +137,7 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
         raise ConvergenceDomainError(f"guaranteed convergence needs 2d < n; got n={n}, d={d}")
     counts = closed_walk_counts(g, max_k).counts if max_k >= 2 else ()
     partials = tuple(to_float(p, rnd=_RND) for p in _partial_sums(n, d, counts, max_k))
-    # series_term's one integer division per term, on a running power of n - d
-    terms = []
-    nd_k = n - d
-    for k, w_k in enumerate(counts[1:], start=2):
-        nd_k *= n - d
-        terms.append((w_k if k % 2 else -w_k) / (k * nd_k))
+    terms = [series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2)]
     mag = abs(partials[0])
     for term in terms:
         mag += abs(term)

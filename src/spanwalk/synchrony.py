@@ -27,7 +27,7 @@ from math import comb
 from operator import or_
 from typing import Callable, Iterable, Iterator
 
-from .errors import WorkBudgetError, require_type, shown
+from .errors import WorkBudgetError, excerpt, require_type, shown
 from .graph import Graph
 
 _MAX_SWEEP_WORK = 2**23  # most lane-int operations one sweep may cost: building its seeds, then its rounds
@@ -240,7 +240,7 @@ def measure_synchrony(
         # one stream per run; the seed is read mod 2^64, because Random(-s) == Random(s)
         blocks = _sampled_blocks(n, k, samples, per_block, random.Random(seed64 & 0xFFFFFFFFFFFFFFFF))
     else:
-        raise ValueError(f"unknown mode {mode!r}; use 'exhaustive' or 'monte-carlo'")
+        raise ValueError(f"unknown mode {excerpt(mode)}; use 'exhaustive' or 'monte-carlo'")
     histogram, stalled = _sweep(rounds, blocks)
     p_k = Fraction(total - stalled, total)
     e_k = sum((c * _contribution(i) for i, c in histogram.items()), Fraction(0)) / total

@@ -546,6 +546,22 @@ def test_usage_errors_exit_64():
         assert code == 64, argv
 
 
+def test_usage_errors_print_the_usage_of_the_command_typed(capsys):
+    # the cases above that only the command's own checks refuse, after argparse has parsed them
+    for argv, usage in (
+        (["series", "--eval", "--named", "petersen"], "usage: spanwalk series "),
+        (["series", "--identify", "--max-k", "4", "--named", "petersen"], "usage: spanwalk series "),
+        (["graph", "info", "--directed", "--named", "petersen"], "usage: spanwalk graph info "),
+        (["graph", "export", "--directed", "--graph6", "DhC"], "usage: spanwalk graph export "),
+        (["synchrony", "--named", "petersen", "--t", "1", "--k", "2", "--samples", "5"], "usage: spanwalk synchrony "),
+        (["synchrony", "--named", "petersen", "--t", "1", "--k", "2", "--mode", "mc"], "usage: spanwalk synchrony "),
+    ):
+        code, out = _run(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (64, ""), argv
+        assert err.startswith(usage), (argv, err)
+
+
 def test_reals_serialize_with_17_significant_digits():
     code, text = _run(["bounds", "thm2", "--named", "paper-h", "--m", "3"])
     assert code == 0
@@ -621,3 +637,48 @@ def _bounds_transcript() -> str:
 
 def test_bounds_documents_match_the_golden_transcript():
     assert _bounds_transcript() == (BOUNDS_GOLDEN / "transcript.txt").read_text()
+
+
+def _documents_transcript() -> str:
+    """Every other command's documents on fixed inputs, with exit codes.
+
+    The series, synchrony, walks, graph, construct and complexity documents,
+    JSON and CSV, on the bundled graphs, two graph6 strings and an edge list
+    stored beside the bounds transcript, read once as arcs.
+    """
+    rr = ["--edge-list", "rr-12-2-1.txt"]
+    commands = [
+        *(["series", "--eval", "--named", "petersen", "--max-k", str(k)] for k in (1, 6, 40)),
+        ["series", "--eval", "--named", "paper-h", "--max-k", "8"],
+        ["series", "--eval", "--graph6", "C~", "--max-k", "4"],
+        ["series", "--identify", "--named", "petersen"],
+    ]
+    for sweep in (
+        ["--named", "petersen", "--t", "1", "--k", "1"],
+        ["--named", "paper-bipartite", "--t", "2", "--k", "3"],
+        ["--graph6", "C~", "--t", "1", "--k", "2", "--mode", "mc", "--samples", "200", "--seed", "11"],
+        ["--named", "petersen", "--t", "2", "--k", "3", "--mode", "mc", "--samples", "500", "--seed", "7"],
+    ):
+        for fmt in ("json", "csv"):
+            commands.append(["synchrony", *sweep, "--format", fmt])
+    commands += [
+        ["walks", "--named", "paper-bipartite", "--max-k", "6"],
+        ["walks", "--named", "petersen", "--complement", "--max-k", "4"],
+        ["graph", "info", "--named", "paper-h"],
+        ["graph", "info", "--directed", *rr],
+        ["graph", "export", "--graph6", "DhC"],
+        ["graph", "export", "--directed", *rr],
+        ["construct", "--g-family", "3", "1"],
+        ["construct", "--random", "12", "3", "5"],
+        ["complexity", "--named", "petersen", "--complement"],
+    ]
+    parts = []
+    for command in commands:
+        located = [str(BOUNDS_GOLDEN / a) if a.endswith(".txt") else a for a in command]
+        code, text = _run(located)
+        parts.append(f"$ spanwalk {' '.join(command)}\nexit {code}\n{text}")
+    return "".join(parts)
+
+
+def test_other_documents_match_the_golden_transcript():
+    assert _documents_transcript() == (BOUNDS_GOLDEN / "documents.txt").read_text()

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import io
 import json
+import time
 from collections import OrderedDict
 
 import pytest
@@ -52,6 +53,7 @@ from spanwalk import (
 )
 from spanwalk import exact, series
 from spanwalk.cli import run
+from spanwalk.errors import require_type
 from oracles import direct_laplacian_traces, path
 
 DIRECTED = {
@@ -270,6 +272,29 @@ def test_non_int_parameters_raise_a_value_error_naming_them(name):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+def test_refusals_echo_a_bounded_excerpt_of_any_input():
+    # a full repr of these would exceed the int digit limit, take most of a second, or run to 10^7 characters;
+    # reprlib alone would sort all of the set's 2*10^5 strings before it showed the first few
+    ones, long_text, names = [1] * 10**7, "x" * 10**7, set(map(str, range(2 * 10**5)))
+    cases = {
+        "an int edge": (lambda: Graph(3, [10**5000]), "an edge must be a pair of vertices, got over 2^16609"),
+        "an int in a list": (lambda: require_type("k", [10**5000]), "k must be an int, got [over 2^16609]"),
+        "a long list seed": (lambda: random_regular(10, 3, ones), "seed must be an int, got [1, 1, 1"),
+        "a long list endpoint": (lambda: Graph(3, [(1.5, ones)]), "edge endpoints must be ints, got (1.5, [1, 1"),
+        "a large set edge": (lambda: Graph(3, [names]), "an edge must be a pair of vertices, got {'"),
+        "a long graph name": (lambda: named_graph(long_text), "unknown graph name 'xxx"),
+        "a long mode": (lambda: measure_synchrony(Graph(3), 1, 1, mode=long_text), "unknown mode 'xxx"),
+    }
+    for label, (call, start) in cases.items():
+        began = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            call()
+        elapsed = time.perf_counter() - began
+        message = str(info.value)
+        assert message.startswith(start), (label, message[:200])
+        assert elapsed < 0.05 and len(message) < 200, (label, elapsed, len(message))
 
 
 @pytest.mark.parametrize("extra", [{"samples": True, "seed64": "x"}, {"samples": 10}, {"seed64": 1}], ids=repr)
