@@ -15,7 +15,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import ExactInvariantError, WorkBudgetError, require_type, shown
-from .graph import Adjacency, Graph, _complement_rows, is_connected
+from .graph import Adjacency, Graph, _complement_rows, _two_colouring, is_connected
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -254,6 +254,14 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
         yield p
 
 
+def _table_price(n: int, arcs: int, count: int) -> int:
+    """check_table_price's formula: `count` power sums of a matrix with `arcs` entries on n rows."""
+    price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
+    if count > n:
+        price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
+    return price
+
+
 def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     """The price of `count` power sums of M = A + diag(c) with these rows and loops.
 
@@ -263,14 +271,16 @@ def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     The matrix's entries are counted here, the row lengths plus the loop
     multiplicities: 2|E| for g's adjacency, nD for
     B = DI - L(g) = A + diag(D - deg), D the largest degree.  The price is
-    counted in integer operations from integers alone.  With `arcs` entries
-    on n rows, orders up to n are priced as ceil(min(count, n)/2) matrix
-    products of n(arcs + 2n) operations, n^2 (d+2) for a d-regular graph.
-    Past order n each order adds the size of its integers: walk counts,
-    Laplacian traces and the series denominators k(n-d)^k at order k all
-    stay below (2n)^k up to a factor n, about k bit_length(2n) bits.
-    Raises WorkBudgetError, before any work, when the price exceeds
-    _MAX_WALK_WORK.
+    counted in integer operations from integers alone (_table_price).  With
+    `arcs` entries on n rows, orders up to n are priced as
+    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
+    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
+    of its integers: walk counts, Laplacian traces and the series
+    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor
+    n, about k bit_length(2n) bits.  Raises WorkBudgetError, before any
+    work, when the price exceeds _MAX_WALK_WORK.  This is the matrix's own
+    price even when _power_sum_table counts a bipartite adjacency by its
+    cheaper half-size matrix, so that choice moves no refusal.
 
     The first term is the cost of the list-of-lists Frobenius loop that
     counted two orders per product; the packed-row engine that replaced it
@@ -278,16 +288,55 @@ def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     probed, so the old price still bounds the engine's time.
     """
     n = len(rows)
-    arcs = sum(map(len, rows)) + sum(c for _, c in loops)
-    price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
-    if count > n:
-        price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
+    price = _table_price(n, sum(map(len, rows)) + sum(c for _, c in loops), count)
     if price > _MAX_WALK_WORK:
         raise WorkBudgetError(
             f"{shown(count)} power sums of a graph on {n} vertices are priced at {shown(price)} "
             f"integer operations; the budget is {_MAX_WALK_WORK}"
         )
     return price
+
+
+def _half_matrix(rows: Adjacency, orders: int) -> tuple[Adjacency, _Loops] | None:
+    """M = BB^T on one colour class of a 2-colourable adjacency A, when it is cheaper to count than A.
+
+    With the colour classes X and Y first, A = [[0, B], [B^T, 0]], so
+    tr A^(2k) = 2 tr (BB^T)^k and every odd trace is 0.  The row of M at
+    v in X holds the walks v - l - j to every other j in X, a repeated j
+    once per walk, and its loop is deg v.  Three candidates are priced by
+    _table_price from integers alone: A's `orders` sums on n rows with 2|E|
+    entries, and for each class X, M's floor(orders/2) sums on |X| rows with
+    |E| + sum over l outside X of deg l (deg l - 1) entries.  None when A
+    has an odd cycle or is the cheapest, a tie included.
+    """
+    colour = _two_colouring(rows)
+    if colour is None:
+        return None
+    degrees = list(map(len, rows))
+    edges = sum(degrees) // 2
+    best, side = _table_price(len(rows), 2 * edges, orders), None
+    for c in (0, 1):
+        entries = edges + sum(d * (d - 1) for d, other in zip(degrees, colour) if other != c)
+        price = _table_price(colour.count(c), entries, orders // 2)
+        if price < best:
+            best, side = price, c
+    if side is None:
+        return None
+    members = [v for v, c in enumerate(colour) if c == side]
+    idx = {v: i for i, v in enumerate(members)}
+    half = tuple(tuple(sorted(idx[j] for l in rows[v] for j in rows[l] if j != v)) for v in members)
+    return half, tuple((idx[v], degrees[v]) for v in members if degrees[v])
+
+
+def _bipartite_sums(half: Adjacency, loops: _Loops, orders: int) -> tuple[int, ...]:
+    """p_1..p_orders of a bipartite A from its half matrix M (_half_matrix): p_2k = 2 tr M^k, odd p_k = 0.
+
+    M's sums past its own order continue by its recurrence (_power_sums_past).
+    """
+    sums = tuple(islice(_packed_walks(half, loops), orders // 2))
+    if len(sums) < orders // 2:  # all |X| sums of M are counted
+        sums += tuple(islice(_power_sums_past(list(sums)), orders // 2 - len(sums)))
+    return tuple(0 if k % 2 else 2 * sums[k // 2 - 1] for k in range(1, orders + 1))
 
 
 def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
@@ -318,12 +367,23 @@ def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, .
     asked for; a prefix of at least n sums is extended past n by the
     recurrence (_power_sums_past).  A prefix is stored only once it is
     whole, so a count that is interrupted caches nothing.
+
+    Two phases count a miss, chosen by price from integers alone.  A
+    loop-free 2-colourable adjacency A may be counted as its half matrix
+    M = BB^T on one colour class (_half_matrix), floor(min(count, n)/2)
+    orders of |X| rows, when that is priced below A's own orders; its
+    sums give A's (_bipartite_sums).  The engine is started once either
+    way, and the refusal, the cache key and the stored prefix stay A's.
     """
     check_table_price(rows, loops, count)
     key, n = (rows, loops), len(rows)
     sums = _walk_cache.get(key, ())
     if len(sums) < min(count, n):
-        sums = tuple(islice(_packed_walks(rows, loops), count))
+        half = None if loops else _half_matrix(rows, min(count, n))
+        if half is None:
+            sums = tuple(islice(_packed_walks(rows, loops), count))
+        else:
+            sums = _bipartite_sums(*half, min(count, n))
     if len(sums) < count:
         sums = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
     _walk_cache[key] = sums

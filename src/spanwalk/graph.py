@@ -273,11 +273,10 @@ def require_regular(g: Graph) -> int:
     return d
 
 
-def _depths(g: Graph) -> list[int]:
-    """Breadth-first depth of each vertex from the least vertex of its component; undirected g only."""
-    nbrs = g.adjacency()
-    depth = [-1] * g.n
-    for root in range(g.n):
+def _depths(nbrs: Adjacency) -> list[int]:
+    """Breadth-first depth of each vertex from the least vertex of its component, over undirected rows."""
+    depth = [-1] * len(nbrs)
+    for root in range(len(nbrs)):
         if depth[root] < 0:
             depth[root] = 0
             if not nbrs[root]:
@@ -292,19 +291,27 @@ def _depths(g: Graph) -> list[int]:
     return depth
 
 
-def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
-    """The even-depth and odd-depth vertices of _depths, or None if an odd cycle exists.
+def _two_colouring(nbrs: Adjacency) -> list[int] | None:
+    """The parity of each vertex's depth in _depths, or None if an odd cycle exists.
 
     Depths across an edge differ by at most one, so an edge between equal
-    depths closes an odd cycle; otherwise every edge joins the two sides.
+    depths closes an odd cycle; otherwise every edge joins the two colours.
     """
-    depth = _depths(g)
-    if any(depth[u] == d for d, s in zip(depth, g.in_adjacency) for u in s):
+    depth = _depths(nbrs)
+    if any(depth[u] == d for d, s in zip(depth, nbrs) for u in s):
         return None
-    even = frozenset(v for v, d in enumerate(depth) if not d & 1)
-    return even, frozenset(v for v, d in enumerate(depth) if d & 1)
+    return [d & 1 for d in depth]
+
+
+def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
+    """The even-depth and odd-depth vertices of _depths, or None if an odd cycle exists (_two_colouring)."""
+    colour = _two_colouring(g.adjacency())
+    if colour is None:
+        return None
+    even = frozenset(v for v, c in enumerate(colour) if not c)
+    return even, frozenset(v for v, c in enumerate(colour) if c)
 
 
 def is_connected(g: Graph) -> bool:
     """True when g has one component: exactly one vertex has depth 0 in _depths."""
-    return _depths(g).count(0) == 1
+    return _depths(g.adjacency()).count(0) == 1

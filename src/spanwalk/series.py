@@ -61,8 +61,13 @@ def series_term(n: int, d: int, w_k: int, k: int) -> float:
         raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if w_k < 0:
         raise ValueError("walk counts are nonnegative")
+    return _term(w_k, k, k * (n - d) ** k)
+
+
+def _term(w_k: int, k: int, denominator: int) -> float:
+    """(-1)^(k-1) w_k / denominator by one integer true division; past the float range the signed infinity."""
     try:
-        return (w_k if k % 2 else -w_k) / (k * (n - d) ** k)
+        return (w_k if k % 2 else -w_k) / denominator
     except OverflowError:  # w_k > 0 here
         return inf if k % 2 else -inf
 
@@ -137,10 +142,13 @@ def evaluate_series(g: Graph, max_k: int) -> SeriesEvaluation:
         raise ConvergenceDomainError(f"guaranteed convergence needs 2d < n; got n={n}, d={d}")
     counts = closed_walk_counts(g, max_k).counts if max_k >= 2 else ()
     partials = tuple(to_float(p, rnd=_RND) for p in _partial_sums(n, d, counts, max_k))
-    terms = [series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2)]
+    terms = []
     mag = abs(partials[0])
-    for term in terms:
-        mag += abs(term)
+    power = n - d  # (n-d)^k, carried from order to order
+    for k, w_k in enumerate(counts[1:], start=2):
+        power *= n - d
+        terms.append(_term(w_k, k, k * power))  # series_term's float, with no power taken afresh
+        mag += abs(terms[-1])
     return SeriesEvaluation(
         n=n,
         d=d,
@@ -183,8 +191,11 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     table as every walk table: the generator prices them at its first
     value, ceil(n/2) n^2 (d+2) integer operations, and raises
     WorkBudgetError, before any walk is counted, when that is over the walk
-    engine's limit: C_322 is admitted, C_323 refused.  Once counted, they
-    serve later tables of the same labelled graph from the walk cache.
+    engine's limit: C_322 is admitted, C_323 refused.  On a bipartite g
+    whose half matrix BB^T is priced below A, the engine counts floor(n/2)
+    orders of BB^T on one colour class instead, w_2k = 2 tr (BB^T)^k and
+    the odd w_k 0, under A's price, so no refusal moves.  Once counted,
+    they serve later tables of the same labelled graph from the walk cache.
     """
     n, d = g.n, require_regular(g)
     det = 0

@@ -462,8 +462,15 @@ def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_eng
         # past n only L's own recurrence runs
         key = (g.adjacency(), _loops(g))
         assert exact._walk_cache[key] == tuple(dense_loop_padded_traces(g, g.n)), g
-    # each table is counted once, as B with its loops, never as g's walks
-    assert counted_engine == [(g.adjacency(), _loops(g)) for g in graphs]
+    # each table is counted once, as B with its loops, never as g's walks.  Two graphs are
+    # regular, so their B is A, loop-free and bipartite, and is counted as a half matrix
+    # M = BB^T (exact._half_matrix): K_2 = star(2) as the 1 x 1 matrix (1) on colour 0, no
+    # row entries and one loop; gnp(3, 0.35, 1303), edgeless, as the empty matrix on colour 1
+    assert gnp(3, 0.35, 1303).size == 0
+    want = [(g.adjacency(), _loops(g)) for g in graphs]
+    want[graphs.index(star(2))] = (((),), ((0, 1),))
+    want[graphs.index(gnp(3, 0.35, 1303))] = ((), ())
+    assert counted_engine == want
 
 
 def test_laplacian_traces_of_the_largest_admitted_star_take_its_closed_form(monkeypatch):
@@ -585,7 +592,11 @@ def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
     assert len(exact._walk_cache) == cap
     recent = [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
     assert list(exact._walk_cache) == [(g.adjacency(), ()) for g in recent]  # keyed by the matrix counted
-    assert counted_engine == [(g.adjacency(), ()) for g in graphs]  # the hit started no count
+    # the hit started no count.  An even cycle C_2m is counted as its half matrix M = BB^T
+    # on the even vertices (exact._half_matrix): C_m's rows, each vertex with a loop of 2
+    half = {2 * m: (cycle(m).adjacency(), tuple((i, 2) for i in range(m))) for m in range(3, 8)}
+    assert half[6] == (((1, 2), (0, 2), (0, 1)), ((0, 2), (1, 2), (2, 2)))
+    assert counted_engine == [half.get(g.n, (g.adjacency(), ())) for g in graphs]
 
 
 def test_walk_cache_is_keyed_on_labels(counted_engine):
@@ -619,3 +630,100 @@ def test_bound_tables_share_one_walk_prefix(monkeypatch, counted_engine):
     assert (thm3_bounds(g, 3, 4), thm2_lower(g, 6), triangle_count(g), evaluate_series(g, 8)) == want
     assert laplacian_traces(g, 30).traces == tuple(direct_laplacian_traces(g, 30))
     assert list(exact._walk_cache) == [(g.adjacency(), ())]  # B = DI - L of a regular graph has no loops
+
+
+def _random_bipartite(a: int, b: int, p: float, seed: int) -> Graph:
+    """Each pair of left vertex in 0..a-1 and right vertex in a..a+b-1 an edge with probability p."""
+    rng = random.Random(seed)
+    return Graph(a + b, frozenset((u, a + v) for u in range(a) for v in range(b) if rng.random() < p))
+
+
+_BIPARTITE_CASES = {
+    "single vertex": Graph(1),
+    "edgeless": Graph(5),
+    "K_2": star(2),
+    "star": star(9),
+    "unbalanced complete": complete_bipartite(2, 7),
+    "complete, half matrix at order n": complete_bipartite(8, 8),
+    "even cycle": cycle(12),
+    "path": path(7),
+    "regular circulant": circulant(20, (1, 3)),
+    "random regular": random_regular_bipartite(20, 3, seed=5),
+    "random regular, relabelled": _relabelled(random_regular_bipartite(20, 3, seed=5), 1),
+    "irregular": _random_bipartite(6, 9, 0.4, 31),
+    "irregular, relabelled": _relabelled(_random_bipartite(6, 9, 0.4, 31), 2),
+    "disconnected, isolated vertices": Graph(11, frozenset({(0, 1), (1, 2), (4, 5), (5, 6), (6, 7), (7, 4)})),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BIPARTITE_CASES))
+def test_bipartite_tables_from_the_half_matrix_match_the_packed_adjacency_and_dense_powers(
+    name, counted_engine
+):
+    # three oracles of one another: A's own packed count, dense powers of A, and the
+    # half matrix M = BB^T that the door counts instead (p_2k = 2 tr M^k, odd p_k = 0)
+    g = _BIPARTITE_CASES[name]
+    rows, n = g.adjacency(), g.n
+    dense = dense_closed_walks(g, 2 * n + 3)
+    assert list(exact._packed_walks(rows, ())) == dense[:n]
+    assert exact._half_matrix(rows, n) is not None  # the price takes M at order n
+    for count in (1, 2, 3, n, n + 1, 2 * n + 3):  # below, at and past n
+        exact._walk_cache.clear()
+        counted_engine.clear()
+        half = exact._half_matrix(rows, min(count, n))
+        if half is not None:
+            assert exact._bipartite_sums(*half, min(count, n)) == tuple(dense[: min(count, n)])
+            counted_engine.clear()
+        assert exact._power_sum_table(rows, (), count) == tuple(dense[:count]), count
+        # one engine start per table, on the matrix the price chose; a repeat is a hit
+        assert counted_engine == [half or (rows, ())], count
+        assert exact._power_sum_table(rows, (), count) == tuple(dense[:count])
+        assert len(counted_engine) == 1
+        # the cache key and the stored prefix are A's
+        assert list(exact._walk_cache) == [(rows, ())]
+
+
+def test_half_matrix_rows_repeat_a_vertex_once_per_walk_and_loop_on_degrees():
+    # the path 0 - 1 - ... - 5: both classes price alike and colour 0, {0, 2, 4}, wins the
+    # tie; M = BB^T joins 0 - 2 and 2 - 4, one walk each, and its loops are the degrees
+    assert exact._half_matrix(path(6).adjacency(), 6) == (((1,), (0, 2), (1,)), ((0, 1), (1, 2), (2, 2)))
+    # on path(5) colour 1, {1, 3}, has fewer walks of length two and is counted
+    assert exact._half_matrix(path(5).adjacency(), 5) == (((1,), (0,)), ((0, 2), (1, 2)))
+    # C_4: each even vertex reaches the other by two walks, through 1 and through 3
+    assert exact._half_matrix(cycle(4).adjacency(), 4) == (((1, 1), (0, 0)), ((0, 2), (1, 2)))
+    # the star's one centre is the cheaper class: a 1 x 1 matrix holding the degree
+    assert exact._half_matrix(star(9).adjacency(), 9) == (((),), ((0, 8),))
+    # the isolated vertex 4 shares colour 0 with the centre: an empty row and no loop
+    claw = Graph(5, frozenset({(0, 1), (0, 2), (0, 3)}))
+    assert exact._half_matrix(claw.adjacency(), 5) == (((), ()), ((0, 3),))
+    # odd cycles have no half matrix
+    assert exact._half_matrix(cycle(9).adjacency(), 9) is None
+
+
+@pytest.mark.parametrize("a, b", [(9, 9), (11, 13)])
+def test_dense_complete_bipartite_tables_keep_the_adjacency(a, b, counted_engine):
+    # M's rows hold every walk of length two: on K_(a,b) with large sides that is more to
+    # count than A itself, so the price keeps A (K_8,8 is the largest K_(a,a) counted as M)
+    g = complete_bipartite(a, b)
+    rows, n = g.adjacency(), g.n
+    assert exact._half_matrix(rows, n) is None
+    assert closed_walk_counts(g, n).counts == tuple(dense_closed_walks(g, n))
+    assert counted_engine == [(rows, ())]
+
+
+def test_k30_30_keeps_the_adjacency_by_its_price():
+    # A's 60 orders on 60 rows of 1800 entries against M's 30 orders on 30 rows of
+    # |E| + 30 * 30 * 29 entries, either side
+    assert exact._half_matrix(complete_bipartite(30, 30).adjacency(), 60) is None
+    assert exact._table_price(60, 2 * 900, 60) == 3_456_000
+    assert exact._table_price(30, 900 + 30 * 30 * 29, 30) == 12_177_000
+
+
+def test_identification_counts_a_bipartite_rung_on_its_half_matrix(counted_engine):
+    # C_40(1, 3) is 4-regular and bipartite: its n walk orders are n/2 orders of M on the
+    # 20 even vertices, and Newton's identities still give elimination's count
+    g = circulant(40, (1, 3))
+    assert identify_complexity(g) == spanning_tree_count(complement(g))
+    [(half, loops)] = counted_engine
+    assert len(half) == 20 and loops == tuple((i, 4) for i in range(20))
+    assert all(len(row) == 12 for row in half)  # 16 walks of length two, 4 of them back to v

@@ -141,6 +141,17 @@ def test_evaluate_series_terms_are_series_term():
     assert evaluation.terms == tuple(series_term(62, 30, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
 
 
+@pytest.mark.parametrize("g, max_k", [(named_graph("petersen"), 5180), (cycle(62), 4363)])
+def test_evaluate_series_terms_are_series_term_on_the_longest_admitted_tables(g, max_k):
+    # each term divides by k (n-d)^k with (n-d)^k carried from the order before; the floats
+    # are series_term's, which raises n - d to each power afresh
+    n, d = g.n, regular_degree(g)
+    terms = evaluate_series(g, max_k).terms
+    counts = closed_walk_counts(g, max_k).counts
+    assert len(terms) == max_k - 1
+    assert terms == tuple(series_term(n, d, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
+
+
 def test_series_domain_errors():
     with pytest.raises(ConvergenceDomainError):
         evaluate_series(cycle(4), 4)  # 2d = n

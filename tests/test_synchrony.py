@@ -501,7 +501,7 @@ def test_breadth_bound_covers_every_round_at_t1(monkeypatch):
 
     monkeypatch.setattr(synchrony, "_round", counted)
     for g in graphs:
-        most = 2 * max(_depths(g)) + 1
+        most = 2 * max(_depths(g.adjacency())) + 1
         seeds = [[v] for v in range(g.n)] + [[0, g.n - 1], list(range(0, g.n, 3))]
         for seed in seeds:
             rounds.append(0)
@@ -517,7 +517,7 @@ def test_sparse_graphs_at_t1_are_priced_by_breadth():
     # |live| + 1 = 2001 rounds of 8000 would refuse one seed; a breadth-first
     # search bounds them by twice its depth, and the real rounds are fewer still
     g = random_regular(2000, 3, 1)
-    assert 2 * max(_depths(g)) < 40
+    assert 2 * max(_depths(g.adjacency())) < 40
     start = time.perf_counter()
     assert measure_synchrony(g, t=1, k=1, mode="monte-carlo", samples=3000, seed64=1).p_k == 1.0
     assert measure_synchrony(g, t=1, k=1).p_k == 1
