@@ -10,7 +10,6 @@ from collections import OrderedDict, deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import compress, islice
-from math import comb
 from operator import mul
 from typing import Iterator
 
@@ -280,7 +279,8 @@ def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     n, about k bit_length(2n) bits.  Raises WorkBudgetError, before any
     work, when the price exceeds _MAX_WALK_WORK.  This is the matrix's own
     price even when _power_sum_table counts a bipartite adjacency by its
-    cheaper half-size matrix, so that choice moves no refusal.
+    cheaper half-size matrix M, and even when M is counted less its common
+    diagonal (_bipartite_sums), so neither moves a refusal.
 
     The first term is the cost of the list-of-lists Frobenius loop that
     counted two orders per product; the packed-row engine that replaced it
@@ -331,12 +331,39 @@ def _half_matrix(rows: Adjacency, orders: int) -> tuple[Adjacency, _Loops] | Non
 def _bipartite_sums(half: Adjacency, loops: _Loops, orders: int) -> tuple[int, ...]:
     """p_1..p_orders of a bipartite A from its half matrix M (_half_matrix): p_2k = 2 tr M^k, odd p_k = 0.
 
-    M's sums past its own order continue by its recurrence (_power_sums_past).
+    M's common diagonal is split off first: M = delta I + M', delta the
+    smallest loop over all |X| rows, or 0 when some row has none.  The
+    packed engine counts M', the same rows with loops deg v - delta (none
+    at 0), so a regular bipartite graph's M' has no loops and its entries
+    fit slots sized by (d^2 - d)^k, not (d^2)^k.  The sums of M' past |X|
+    continue by its recurrence (_power_sums_past), and M's follow by the
+    binomial shift (_shifted_sums).  The price is still A's, which counts M.
     """
-    sums = tuple(islice(_packed_walks(half, loops), orders // 2))
-    if len(sums) < orders // 2:  # all |X| sums of M are counted
-        sums += tuple(islice(_power_sums_past(list(sums)), orders // 2 - len(sums)))
+    count = orders // 2
+    delta = min((c for _, c in loops), default=0) if len(loops) == len(half) else 0
+    residual = tuple((v, c - delta) for v, c in loops if c > delta)
+    sums = list(islice(_packed_walks(half, residual), count))
+    if len(sums) < count:  # all |X| sums of M' are counted
+        sums += islice(_power_sums_past(sums[:]), count - len(sums))
+    sums = _shifted_sums(delta, [len(half), *sums])
     return tuple(0 if k % 2 else 2 * sums[k // 2 - 1] for k in range(1, orders + 1))
+
+
+def _shifted_sums(delta: int, sums: list[int]) -> list[int]:
+    """p_1..p_m of delta I + X from p_0..p_m of a square matrix X, p_0 its order.
+
+    By the binomial theorem p_k(delta I + X) = sum_j C(k, j) delta^(k-j)
+    p_j(X), delta I commuting with X.  The coefficients are built
+    incrementally, by Pascal's rule: row i holds tr((delta I + X)^i X^j)
+    for j = 0..m-i, row i + 1 is delta * row[j] + row[j + 1], and
+    p_i(delta I + X) is row i's first entry.  That is m(m+1)/2 small
+    multiples and additions, with no product of two big integers.
+    """
+    shifted = []
+    for _ in range(len(sums) - 1):
+        sums = [delta * a + b for a, b in zip(sums, sums[1:])]
+        shifted.append(sums[0])
+    return shifted
 
 
 def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
@@ -371,9 +398,11 @@ def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, .
     Two phases count a miss, chosen by price from integers alone.  A
     loop-free 2-colourable adjacency A may be counted as its half matrix
     M = BB^T on one colour class (_half_matrix), floor(min(count, n)/2)
-    orders of |X| rows, when that is priced below A's own orders; its
-    sums give A's (_bipartite_sums).  The engine is started once either
-    way, and the refusal, the cache key and the stored prefix stay A's.
+    orders of |X| rows, when that is priced below A's own orders; the
+    engine counts M less its common diagonal, and the shifted sums give
+    A's (_bipartite_sums).  The engine is started once either way, and the
+    refusal, the choice's prices (which count M with its diagonal), the
+    cache key and the stored prefix stay A's.
     """
     check_table_price(rows, loops, count)
     key, n = (rows, loops), len(rows)
@@ -443,15 +472,17 @@ class LaplacianTraceTable:
 def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     """Traces tr(L^r) for r = 1..max_r of an undirected graph.
 
-    Powers up to n expand L = DI - B binomially over the traces of
-    B = DI - L = A + diag(D - deg), D the largest degree: the adjacency of
-    the D-regular multigraph made of g and D - deg(v) loops at each v, kept
-    as a diagonal beside g's own rows (_power_sum_table).  B is nonnegative
-    with every row summing to D, so the walk engine counts it in the slots
-    of g's own walks; on a regular graph it has no loops and is A.  All
-    max_r orders are priced by B's nD entries, but only the first
-    min(max_r, n) traces of B are counted and cached: powers of L past n
-    continue from L's first n traces by the Cayley-Hamilton recurrence of L.
+    Powers up to n expand L = DI + (-B) binomially over the traces of -B,
+    (-1)^i tr(B^i), by the shift that _bipartite_sums also uses
+    (_shifted_sums).  B = DI - L = A + diag(D - deg), D the largest degree,
+    is the adjacency of the D-regular multigraph made of g and D - deg(v)
+    loops at each v, kept as a diagonal beside g's own rows
+    (_power_sum_table).  B is nonnegative with every row summing to D, so the
+    walk engine counts it in the slots of g's own walks; on a regular graph
+    it has no loops and is A.  All max_r orders are priced by B's nD entries,
+    but only the first min(max_r, n) traces of B are counted and cached:
+    powers of L past n continue from L's first n traces by the
+    Cayley-Hamilton recurrence of L.
     """
     require_type("max_r", max_r)
     if max_r < 1:
@@ -460,11 +491,8 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     delta = max(map(len, nbrs))
     loops = tuple((v, delta - len(s)) for v, s in enumerate(nbrs) if len(s) < delta)
     check_table_price(nbrs, loops, max_r)
-    sums = (g.n,) + _power_sum_table(nbrs, loops, min(max_r, g.n))  # tr(B^0) = n
-    traces = [
-        sum((-1) ** i * comb(r, i) * delta ** (r - i) * sums[i] for i in range(r + 1))
-        for r in range(1, min(max_r, g.n) + 1)
-    ]
+    sums = _power_sum_table(nbrs, loops, min(max_r, g.n))
+    traces = _shifted_sums(delta, [g.n, *(-p if k % 2 else p for k, p in enumerate(sums, 1))])
     if max_r > g.n:
         traces += islice(_power_sums_past(traces[:]), max_r - g.n)
     return LaplacianTraceTable(traces=tuple(traces))

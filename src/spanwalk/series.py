@@ -192,9 +192,11 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
     value, ceil(n/2) n^2 (d+2) integer operations, and raises
     WorkBudgetError, before any walk is counted, when that is over the walk
     engine's limit: C_322 is admitted, C_323 refused.  On a bipartite g
-    whose half matrix BB^T is priced below A, the engine counts floor(n/2)
-    orders of BB^T on one colour class instead, w_2k = 2 tr (BB^T)^k and
-    the odd w_k 0, under A's price, so no refusal moves.  Once counted,
+    whose half matrix M = BB^T is priced below A, the engine counts
+    floor(n/2) orders on one colour class instead: M less its common
+    diagonal delta I (on a d-regular g, all of it, delta = d), shifted back
+    binomially, gives w_2k = 2 tr M^k, and the odd w_k are 0.  That is
+    under A's price, so no refusal moves.  Once counted,
     they serve later tables of the same labelled graph from the walk cache.
     """
     n, d = g.n, require_regular(g)

@@ -48,7 +48,7 @@ def dfs_closed_walks(g: Graph, k: int) -> int:
     return sum(extend(v, v, k) for v in range(g.n))
 
 
-def _dense_power_traces(matrix: list[list[int]], max_k: int) -> list[int]:
+def dense_power_traces(matrix: list[list[int]], max_k: int) -> list[int]:
     """tr(M^1), ..., tr(M^max_k) by repeated dense matrix products."""
     n = len(matrix)
     power = [row[:] for row in matrix]
@@ -68,7 +68,7 @@ def _dense_adjacency(g: Graph) -> list[list[int]]:
 
 def dense_closed_walks(g: Graph, max_k: int) -> list[int]:
     """w_1..w_max_k as traces of dense adjacency powers."""
-    return _dense_power_traces(_dense_adjacency(g), max_k)
+    return dense_power_traces(_dense_adjacency(g), max_k)
 
 
 def dense_loop_padded_traces(g: Graph, max_k: int) -> list[int]:
@@ -76,7 +76,7 @@ def dense_loop_padded_traces(g: Graph, max_k: int) -> list[int]:
     adj = _dense_adjacency(g)
     delta = max(map(sum, adj))
     pad = [[row[v] + (delta - sum(row) if u == v else 0) for v in range(g.n)] for u, row in enumerate(adj)]
-    return _dense_power_traces(pad, max_k)
+    return dense_power_traces(pad, max_k)
 
 
 def frobenius_walks(g: Graph) -> list[int]:
@@ -107,7 +107,7 @@ def direct_laplacian_traces(g: Graph, max_r: int) -> list[int]:
     """tr(L^1)..tr(L^max_r) as traces of dense Laplacian powers."""
     adj = _dense_adjacency(g)
     lap = [[sum(row) if u == v else -row[v] for v in range(g.n)] for u, row in enumerate(adj)]
-    return _dense_power_traces(lap, max_r)
+    return dense_power_traces(lap, max_r)
 
 
 def brute_force_triangles(g: Graph) -> int:

@@ -41,6 +41,7 @@ from oracles import (
     deletion_contraction_tree_count,
     dense_bareiss_determinant,
     dense_closed_walks,
+    dense_power_traces,
     dfs_closed_walks,
     direct_laplacian_traces,
     frobenius_walks,
@@ -464,11 +465,12 @@ def test_laplacian_traces_of_irregular_graphs_match_the_dense_oracle(counted_eng
         assert exact._walk_cache[key] == tuple(dense_loop_padded_traces(g, g.n)), g
     # each table is counted once, as B with its loops, never as g's walks.  Two graphs are
     # regular, so their B is A, loop-free and bipartite, and is counted as a half matrix
-    # M = BB^T (exact._half_matrix): K_2 = star(2) as the 1 x 1 matrix (1) on colour 0, no
-    # row entries and one loop; gnp(3, 0.35, 1303), edgeless, as the empty matrix on colour 1
+    # M = BB^T (exact._half_matrix) less its common diagonal: K_2 = star(2) as the 1 x 1
+    # matrix (1) on colour 0 less I, no row entries and no loop; gnp(3, 0.35, 1303),
+    # edgeless, as the empty matrix on colour 1
     assert gnp(3, 0.35, 1303).size == 0
     want = [(g.adjacency(), _loops(g)) for g in graphs]
-    want[graphs.index(star(2))] = (((),), ((0, 1),))
+    want[graphs.index(star(2))] = (((),), ())
     want[graphs.index(gnp(3, 0.35, 1303))] = ((), ())
     assert counted_engine == want
 
@@ -593,9 +595,10 @@ def test_walk_cache_keeps_the_most_recent_graphs_only(counted_engine):
     recent = [*graphs[4:cap], graphs[0], *graphs[cap:]]  # least recent first
     assert list(exact._walk_cache) == [(g.adjacency(), ()) for g in recent]  # keyed by the matrix counted
     # the hit started no count.  An even cycle C_2m is counted as its half matrix M = BB^T
-    # on the even vertices (exact._half_matrix): C_m's rows, each vertex with a loop of 2
-    half = {2 * m: (cycle(m).adjacency(), tuple((i, 2) for i in range(m))) for m in range(3, 8)}
-    assert half[6] == (((1, 2), (0, 2), (0, 1)), ((0, 2), (1, 2), (2, 2)))
+    # on the even vertices (exact._half_matrix) less its common diagonal 2I: C_m's rows,
+    # with no loops
+    half = {2 * m: (cycle(m).adjacency(), ()) for m in range(3, 8)}
+    assert half[6] == (((1, 2), (0, 2), (0, 1)), ())
     assert counted_engine == [half.get(g.n, (g.adjacency(), ())) for g in graphs]
 
 
@@ -656,6 +659,13 @@ _BIPARTITE_CASES = {
 }
 
 
+def _less_common_diagonal(rows, loops):
+    """(rows, loops) of M - cI, c the least diagonal entry of M, from its dense diagonal."""
+    diagonal = [dict(loops).get(v, 0) for v in range(len(rows))]
+    least = min(diagonal, default=0)
+    return rows, tuple((v, c - least) for v, c in enumerate(diagonal) if c != least)
+
+
 @pytest.mark.parametrize("name", sorted(_BIPARTITE_CASES))
 def test_bipartite_tables_from_the_half_matrix_match_the_packed_adjacency_and_dense_powers(
     name, counted_engine
@@ -675,8 +685,9 @@ def test_bipartite_tables_from_the_half_matrix_match_the_packed_adjacency_and_de
             assert exact._bipartite_sums(*half, min(count, n)) == tuple(dense[: min(count, n)])
             counted_engine.clear()
         assert exact._power_sum_table(rows, (), count) == tuple(dense[:count]), count
-        # one engine start per table, on the matrix the price chose; a repeat is a hit
-        assert counted_engine == [half or (rows, ())], count
+        # one engine start per table, on the matrix the price chose, a half matrix less the
+        # smallest entry of its diagonal; a repeat is a hit
+        assert counted_engine == [_less_common_diagonal(*half) if half else (rows, ())], count
         assert exact._power_sum_table(rows, (), count) == tuple(dense[:count])
         assert len(counted_engine) == 1
         # the cache key and the stored prefix are A's
@@ -721,9 +732,54 @@ def test_k30_30_keeps_the_adjacency_by_its_price():
 
 def test_identification_counts_a_bipartite_rung_on_its_half_matrix(counted_engine):
     # C_40(1, 3) is 4-regular and bipartite: its n walk orders are n/2 orders of M on the
-    # 20 even vertices, and Newton's identities still give elimination's count
+    # 20 even vertices, counted as M - 4I, and Newton's identities still give elimination's count
     g = circulant(40, (1, 3))
     assert identify_complexity(g) == spanning_tree_count(complement(g))
     [(half, loops)] = counted_engine
-    assert len(half) == 20 and loops == tuple((i, 4) for i in range(20))
+    assert len(half) == 20 and loops == ()
     assert all(len(row) == 12 for row in half)  # 16 walks of length two, 4 of them back to v
+
+
+def test_a_regular_bipartite_table_counts_its_half_matrix_with_no_loops(counted_engine):
+    # C_40(1, 3)'s M = BB^T has 4 on its whole diagonal: the engine starts on M - 4I,
+    # 20 rows of the 12 other ends of walks of length two and no loops
+    g = circulant(40, (1, 3))
+    assert closed_walk_counts(g, 2 * g.n + 3).counts == tuple(dense_closed_walks(g, 2 * g.n + 3))
+    [(half, loops)] = counted_engine
+    assert len(half) == 20 and all(len(row) == 12 for row in half) and loops == ()
+
+
+def test_an_irregular_half_matrix_keeps_the_loops_above_its_least_degree(counted_engine):
+    # path(6) is counted on {0, 2, 4}, of degrees 1, 2, 2: M = I + M', and M' keeps a loop
+    # of 1 at the two inner vertices
+    g = path(6)
+    assert closed_walk_counts(g, g.n).counts == tuple(dense_closed_walks(g, g.n))
+    assert counted_engine == [(((1,), (0, 2), (1,)), ((1, 1), (2, 1)))]
+
+
+def test_a_half_matrix_with_an_empty_row_is_counted_unchanged(monkeypatch, counted_engine):
+    # the isolated vertex 4 shares the claw's centre's class: its row has no loop, so the
+    # common diagonal is 0, M itself is counted and its sums are shifted back by 0
+    shift, shifts = exact._shifted_sums, []
+
+    def recorded(delta, sums):
+        shifts.append(delta)
+        return shift(delta, sums)
+
+    monkeypatch.setattr(exact, "_shifted_sums", recorded)
+    claw = Graph(5, frozenset({(0, 1), (0, 2), (0, 3)}))
+    assert closed_walk_counts(claw, 9).counts == tuple(dense_closed_walks(claw, 9))
+    assert counted_engine == [(((), ()), ((0, 3),))]
+    assert shifts == [0]
+
+
+@pytest.mark.parametrize("delta", [0, 1, 7])
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_shifted_sums_equal_dense_traces_of_the_shifted_matrix(delta, m):
+    # p_k(delta I + X) from p_0..p_k of X, to orders past the order m of X
+    rng = random.Random(100 * m + delta)
+    for _ in range(3):
+        x = [[rng.randint(-3, 4) for _ in range(m)] for _ in range(m)]
+        shifted = [[a + delta * (i == j) for j, a in enumerate(row)] for i, row in enumerate(x)]
+        orders = 2 * m + 3
+        assert exact._shifted_sums(delta, [m, *dense_power_traces(x, orders)]) == dense_power_traces(shifted, orders)
