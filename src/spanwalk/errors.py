@@ -39,20 +39,21 @@ class _Excerpt(reprlib.Repr):
 
 
 _EXCERPT = _Excerpt()
+_MAX_ECHO_CHARS = 32  # characters of an input that an error message echoes
 
 
-def excerpt(x: object, width: int = 32) -> str:
+def excerpt(x: object) -> str:
     """An error message's echo of any input, at a cost bounded whatever its size: never all of it.
 
-    A string is the repr of its first width characters.  Any other object is
-    its repr under reprlib's limits (the first few items of a container, an
-    int over 2^64 as shown prints it), cut to width characters.  "..." marks
-    a cut.
+    A string is the repr of its first _MAX_ECHO_CHARS characters.  Any other
+    object is its repr under reprlib's limits (the first few items of a
+    container, an int over 2^64 as shown prints it), cut to _MAX_ECHO_CHARS
+    characters.  "..." marks a cut.
     """
     if isinstance(x, str):
-        return repr(x[:width]) + ("..." if len(x) > width else "")
+        return repr(x[:_MAX_ECHO_CHARS]) + ("..." if len(x) > _MAX_ECHO_CHARS else "")
     text = _EXCERPT.repr(x)
-    return text[:width] + ("..." if len(text) > width else "")
+    return text[:_MAX_ECHO_CHARS] + ("..." if len(text) > _MAX_ECHO_CHARS else "")
 
 
 def require_type(name: str, x: object, kind: type = int) -> None:

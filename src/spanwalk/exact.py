@@ -253,99 +253,108 @@ def _power_sums_past(head: list[int]) -> Iterator[int]:
         yield p
 
 
-def _table_price(n: int, arcs: int, count: int) -> int:
-    """check_table_price's formula: `count` power sums of a matrix with `arcs` entries on n rows."""
-    price = -(-min(count, n) // 2) * n * (arcs + 2 * n)
-    if count > n:
-        price += (2 * n).bit_length() * (count * (count + 1) - n * (n + 1)) // 2
-    return price
+def _table_price(n: int, arcs: int, orders: int) -> int:
+    """`orders` power sums of a matrix with `arcs` entries on n rows: ceil(orders/2) products of n(arcs+2n)."""
+    return -(-orders // 2) * n * (arcs + 2 * n)
 
 
-def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
-    """The price of `count` power sums of M = A + diag(c) with these rows and loops.
+def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tuple[int, list[int] | None]:
+    """The one walk price: what `count` power sums of M = A + diag(c) cost, and which matrix counts them.
 
-    Its two callers price what they read: _power_sum_table, the one door
-    to the walk engine, the orders it returns, and laplacian_traces all
-    max_r orders of B before it asks that door for the first min(max_r, n).
-    The matrix's entries are counted here, the row lengths plus the loop
-    multiplicities: 2|E| for g's adjacency, nD for
-    B = DI - L(g) = A + diag(D - deg), D the largest degree.  The price is
-    counted in integer operations from integers alone (_table_price).  With
-    `arcs` entries on n rows, orders up to n are priced as
-    ceil(min(count, n)/2) matrix products of n(arcs + 2n) operations,
-    n^2 (d+2) for a d-regular graph.  Past order n each order adds the size
-    of its integers: walk counts, Laplacian traces and the series
-    denominators k(n-d)^k at order k all stay below (2n)^k up to a factor
-    n, about k bit_length(2n) bits.  Raises WorkBudgetError, before any
-    work, when the price exceeds _MAX_WALK_WORK.  This is the matrix's own
-    price even when _power_sum_table counts a bipartite adjacency by its
-    cheaper half-size matrix M, and even when M is counted less its common
-    diagonal (_bipartite_sums), so neither moves a refusal.
+    Returns (price, members): members is None when A's own rows are
+    counted, else the colour class X whose M' = BB^T - delta I
+    (_half_matrix) is.  Up to three candidates count the first
+    min(count, n) orders, each priced by _table_price from degrees and
+    colour-class sizes alone:
 
-    The first term is the cost of the list-of-lists Frobenius loop that
-    counted two orders per product; the packed-row engine that replaced it
-    (_packed_walks) was faster than that loop on every admitted extreme
-    probed, so the old price still bounds the engine's time.
+    - A itself, on n rows, its entries the row lengths plus the loop
+      multiplicities: 2|E| for g's adjacency, nD for B = DI - L(g) in
+      laplacian_traces;
+    - on a loop-free 2-colourable A, M' on either colour class X,
+      floor(min(count, n)/2) orders on |X| rows with
+      sum over l outside X of deg l (deg l - 1) row entries and
+      |E| - |X| delta loops, delta the least degree in X, plus the row
+      entries once more, each written once to build M'.  Below two orders
+      there is no even order: nothing is built or counted, and the
+      candidate costs 0.
+
+    The cheapest is taken, A on a tie, then colour 0.  Every candidate
+    adds A's orders past n, continued by the recurrence
+    (_power_sums_past): each order k adds the size of its integers,
+    k bit_length(2n) bits, since walk counts, Laplacian traces and the
+    series denominators k(n-d)^k all stay below n (2n)^k.  Over
+    _MAX_WALK_WORK, WorkBudgetError is raised before any row is built.
+    The colouring runs only when a choice is needed: when A's own price
+    refuses, or when fewer than min(count, n) orders are `counted`
+    already, in the walk cache; a hit that A admits is not coloured.
     """
-    n = len(rows)
-    price = _table_price(n, sum(map(len, rows)) + sum(c for _, c in loops), count)
+    n, degrees = len(rows), list(map(len, rows))
+    orders = min(count, n)
+    past = (2 * n).bit_length() * max(count * (count + 1) - n * (n + 1), 0) // 2
+    price, members = _table_price(n, sum(degrees) + sum(c for _, c in loops), orders), None
+    if not loops and (counted < orders or price + past > _MAX_WALK_WORK):
+        colour = _two_colouring(rows)
+        for side in () if colour is None else (0, 1):
+            cls = [v for v, c in enumerate(colour) if c == side]
+            written = sum(d * (d - 1) for d, c in zip(degrees, colour) if c != side) if orders > 1 else 0
+            least = min((degrees[v] for v in cls), default=0)
+            entries = written + sum(degrees) // 2 - len(cls) * least
+            cost = written + _table_price(len(cls), entries, orders // 2)
+            if cost < price:
+                price, members = cost, cls
+    price += past
     if price > _MAX_WALK_WORK:
         raise WorkBudgetError(
             f"{shown(count)} power sums of a graph on {n} vertices are priced at {shown(price)} "
             f"integer operations; the budget is {_MAX_WALK_WORK}"
         )
-    return price
+    return price, members
 
 
-def _half_matrix(rows: Adjacency, orders: int) -> tuple[Adjacency, _Loops] | None:
-    """M = BB^T on one colour class of a 2-colourable adjacency A, when it is cheaper to count than A.
+def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
+    """The price of `count` power sums of M = A + diag(c) with these rows and loops: its cheapest plan's.
 
-    With the colour classes X and Y first, A = [[0, B], [B^T, 0]], so
-    tr A^(2k) = 2 tr (BB^T)^k and every odd trace is 0.  The row of M at
-    v in X holds the walks v - l - j to every other j in X, a repeated j
-    once per walk, and its loop is deg v.  Three candidates are priced by
-    _table_price from integers alone: A's `orders` sums on n rows with 2|E|
-    entries, and for each class X, M's floor(orders/2) sums on |X| rows with
-    |E| + sum over l outside X of deg l (deg l - 1) entries.  None when A
-    has an odd cycle or is the cheapest, a tie included.
+    The plan is _table_plan's, as if nothing were cached, so the price does
+    not depend on the walk cache.  laplacian_traces checks all max_r orders
+    of B with it before it asks the door for the first min(max_r, n).
+    Raises WorkBudgetError, before any work, over _MAX_WALK_WORK.
     """
-    colour = _two_colouring(rows)
-    if colour is None:
-        return None
-    degrees = list(map(len, rows))
-    edges = sum(degrees) // 2
-    best, side = _table_price(len(rows), 2 * edges, orders), None
-    for c in (0, 1):
-        entries = edges + sum(d * (d - 1) for d, other in zip(degrees, colour) if other != c)
-        price = _table_price(colour.count(c), entries, orders // 2)
-        if price < best:
-            best, side = price, c
-    if side is None:
-        return None
-    members = [v for v, c in enumerate(colour) if c == side]
+    return _table_plan(rows, loops, count, 0)[0]
+
+
+def _half_matrix(rows: Adjacency, members: list[int]) -> tuple[Adjacency, _Loops, int]:
+    """M' = BB^T - delta I on the colour class X = members of a 2-colourable adjacency A, and delta.
+
+    With X and the other class first, A = [[0, B], [B^T, 0]], so
+    tr A^(2k) = 2 tr (BB^T)^k and every odd trace is 0.  Row v of M' holds
+    the walks v - l - j to every other j in X, a repeated j once per walk.
+    M's diagonal is the degrees; delta is the least degree in X (0 when X
+    is empty or holds an isolated vertex), and M' keeps the loops
+    deg v - delta that are not 0.  So a d-regular bipartite graph's M' has
+    no loops, and its entries fit slots sized by (d^2 - d)^k, not (d^2)^k.
+    """
+    degrees = [len(rows[v]) for v in members]
+    delta = min(degrees, default=0)
     idx = {v: i for i, v in enumerate(members)}
     half = tuple(tuple(sorted(idx[j] for l in rows[v] for j in rows[l] if j != v)) for v in members)
-    return half, tuple((idx[v], degrees[v]) for v in members if degrees[v])
+    return half, tuple((i, d - delta) for i, d in enumerate(degrees) if d > delta), delta
 
 
-def _bipartite_sums(half: Adjacency, loops: _Loops, orders: int) -> tuple[int, ...]:
-    """p_1..p_orders of a bipartite A from its half matrix M (_half_matrix): p_2k = 2 tr M^k, odd p_k = 0.
+def _bipartite_sums(rows: Adjacency, members: list[int], orders: int) -> tuple[int, ...]:
+    """p_1..p_orders of a bipartite A from M' on the class `members`: p_2k = 2 tr M^k, odd p_k = 0.
 
-    M's common diagonal is split off first: M = delta I + M', delta the
-    smallest loop over all |X| rows, or 0 when some row has none.  The
-    packed engine counts M', the same rows with loops deg v - delta (none
-    at 0), so a regular bipartite graph's M' has no loops and its entries
-    fit slots sized by (d^2 - d)^k, not (d^2)^k.  The sums of M' past |X|
-    continue by its recurrence (_power_sums_past), and M's follow by the
-    binomial shift (_shifted_sums).  The price is still A's, which counts M.
+    The packed engine counts floor(orders/2) sums of M'; past |X| they
+    continue by its recurrence (_power_sums_past), and the sums of
+    M = delta I + M' follow by the binomial shift (_shifted_sums).  A
+    table of one order has no even sum, and builds no M'.
     """
-    count = orders // 2
-    delta = min((c for _, c in loops), default=0) if len(loops) == len(half) else 0
-    residual = tuple((v, c - delta) for v, c in loops if c > delta)
-    sums = list(islice(_packed_walks(half, residual), count))
-    if len(sums) < count:  # all |X| sums of M' are counted
-        sums += islice(_power_sums_past(sums[:]), count - len(sums))
-    sums = _shifted_sums(delta, [len(half), *sums])
+    count, sums = orders // 2, []
+    if count:
+        half, loops, delta = _half_matrix(rows, members)
+        sums = list(islice(_packed_walks(half, loops), count))
+        if len(sums) < count:  # all |X| sums of M' are counted
+            sums += islice(_power_sums_past(sums[:]), count - len(sums))
+        sums = _shifted_sums(delta, [len(half), *sums])
     return tuple(0 if k % 2 else 2 * sums[k // 2 - 1] for k in range(1, orders + 1))
 
 
@@ -384,35 +393,30 @@ def iter_closed_walk_counts(g: Graph) -> Iterator[int]:
 def _power_sum_table(rows: Adjacency, loops: _Loops, count: int) -> tuple[int, ...]:
     """p_1..p_count of M = A + diag(c) with these rows and loops: the one door to the walk engine.
 
-    The price of all `count` orders (check_table_price) refuses before any
-    lookup or count.  The last _WALK_CACHE_GRAPHS (rows, loops) keys keep
-    their longest counted prefix, so repeated tables of one matrix are
-    counted once, identification's n orders among them: a regular graph's
-    adjacency and its B = DI - L have no loops and share one entry, and a
-    relabelled copy is a miss.  A prefix shorter than min(count, n) is
-    counted afresh from packed rows (_packed_walks), only to the orders
-    asked for; a prefix of at least n sums is extended past n by the
-    recurrence (_power_sums_past).  A prefix is stored only once it is
-    whole, so a count that is interrupted caches nothing.
-
-    Two phases count a miss, chosen by price from integers alone.  A
-    loop-free 2-colourable adjacency A may be counted as its half matrix
-    M = BB^T on one colour class (_half_matrix), floor(min(count, n)/2)
-    orders of |X| rows, when that is priced below A's own orders; the
-    engine counts M less its common diagonal, and the shifted sums give
-    A's (_bipartite_sums).  The engine is started once either way, and the
-    refusal, the choice's prices (which count M with its diagonal), the
-    cache key and the stored prefix stay A's.
+    One plan (_table_plan) prices all `count` orders, refuses before any
+    count, and chooses the matrix that a miss counts; the cache is read
+    before it only for the length of the stored prefix, so a hit that A's
+    own price admits runs no colouring.  The last _WALK_CACHE_GRAPHS
+    (rows, loops) keys keep their longest counted prefix, so repeated
+    tables of one matrix are counted once, identification's n orders among
+    them: a regular graph's adjacency and its B = DI - L have no loops and
+    share one entry, and a relabelled copy is a miss.  A prefix shorter
+    than min(count, n) is counted afresh, only to the orders asked for:
+    from A's packed rows (_packed_walks), or from M' on the colour class
+    the plan priced (_bipartite_sums), the engine started once either way.
+    A prefix of at least n sums is extended past n by the recurrence
+    (_power_sums_past).  The cache key and the stored prefix are A's, and
+    a prefix is stored only once it is whole, so a count that is
+    interrupted caches nothing.
     """
-    check_table_price(rows, loops, count)
     key, n = (rows, loops), len(rows)
     sums = _walk_cache.get(key, ())
+    _, members = _table_plan(rows, loops, count, len(sums))
     if len(sums) < min(count, n):
-        half = None if loops else _half_matrix(rows, min(count, n))
-        if half is None:
+        if members is None:
             sums = tuple(islice(_packed_walks(rows, loops), count))
         else:
-            sums = _bipartite_sums(*half, min(count, n))
+            sums = _bipartite_sums(rows, members, min(count, n))
     if len(sums) < count:
         sums = sums[:n] + tuple(islice(_power_sums_past(list(sums[:n])), count - n))
     _walk_cache[key] = sums

@@ -188,16 +188,16 @@ def identify_complexity_report(g: Graph) -> IdentificationReport:
 
     w_1..w_n come from the packed-row walk engine (iter_closed_walk_counts),
     n orders of nd big-integer additions, through the same priced, cached
-    table as every walk table: the generator prices them at its first
-    value, ceil(n/2) n^2 (d+2) integer operations, and raises
-    WorkBudgetError, before any walk is counted, when that is over the walk
-    engine's limit: C_322 is admitted, C_323 refused.  On a bipartite g
-    whose half matrix M = BB^T is priced below A, the engine counts
-    floor(n/2) orders on one colour class instead: M less its common
-    diagonal delta I (on a d-regular g, all of it, delta = d), shifted back
-    binomially, gives w_2k = 2 tr M^k, and the odd w_k are 0.  That is
-    under A's price, so no refusal moves.  Once counted,
-    they serve later tables of the same labelled graph from the walk cache.
+    table as every walk table.  The generator prices them at its first
+    value by the walk table's one plan: ceil(n/2) n^2 (d+2) integer
+    operations for A, or on a bipartite g the price of floor(n/2) orders
+    of M' = BB^T - dI on one colour class when that is lower, the matrix
+    then counted.  M' shifted back binomially gives w_2k = 2 tr (BB^T)^k,
+    and the odd w_k are 0.  WorkBudgetError is raised, before any walk is
+    counted, when the plan is over the walk engine's limit: C_322 is
+    admitted and C_323 refused, and even cycles are admitted up to C_644.
+    Once counted, they serve later tables of the same labelled graph from
+    the walk cache.
     """
     n, d = g.n, require_regular(g)
     det = 0

@@ -34,6 +34,7 @@ from spanwalk import exact
 from spanwalk.errors import ExactInvariantError
 from spanwalk.exact import elementary_symmetric
 from oracles import (
+    bfs_two_colouring,
     circulant,
     complete,
     complete_bipartite,
@@ -439,8 +440,16 @@ def test_table_price_at_order_n_is_the_matrix_phase(g):
     def price(count):
         return exact.check_table_price(rows, (), count)
 
-    assert price(n) == -(-n // 2) * n * n * (d + 2)
-    assert price(n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
+    if bfs_two_colouring(g) is None:
+        # A's own orders: ceil(count/2) products of n(2|E| + 2n) = n^2 (d+2) operations
+        assert price(n) == -(-n // 2) * n * n * (d + 2)
+        assert price(n - 1) == -(-(n - 1) // 2) * n * n * (d + 2)
+    else:
+        # C_150 is priced by M' = BB^T - 2I on its m = 75 even vertices: C_75's rows,
+        # 2m entries and no loops, floor(count/2) orders, plus the 2m entries written
+        m = n // 2
+        assert price(n) == -(-m // 2) * m * (2 * m + 2 * m) + 2 * m
+        assert price(n - 1) == -(-(m - 1) // 2) * m * (2 * m + 2 * m) + 2 * m
     # order k past n adds k bit_length(2n), the bits of its integers
     bits = (2 * n).bit_length()
     assert price(n + 3) - price(n) == bits * (3 * n + 6)
@@ -659,6 +668,13 @@ _BIPARTITE_CASES = {
 }
 
 
+def _walks_of_length_two(rows, members):
+    """(rows, loops) of M = BB^T on the class `members`: j != v once per walk v - l - j, loop deg v."""
+    idx = {v: i for i, v in enumerate(members)}
+    half = tuple(tuple(sorted(idx[j] for l in rows[v] for j in rows[l] if j != v)) for v in members)
+    return half, tuple((idx[v], len(rows[v])) for v in members if rows[v])
+
+
 def _less_common_diagonal(rows, loops):
     """(rows, loops) of M - cI, c the least diagonal entry of M, from its dense diagonal."""
     diagonal = [dict(loops).get(v, 0) for v in range(len(rows))]
@@ -676,58 +692,135 @@ def test_bipartite_tables_from_the_half_matrix_match_the_packed_adjacency_and_de
     rows, n = g.adjacency(), g.n
     dense = dense_closed_walks(g, 2 * n + 3)
     assert list(exact._packed_walks(rows, ())) == dense[:n]
-    assert exact._half_matrix(rows, n) is not None  # the price takes M at order n
+    assert exact._table_plan(rows, (), n, 0)[1] is not None  # the price takes M' at order n
     for count in (1, 2, 3, n, n + 1, 2 * n + 3):  # below, at and past n
         exact._walk_cache.clear()
         counted_engine.clear()
-        half = exact._half_matrix(rows, min(count, n))
-        if half is not None:
-            assert exact._bipartite_sums(*half, min(count, n)) == tuple(dense[: min(count, n)])
+        members = exact._table_plan(rows, (), count, 0)[1]
+        if members is not None:
+            assert exact._bipartite_sums(rows, members, min(count, n)) == tuple(dense[: min(count, n)])
             counted_engine.clear()
         assert exact._power_sum_table(rows, (), count) == tuple(dense[:count]), count
-        # one engine start per table, on the matrix the price chose, a half matrix less the
-        # smallest entry of its diagonal; a repeat is a hit
-        assert counted_engine == [_less_common_diagonal(*half) if half else (rows, ())], count
+        # one engine start per table, on the matrix the plan priced: M less the smallest
+        # entry of its diagonal, or A; a table of one order has no even sum and starts
+        # nothing.  A repeat is a hit
+        want = [(rows, ())]
+        if members is not None:
+            want = [_less_common_diagonal(*_walks_of_length_two(rows, members))] if min(count, n) > 1 else []
+        assert counted_engine == want, count
         assert exact._power_sum_table(rows, (), count) == tuple(dense[:count])
-        assert len(counted_engine) == 1
+        assert counted_engine == want
         # the cache key and the stored prefix are A's
         assert list(exact._walk_cache) == [(rows, ())]
 
 
 def test_half_matrix_rows_repeat_a_vertex_once_per_walk_and_loop_on_degrees():
-    # the path 0 - 1 - ... - 5: both classes price alike and colour 0, {0, 2, 4}, wins the
-    # tie; M = BB^T joins 0 - 2 and 2 - 4, one walk each, and its loops are the degrees
-    assert exact._half_matrix(path(6).adjacency(), 6) == (((1,), (0, 2), (1,)), ((0, 1), (1, 2), (2, 2)))
-    # on path(5) colour 1, {1, 3}, has fewer walks of length two and is counted
-    assert exact._half_matrix(path(5).adjacency(), 5) == (((1,), (0,)), ((0, 2), (1, 2)))
-    # C_4: each even vertex reaches the other by two walks, through 1 and through 3
-    assert exact._half_matrix(cycle(4).adjacency(), 4) == (((1, 1), (0, 0)), ((0, 2), (1, 2)))
-    # the star's one centre is the cheaper class: a 1 x 1 matrix holding the degree
-    assert exact._half_matrix(star(9).adjacency(), 9) == (((),), ((0, 8),))
-    # the isolated vertex 4 shares colour 0 with the centre: an empty row and no loop
+    # the path 0 - 1 - ... - 5 on colour 0, {0, 2, 4}: M = BB^T joins 0 - 2 and 2 - 4, one
+    # walk each, and its diagonal is the degrees 1, 2, 2; delta = 1 is split off, and M'
+    # keeps a loop of 1 at the two inner vertices.  On colour 1, {1, 3, 5}, the same
+    p6 = path(6).adjacency()
+    assert exact._half_matrix(p6, [0, 2, 4]) == (((1,), (0, 2), (1,)), ((1, 1), (2, 1)), 1)
+    assert exact._half_matrix(p6, [1, 3, 5]) == (((1,), (0, 2), (1,)), ((0, 1), (1, 1)), 1)
+    # C_4: each even vertex reaches the other by two walks, through 1 and through 3, and
+    # the diagonal 2I is all split off
+    assert exact._half_matrix(cycle(4).adjacency(), [0, 2]) == (((1, 1), (0, 0)), (), 2)
+    # the star's one centre: a 1 x 1 matrix whose degree is all delta
+    assert exact._half_matrix(star(9).adjacency(), [0]) == (((),), (), 8)
+    # the isolated vertex 4 shares colour 0 with the claw's centre: an empty row, delta = 0
     claw = Graph(5, frozenset({(0, 1), (0, 2), (0, 3)}))
-    assert exact._half_matrix(claw.adjacency(), 5) == (((), ()), ((0, 3),))
-    # odd cycles have no half matrix
-    assert exact._half_matrix(cycle(9).adjacency(), 9) is None
+    assert exact._half_matrix(claw.adjacency(), [0, 4]) == (((), ()), ((0, 3),), 0)
+    # and an empty class is the empty matrix
+    assert exact._half_matrix(Graph(1).adjacency(), []) == ((), (), 0)
 
 
-@pytest.mark.parametrize("a, b", [(9, 9), (11, 13)])
+def test_the_plan_chooses_the_cheaper_class_and_colour_0_on_a_tie():
+    def chosen(g):
+        return exact._table_plan(g.adjacency(), (), g.n, 0)[1]
+
+    # path(6): both classes have 4 row entries and 2 loops, and colour 0 wins the tie;
+    # on path(5) colour 1, {1, 3}, has fewer rows and fewer walks of length two
+    assert chosen(path(6)) == [0, 2, 4]
+    assert chosen(path(5)) == [1, 3]
+    # the star's centre is a 1 x 1 matrix of 0 once its degree is split off
+    assert chosen(star(9)) == [0]
+    # odd cycles and loops have no half matrix
+    assert chosen(cycle(9)) is None
+    assert exact._table_plan(star(9).adjacency(), _loops(star(9)), 9, 0)[1] is None
+
+
+@pytest.mark.parametrize("a, b", [(11, 11), (11, 13)])
 def test_dense_complete_bipartite_tables_keep_the_adjacency(a, b, counted_engine):
     # M's rows hold every walk of length two: on K_(a,b) with large sides that is more to
-    # count than A itself, so the price keeps A (K_8,8 is the largest K_(a,a) counted as M)
+    # count than A itself, so the price keeps A (K_10,10 is the largest K_(a,a) counted as M')
     g = complete_bipartite(a, b)
     rows, n = g.adjacency(), g.n
-    assert exact._half_matrix(rows, n) is None
+    assert exact._table_plan(rows, (), n, 0) == (exact._table_price(n, 2 * a * b, n), None)
     assert closed_walk_counts(g, n).counts == tuple(dense_closed_walks(g, n))
     assert counted_engine == [(rows, ())]
 
 
+def test_k10_10_is_the_largest_complete_bipartite_graph_counted_on_its_half_matrix(counted_engine):
+    # K_10,10 at order n: M' = BB^T - 10I, 10 rows of 10 * 9 entries and no loops, is priced
+    # at 5 * 10 * (900 + 20) + 900 = 46 900 operations against A's 48 000
+    g = complete_bipartite(10, 10)
+    assert exact.check_table_price(g.adjacency(), (), g.n) == 46_900
+    assert exact._table_price(g.n, 2 * 100, g.n) == 48_000
+    assert closed_walk_counts(g, g.n).counts == tuple(dense_closed_walks(g, g.n))
+    [(half, loops)] = counted_engine
+    assert len(half) == 10 and all(len(row) == 90 for row in half) and loops == ()
+
+
 def test_k30_30_keeps_the_adjacency_by_its_price():
-    # A's 60 orders on 60 rows of 1800 entries against M's 30 orders on 30 rows of
-    # |E| + 30 * 30 * 29 entries, either side
-    assert exact._half_matrix(complete_bipartite(30, 30).adjacency(), 60) is None
+    # A's 60 orders on 60 rows of 1800 entries against 30 orders of M' on 30 rows of
+    # 30 * 30 * 29 entries and no loops, plus those entries written, either side
+    assert exact._table_plan(complete_bipartite(30, 30).adjacency(), (), 60, 0) == (3_456_000, None)
     assert exact._table_price(60, 2 * 900, 60) == 3_456_000
-    assert exact._table_price(30, 900 + 30 * 30 * 29, 30) == 12_177_000
+    assert exact._table_price(30, 30 * 30 * 29, 30) + 30 * 30 * 29 == 11_798_100
+
+
+def _star_centre_last(n: int) -> Graph:
+    return Graph(n, frozenset((v, n - 1) for v in range(n - 1)))
+
+
+@pytest.mark.parametrize("name", ["star(4000), centre last", "K_255,255"])
+def test_one_order_of_a_large_bipartite_graph_builds_no_half_matrix(name, monkeypatch, counted_engine):
+    # one order needs no even power.  Each table here is priced and chosen from integers
+    # alone: no half matrix larger than A is built or counted, whichever class is coloured 0
+    g = _star_centre_last(4000) if name.startswith("star") else complete_bipartite(255, 255)
+    built, build = [], exact._half_matrix
+
+    def recorded(*args):
+        half = build(*args)
+        built.append(half[:2])
+        return half
+
+    monkeypatch.setattr(exact, "_half_matrix", recorded)
+    start = time.perf_counter()
+    assert closed_walk_counts(g, 1).counts == (0,)
+    assert time.perf_counter() - start < 0.25
+    assert closed_walk_counts(g, 2).counts == (0, 2 * g.size)
+    for rows, loops in built + counted_engine:
+        assert sum(map(len, rows)) + sum(c for _, c in loops) <= 2 * g.size
+
+
+def test_a_hit_that_the_adjacency_admits_runs_no_colouring(monkeypatch, counted_engine):
+    coloured, colouring = [], exact._two_colouring
+
+    def recorded(rows):
+        coloured.append(len(rows))
+        return colouring(rows)
+
+    monkeypatch.setattr(exact, "_two_colouring", recorded)
+    g = cycle(150)
+    closed_walk_counts(g, g.n)  # a miss: the plan colours C_150 to choose M'
+    for count in (5, g.n, 2 * g.n):  # hits that A's own price admits
+        closed_walk_counts(g, count)
+    assert coloured == [150]
+    # C_62 to order 4376 is admitted only by the price of its M', so a hit is coloured too
+    closed_walk_counts(cycle(62), 4376)
+    closed_walk_counts(cycle(62), 4376)
+    assert coloured == [150, 62, 62]
+    assert len(counted_engine) == 2
 
 
 def test_identification_counts_a_bipartite_rung_on_its_half_matrix(counted_engine):

@@ -141,7 +141,7 @@ def test_evaluate_series_terms_are_series_term():
     assert evaluation.terms == tuple(series_term(62, 30, w_k, k) for k, w_k in enumerate(counts[1:], start=2))
 
 
-@pytest.mark.parametrize("g, max_k", [(named_graph("petersen"), 5180), (cycle(62), 4363)])
+@pytest.mark.parametrize("g, max_k", [(named_graph("petersen"), 5180), (cycle(62), 4376)])
 def test_evaluate_series_terms_are_series_term_on_the_longest_admitted_tables(g, max_k):
     # each term divides by k (n-d)^k with (n-d)^k carried from the order before; the floats
     # are series_term's, which raises n - d to each power afresh
@@ -199,13 +199,34 @@ def test_identify_fails_fast_on_the_budget_before_counting_walks(monkeypatch):
 
     # the price is the walk generator's first step, ahead of the engine
     monkeypatch.setattr(exact, "_packed_walks", no_walks)
-    # C_323: 162 * 323^2 * 4 = 67 605 192 > 2^26 operations (C_322 is admitted);
-    # C_500: 250 * 500^2 * 4 = 2.5e8; C_401(1..100), d = 200: about 6.5e9
-    for g in (cycle(323), cycle(500), circulant(401, tuple(range(1, 101)))):
+    # C_323: 162 * 323^2 * 4 = 67 605 192 > 2^26 operations (C_322 is admitted); C_1000
+    # even, by its cheaper M' on 500 rows: 250 * 500 * 2000 + 1000 = 2.5e8;
+    # C_401(1..100), d = 200: about 6.5e9
+    for g in (cycle(323), cycle(1000), circulant(401, tuple(range(1, 101)))):
         start = time.perf_counter()
         with pytest.raises(WorkBudgetError, match="budget"):
             identify_complexity(g)
         assert time.perf_counter() - start < 1.0
+
+
+def test_identify_admits_even_cycles_to_c644_and_refuses_c646(monkeypatch):
+    # an even cycle's n orders are priced by M' = BB^T - 2I on its n/2 even vertices:
+    # ceil(n/4) products of (n/2)(2n) operations, plus the n entries written.  C_644 is
+    # 66 773 140 <= 2^26, C_646 is 67 605 838 over it
+    g = cycle(644)
+    start = time.perf_counter()
+    value = identify_complexity(g)
+    assert time.perf_counter() - start < 1.0
+    assert value == spanning_tree_count(complement(g))
+
+    def no_walks(rows, loops):
+        raise AssertionError("walks counted before the budget check")
+
+    monkeypatch.setattr(exact, "_packed_walks", no_walks)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="67605838"):
+        identify_complexity(cycle(646))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_corrupted_walk_counts_raise_a_typed_error(monkeypatch):
