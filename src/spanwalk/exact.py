@@ -271,12 +271,15 @@ def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tup
       multiplicities: 2|E| for g's adjacency, nD for B = DI - L(g) in
       laplacian_traces;
     - on a loop-free 2-colourable A, M' on either colour class X,
-      floor(min(count, n)/2) orders on |X| rows with
+      m = floor(min(count, n)/2) orders on max(|X|, m) rows with
       sum over l outside X of deg l (deg l - 1) row entries and
       |E| - |X| delta loops, delta the least degree in X, plus the row
-      entries once more, each written once to build M'.  Below two orders
-      there is no even order: nothing is built or counted, and the
-      candidate costs 0.
+      entries once more, each written once to build M'.  The rows are at
+      least m because _bipartite_sums does more than the engine's |X|
+      orders: the recurrence of M' from |X| to m, and the shift back to
+      M, m(m+1)/2 multiply-adds of integers growing to m orders' size,
+      both bounded by m orders on m rows.  Below two orders there is no even
+      order: nothing is built or counted, and the candidate costs 0.
 
     The cheapest is taken, A on a tie, then colour 0.  Every candidate
     adds A's orders past n, continued by the recurrence
@@ -286,7 +289,9 @@ def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tup
     _MAX_WALK_WORK, WorkBudgetError is raised before any row is built.
     The colouring runs only when a choice is needed: when A's own price
     refuses, or when fewer than min(count, n) orders are `counted`
-    already, in the walk cache; a hit that A admits is not coloured.
+    already, in the walk cache; a hit that A admits is not coloured.  The
+    refusal does not depend on `counted`, so a caller that asks only for
+    it passes count.
     """
     n, degrees = len(rows), list(map(len, rows))
     orders = min(count, n)
@@ -299,7 +304,7 @@ def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tup
             written = sum(d * (d - 1) for d, c in zip(degrees, colour) if c != side) if orders > 1 else 0
             least = min((degrees[v] for v in cls), default=0)
             entries = written + sum(degrees) // 2 - len(cls) * least
-            cost = written + _table_price(len(cls), entries, orders // 2)
+            cost = written + _table_price(max(len(cls), orders // 2), entries, orders // 2)
             if cost < price:
                 price, members = cost, cls
     price += past
@@ -315,9 +320,8 @@ def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
     """The price of `count` power sums of M = A + diag(c) with these rows and loops: its cheapest plan's.
 
     The plan is _table_plan's, as if nothing were cached, so the price does
-    not depend on the walk cache.  laplacian_traces checks all max_r orders
-    of B with it before it asks the door for the first min(max_r, n).
-    Raises WorkBudgetError, before any work, over _MAX_WALK_WORK.
+    not depend on the walk cache.  Raises WorkBudgetError, before any
+    work, over _MAX_WALK_WORK.
     """
     return _table_plan(rows, loops, count, 0)[0]
 
@@ -494,7 +498,8 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     nbrs = g.adjacency()
     delta = max(map(len, nbrs))
     loops = tuple((v, delta - len(s)) for v, s in enumerate(nbrs) if len(s) < delta)
-    check_table_price(nbrs, loops, max_r)
+    if max_r > g.n:  # the door prices the first n orders; the refusal of all max_r needs no choice
+        _table_plan(nbrs, loops, max_r, max_r)
     sums = _power_sum_table(nbrs, loops, min(max_r, g.n))
     traces = _shifted_sums(delta, [g.n, *(-p if k % 2 else p for k, p in enumerate(sums, 1))])
     if max_r > g.n:

@@ -751,7 +751,7 @@ def test_the_plan_chooses_the_cheaper_class_and_colour_0_on_a_tie():
 @pytest.mark.parametrize("a, b", [(11, 11), (11, 13)])
 def test_dense_complete_bipartite_tables_keep_the_adjacency(a, b, counted_engine):
     # M's rows hold every walk of length two: on K_(a,b) with large sides that is more to
-    # count than A itself, so the price keeps A (K_10,10 is the largest K_(a,a) counted as M')
+    # count than A itself, so the price keeps A
     g = complete_bipartite(a, b)
     rows, n = g.adjacency(), g.n
     assert exact._table_plan(rows, (), n, 0) == (exact._table_price(n, 2 * a * b, n), None)
@@ -759,15 +759,14 @@ def test_dense_complete_bipartite_tables_keep_the_adjacency(a, b, counted_engine
     assert counted_engine == [(rows, ())]
 
 
-def test_k10_10_is_the_largest_complete_bipartite_graph_counted_on_its_half_matrix(counted_engine):
+def test_k10_10_prices_its_half_matrix_by_its_entries_and_their_writing(counted_engine):
     # K_10,10 at order n: M' = BB^T - 10I, 10 rows of 10 * 9 entries and no loops, is priced
-    # at 5 * 10 * (900 + 20) + 900 = 46 900 operations against A's 48 000
+    # at 5 * 10 * (900 + 20) + 900 = 46 900 operations against A's 48 000.  This pins the
+    # price, not a speed: the packed count of M' here is no faster than A's
     g = complete_bipartite(10, 10)
     assert exact.check_table_price(g.adjacency(), (), g.n) == 46_900
     assert exact._table_price(g.n, 2 * 100, g.n) == 48_000
     assert closed_walk_counts(g, g.n).counts == tuple(dense_closed_walks(g, g.n))
-    [(half, loops)] = counted_engine
-    assert len(half) == 10 and all(len(row) == 90 for row in half) and loops == ()
 
 
 def test_k30_30_keeps_the_adjacency_by_its_price():
@@ -803,6 +802,33 @@ def test_one_order_of_a_large_bipartite_graph_builds_no_half_matrix(name, monkey
         assert sum(map(len, rows)) + sum(c for _, c in loops) <= 2 * g.size
 
 
+@pytest.mark.parametrize("n", [4000, 20_000])
+def test_a_star_to_order_n_is_refused_at_once(n, monkeypatch):
+    # the centre's M' is the 1 x 1 matrix 0, but its m = n/2 sums are continued past that
+    # one row and shifted back by delta = n - 1, m(m+1)/2 multiply-adds of integers of up
+    # to m bit_length(n) bits: the plan prices them on m rows, not on the centre's one
+    monkeypatch.setattr(exact, "_packed_walks", _no_walks)
+    monkeypatch.setattr(exact, "_half_matrix", _no_walks)
+    g = _star_centre_last(n)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError):
+        closed_walk_counts(g, n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_star_813_is_the_largest_star_admitted_to_order_n():
+    # its centre's M' to m = 406 orders is priced at ceil(m/2) m (0 + 2m) = 66 923 416;
+    # A's walks are w_2k = 2 (n-1)^k and odd w_k = 0
+    g = star(813)
+    start = time.perf_counter()
+    want = tuple(0 if k % 2 else 2 * 812 ** (k // 2) for k in range(1, 814))
+    assert closed_walk_counts(g, 813).counts == want
+    assert time.perf_counter() - start < 1.0
+    assert exact.check_table_price(g.adjacency(), (), 813) == 66_923_416
+    with pytest.raises(WorkBudgetError):
+        exact.check_table_price(star(814).adjacency(), (), 814)
+
+
 def test_a_hit_that_the_adjacency_admits_runs_no_colouring(monkeypatch, counted_engine):
     coloured, colouring = [], exact._two_colouring
 
@@ -815,6 +841,10 @@ def test_a_hit_that_the_adjacency_admits_runs_no_colouring(monkeypatch, counted_
     closed_walk_counts(g, g.n)  # a miss: the plan colours C_150 to choose M'
     for count in (5, g.n, 2 * g.n):  # hits that A's own price admits
         closed_walk_counts(g, count)
+    # C_150's B = 2I - L is A: its Laplacian traces read the same entry, below and past n;
+    # tr L = sum of degrees, tr L^2 = sum of squared degrees plus 2|E|
+    for max_r in (5, g.n, 2 * g.n):
+        assert laplacian_traces(g, max_r).traces[:2] == (2 * g.n, 6 * g.n)
     assert coloured == [150]
     # C_62 to order 4376 is admitted only by the price of its M', so a hit is coloured too
     closed_walk_counts(cycle(62), 4376)
