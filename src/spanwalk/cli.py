@@ -29,7 +29,7 @@ from typing import Any
 
 from . import bounds as bounds_mod
 from . import families, series, synchrony
-from .errors import InputReadError, NumericFailureError, ToolkitError, shown
+from .errors import InputReadError, NumericFailureError, ToolkitError, excerpt, shown
 from .exact import closed_walk_counts, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
@@ -44,11 +44,15 @@ from .graph import (
 )
 
 
+_MAX_MESSAGE_CHARS = 200  # of a usage error's message, which may echo an argument of any length
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage failures exit with status 64."""
+    """argparse parser whose usage failures exit with status 64, their message bounded."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
+        message = message[:_MAX_MESSAGE_CHARS] + ("..." if len(message) > _MAX_MESSAGE_CHARS else "")
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
@@ -103,22 +107,6 @@ def _json(value: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _add_graph_source(parser: argparse.ArgumentParser, directed_ok: bool = False) -> None:
-    """The input options of a command; the command's own parser reports _validate's usage errors."""
-    parser.set_defaults(parser=parser)
-    group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--named", choices=families.NAMED_GRAPHS, help="bundled example graph")
-    group.add_argument("--edge-list", metavar="PATH", help="path to an edge-list file")
-    group.add_argument("--graph6", metavar="STRING", help="short-form graph6 string")
-    parser.add_argument(
-        "--complement", action="store_true", help="operate on the complement of the input"
-    )
-    if directed_ok:
-        parser.add_argument(
-            "--directed", action="store_true", help="read the edge list as directed arcs"
-        )
-
-
 def _load_graph(args: argparse.Namespace) -> Graph:
     directed = bool(getattr(args, "directed", False))
     if args.named is not None:
@@ -128,7 +116,9 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             with open(args.edge_list, encoding="utf-8-sig") as fh:
                 text = fh.read()
         except OSError as exc:
-            raise InputReadError(f"cannot read {args.edge_list}: {exc.strerror}") from exc
+            raise InputReadError(f"cannot read {excerpt(args.edge_list)}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise InputReadError(f"cannot read {excerpt(args.edge_list)}: not UTF-8 text") from exc
         g = parse_edge_list(text, directed=directed)
     else:
         g = parse_graph6(args.graph6)
@@ -137,26 +127,44 @@ def _load_graph(args: argparse.Namespace) -> Graph:
     return g
 
 
+def _command(sub, name: str, help: str, handler, graph: bool = True, directed_ok: bool = False) -> _Parser:
+    """One command's declaration: its parser, its graph source unless graph is False, and its handler.
+
+    A graph command's handler receives the graph the source names and the
+    parsed args; any other receives the args alone.  Each returns its JSON
+    document, which _run serializes, or CSV text.  The command's own parser
+    reports _validate's usage errors.
+    """
+    parser = sub.add_parser(name, help=help)
+    parser.set_defaults(parser=parser, run=handler)
+    if not graph:
+        return parser
+    parser.set_defaults(run=lambda args: handler(_load_graph(args), args))
+    group = parser.add_mutually_exclusive_group(required=True)
+    group.add_argument("--named", choices=families.NAMED_GRAPHS, help="bundled example graph")
+    group.add_argument("--edge-list", metavar="PATH", help="path to an edge-list file")
+    group.add_argument("--graph6", metavar="STRING", help="short-form graph6 string")
+    parser.add_argument("--complement", action="store_true", help="operate on the complement of the input")
+    if directed_ok:
+        parser.add_argument("--directed", action="store_true", help="read the edge list as directed arcs")
+    return parser
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="spanwalk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
     graph_parser = sub.add_parser("graph", help="inspect or re-serialize a graph")
     graph_sub = graph_parser.add_subparsers(dest="graph_command", required=True)
-    info = graph_sub.add_parser("info", help="order, size, regularity, bipartiteness")
-    _add_graph_source(info, directed_ok=True)
-    export = graph_sub.add_parser("export", help="serialize to the edge-list format")
-    _add_graph_source(export, directed_ok=True)
+    _command(graph_sub, "info", "order, size, regularity, bipartiteness", _cmd_info, directed_ok=True)
+    _command(graph_sub, "export", "serialize to the edge-list format", _cmd_export, directed_ok=True)
 
-    complexity = sub.add_parser("complexity", help="exact spanning-tree count")
-    _add_graph_source(complexity)
+    _command(sub, "complexity", "exact spanning-tree count", _cmd_complexity)
 
-    walks = sub.add_parser("walks", help="closed-walk counts w_1..w_K")
-    _add_graph_source(walks)
+    walks = _command(sub, "walks", "closed-walk counts w_1..w_K", _cmd_walks)
     walks.add_argument("--max-k", type=_positive_int, required=True, metavar="K")
 
-    series_parser = sub.add_parser("series", help="log-complexity series of the complement")
-    _add_graph_source(series_parser)
+    series_parser = _command(sub, "series", "log-complexity series of the complement", _cmd_series)
     mode = series_parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--eval", action="store_true", help="partial sums through --max-k")
     mode.add_argument("--identify", action="store_true", help="exact integer identification")
@@ -164,20 +172,18 @@ def build_parser() -> _Parser:
 
     bounds_parser = sub.add_parser("bounds", help="closed-form bound families")
     bounds_sub = bounds_parser.add_subparsers(dest="bound", required=True)
-    prop1 = bounds_sub.add_parser("prop1", help="degree-only lower bound on t(G), dense regular G")
-    _add_graph_source(prop1)
-    prop2 = bounds_sub.add_parser("prop2", help="triangle-aware lower bound on t(G)")
-    _add_graph_source(prop2)
-    thm2 = bounds_sub.add_parser("thm2", help="Laplacian-trace lower bound on t(complement)")
-    _add_graph_source(thm2)
+    _command(bounds_sub, "prop1", "degree-only lower bound on t(G), dense regular G", _cmd_prop1)
+    _command(bounds_sub, "prop2", "triangle-aware lower bound on t(G)", _cmd_prop2)
+    thm2 = _command(bounds_sub, "thm2", "Laplacian-trace lower bound on t(complement)", _cmd_thm2)
     thm2.add_argument("--m", type=_int, required=True)
-    thm3 = bounds_sub.add_parser("thm3", help="two-sided bounds for regular bipartite inputs")
-    _add_graph_source(thm3)
+    thm3 = _command(bounds_sub, "thm3", "two-sided bounds for regular bipartite inputs", _cmd_thm3)
     thm3.add_argument("--m", type=_int, required=True)
     thm3.add_argument("--k", type=_int, required=True)
     thm3.add_argument("--format", choices=("json", "csv"), default="json")
 
-    construct = sub.add_parser("construct", help="build a family member or a random regular graph")
+    construct = _command(
+        sub, "construct", "build a family member or a random regular graph", _cmd_construct, graph=False
+    )
     target = construct.add_mutually_exclusive_group(required=True)
     target.add_argument(
         "--g-family", nargs=2, type=_int, metavar=("K", "L"), help="triangle-minimal family member"
@@ -186,8 +192,7 @@ def build_parser() -> _Parser:
         "--random", nargs=3, type=_int, metavar=("N", "D", "SEED"), help="seeded random regular graph"
     )
 
-    sync = sub.add_parser("synchrony", help="threshold-spreading p_k / e_k sweep")
-    _add_graph_source(sync, directed_ok=True)
+    sync = _command(sub, "synchrony", "threshold-spreading p_k / e_k sweep", _cmd_synchrony, directed_ok=True)
     sync.add_argument("--t", type=_int, required=True, help="activation threshold")
     sync.add_argument("--k", type=_int, required=True, help="seed size")
     sync.add_argument("--mode", choices=("exhaustive", "mc"), default="exhaustive")
@@ -216,9 +221,8 @@ def _validate(args: argparse.Namespace) -> None:
         if args.mode == "mc":
             if args.samples is None or args.seed is None:
                 args.parser.error("--mode mc requires --samples and --seed")
-        else:
-            if args.samples is not None or args.seed is not None:
-                args.parser.error("--samples and --seed apply only to --mode mc")
+        elif args.samples is not None or args.seed is not None:
+            args.parser.error("--samples and --seed apply only to --mode mc")
 
 
 def _graph_summary(g: Graph) -> dict:
@@ -241,26 +245,24 @@ def _bound_doc(report: bounds_mod.BoundReport) -> dict:
     }
 
 
-def _cmd_graph(args) -> dict:
-    g = _load_graph(args)
-    if args.graph_command == "info":
-        return _graph_summary(g)
+def _cmd_info(g: Graph, args) -> dict:
+    return _graph_summary(g)
+
+
+def _cmd_export(g: Graph, args) -> dict:
     return {"edge_list": to_edge_list_text(g)}
 
 
-def _cmd_complexity(args) -> dict:
-    g = _load_graph(args)
+def _cmd_complexity(g: Graph, args) -> dict:
     return {"n": g.n, "spanning_trees": str(spanning_tree_count(g))}
 
 
-def _cmd_walks(args) -> dict:
-    g = _load_graph(args)
+def _cmd_walks(g: Graph, args) -> dict:
     table = closed_walk_counts(g, args.max_k)
     return {"max_k": table.max_k, "counts": [str(w) for w in table.counts]}
 
 
-def _cmd_series(args) -> dict:
-    g = _load_graph(args)
+def _cmd_series(g: Graph, args) -> dict:
     if args.eval:
         return dataclasses.asdict(series.evaluate_series(g, args.max_k))
     report = series.identify_complexity_report(g)
@@ -272,15 +274,19 @@ def _cmd_series(args) -> dict:
     }
 
 
-def _cmd_bounds(args) -> dict | str:
-    g = _load_graph(args)
-    if args.bound == "prop1":
-        return _bound_doc(bounds_mod.prop1_lower(g.n, require_regular(g)))
-    if args.bound == "prop2":
-        d = require_regular(g)
-        return _bound_doc(bounds_mod.prop2_lower(g.n, d, triangle_count(g)))
-    if args.bound == "thm2":
-        return _bound_doc(bounds_mod.thm2_lower(g, args.m))
+def _cmd_prop1(g: Graph, args) -> dict:
+    return _bound_doc(bounds_mod.prop1_lower(g.n, require_regular(g)))
+
+
+def _cmd_prop2(g: Graph, args) -> dict:
+    return _bound_doc(bounds_mod.prop2_lower(g.n, require_regular(g), triangle_count(g)))
+
+
+def _cmd_thm2(g: Graph, args) -> dict:
+    return _bound_doc(bounds_mod.thm2_lower(g, args.m))
+
+
+def _cmd_thm3(g: Graph, args) -> dict | str:
     lower, upper = bounds_mod.thm3_bounds(g, args.m, args.k)
     if args.format == "csv":
         low = _format_real(lower.linear_value) if lower.preconditions_ok else ""
@@ -305,8 +311,7 @@ def _cmd_construct(args) -> dict:
     return doc
 
 
-def _cmd_synchrony(args) -> dict | str:
-    g = _load_graph(args)
+def _cmd_synchrony(g: Graph, args) -> dict | str:
     mode = "exhaustive" if args.mode == "exhaustive" else "monte-carlo"
     outcome = synchrony.measure_synchrony(
         g, args.t, args.k, mode=mode, samples=args.samples, seed64=args.seed
@@ -318,18 +323,6 @@ def _cmd_synchrony(args) -> dict | str:
         lines.append(f"inf,{outcome.non_synchronizing}")
         return "\n".join(lines) + "\n"
     return dataclasses.asdict(outcome)
-
-
-# each handler returns its JSON document, which _run serializes, or CSV text
-_COMMANDS = {
-    "graph": _cmd_graph,
-    "complexity": _cmd_complexity,
-    "walks": _cmd_walks,
-    "series": _cmd_series,
-    "bounds": _cmd_bounds,
-    "construct": _cmd_construct,
-    "synchrony": _cmd_synchrony,
-}
 
 
 def run(argv: list[str], out=None) -> int:
@@ -362,7 +355,7 @@ def _run(argv: list[str], out) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        doc = _COMMANDS[args.command](args)
+        doc = args.run(args)
         text = doc if isinstance(doc, str) else _json(doc) + "\n"
     except ToolkitError as exc:
         code, message = exc.code, str(exc)

@@ -183,12 +183,13 @@ def _packed_walks(nbrs: Adjacency, loops: _Loops) -> Iterator[int]:
     A has these rows and c is 0 but at the vertices `loops` names.  Row i of
     M^k is one int whose slot j, `width` bytes wide, holds entry (i, j)
     (Kronecker substitution; Kronecker 1882).  Row i of M^(k+1) is the sum
-    of the rows of M^k at the neighbours of i, one big-integer addition each,
-    plus c_i times row i of M^k, and p_k is the sum of the diagonal slots.
-    Entries of M^k are at most D^k, D the largest row sum of M (degree plus
-    loops), so no slot carries into the next.  Before the order whose bound
-    D^k would not fit a slot, every row is widened to the bytes that orders
-    up to min(2k, n) need: the width follows the orders counted, not n.
+    of the rows of M^k at the neighbours of i, one big-integer addition per
+    neighbour after the first, plus c_i times row i of M^k, and p_k is the
+    sum of the diagonal slots.  Entries of M^k are at most D^k, D the
+    largest row sum of M (degree plus loops), so no slot carries into the
+    next.  Before the order whose bound D^k would not fit a slot, every row
+    is widened to the bytes that orders up to min(2k, n) need: the width
+    follows the orders counted, not n.
     """
     n = len(nbrs)
     diagonal = dict(loops)
@@ -204,7 +205,8 @@ def _packed_walks(nbrs: Adjacency, loops: _Loops) -> Iterator[int]:
                 rows[i] = _widen(row, n, width, wider)
             width = wider
         get = rows.__getitem__  # still reads M^k once rows holds M^(k+1)
-        rows = [sum(map(get, nb)) for nb in nbrs]
+        # each sum starts from its first row: a start of 0 would copy that row once more
+        rows = [sum(terms, next(terms, 0)) for terms in (map(get, nb) for nb in nbrs)]
         for v, c in loops:
             rows[v] += c * get(v)
         shift = 8 * width

@@ -15,7 +15,7 @@ import pytest
 
 from spanwalk import Graph, cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
-from spanwalk.errors import shown
+from spanwalk.errors import excerpt, shown
 from oracles import complete, cycle, exact_series_partial
 
 
@@ -280,10 +280,10 @@ def test_walk_counts_print_in_full_past_the_digit_limit(tmp_path):
     ],
 )
 def test_numeric_failures_exit_2_with_error_document(monkeypatch, failure):
-    def raising(args):
+    def raising(g, max_k):
         raise failure
 
-    monkeypatch.setitem(cli._COMMANDS, "walks", raising)
+    monkeypatch.setattr(cli, "closed_walk_counts", raising)
     code, doc = _run_json(["walks", "--named", "petersen", "--max-k", "3"])
     assert code == 2
     message = f"{type(failure).__name__}: {failure}"
@@ -507,6 +507,42 @@ def test_domain_errors_exit_2_with_error_document():
     assert code == 0  # complement of petersen is fine for walks
 
 
+def test_an_edge_list_that_is_not_utf8_is_an_io_error_naming_the_file(tmp_path):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("3\n0 1 # caf\u00e9\n".encode("latin-1"))
+    code, doc = _run_json(["complexity", "--edge-list", str(path)])
+    assert code == 2
+    assert doc["error"] == {"code": "io-error", "message": f"cannot read {excerpt(str(path))}: not UTF-8 text"}
+
+
+def test_echoes_of_long_arguments_stay_bounded(capsys):
+    # a path echoed in an error document, and a value or command name echoed in a usage error
+    long = "x" * 100_000
+    code, text = _run(["complexity", "--edge-list", long])
+    assert code == 2 and len(text.encode()) < 1000
+    assert json.loads(text)["error"]["code"] == "io-error"
+    for argv in (
+        ["complexity", "--named", long],
+        ["synchrony", "--named", "petersen", "--t", "1", "--k", "2", "--mode", long],
+        ["bounds", "thm3", "--named", "paper-bipartite", "--m", "2", "--k", "2", "--format", long],
+        [long],
+    ):
+        code, out = _run(argv)
+        err = capsys.readouterr().err
+        assert (code, out) == (64, ""), argv[:-1]
+        assert len(err.encode()) < 1000 and err.endswith("...\n"), argv[:-1]
+
+
+def test_an_ordinary_usage_error_keeps_its_message(capsys):
+    code, _ = _run(["complexity", "--named", "nope"])
+    err = capsys.readouterr().err
+    assert code == 64
+    assert err.endswith(
+        "spanwalk complexity: error: argument --named: invalid choice: 'nope' "
+        "(choose from 'petersen', 'paper-h', 'paper-bipartite')\n"
+    )
+
+
 def test_parse_error_reports_line_number(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("3\n0 0\n")
@@ -555,6 +591,14 @@ def test_usage_errors_print_the_usage_of_the_command_typed(capsys):
         (["graph", "export", "--directed", "--graph6", "DhC"], "usage: spanwalk graph export "),
         (["synchrony", "--named", "petersen", "--t", "1", "--k", "2", "--samples", "5"], "usage: spanwalk synchrony "),
         (["synchrony", "--named", "petersen", "--t", "1", "--k", "2", "--mode", "mc"], "usage: spanwalk synchrony "),
+        # an argparse refusal for each command that _validate does not check
+        (["complexity", "--named", "petersen", "--graph6", "C~"], "usage: spanwalk complexity "),
+        (["walks", "--named", "petersen"], "usage: spanwalk walks "),
+        (["bounds", "prop1"], "usage: spanwalk bounds prop1 "),
+        (["bounds", "prop2", "--named", "nope"], "usage: spanwalk bounds prop2 "),
+        (["bounds", "thm2", "--named", "petersen"], "usage: spanwalk bounds thm2 "),
+        (["bounds", "thm3", "--named", "petersen", "--m", "2"], "usage: spanwalk bounds thm3 "),
+        (["construct"], "usage: spanwalk construct "),
     ):
         code, out = _run(argv)
         err = capsys.readouterr().err

@@ -278,12 +278,18 @@ def test_refusals_echo_a_bounded_excerpt_of_any_input():
     # a full repr of these would exceed the int digit limit, take most of a second, or run to 10^7 characters;
     # reprlib alone would sort all of the set's 2*10^5 strings before it showed the first few
     ones, long_text, names = [1] * 10**7, "x" * 10**7, set(map(str, range(2 * 10**5)))
+    frozen_names, name_table = frozenset(names), dict.fromkeys(names)
     cases = {
         "an int edge": (lambda: Graph(3, [10**5000]), "an edge must be a pair of vertices, got over 2^16609"),
         "an int in a list": (lambda: require_type("k", [10**5000]), "k must be an int, got [over 2^16609]"),
         "a long list seed": (lambda: random_regular(10, 3, ones), "seed must be an int, got [1, 1, 1"),
         "a long list endpoint": (lambda: Graph(3, [(1.5, ones)]), "edge endpoints must be ints, got (1.5, [1, 1"),
         "a large set edge": (lambda: Graph(3, [names]), "an edge must be a pair of vertices, got {'"),
+        "a large frozenset edge": (
+            lambda: Graph(3, [frozen_names]),
+            "an edge must be a pair of vertices, got frozenset({'",
+        ),
+        "a large dict edge": (lambda: Graph(3, [name_table]), "an edge must be a pair of vertices, got {'"),
         "a long graph name": (lambda: named_graph(long_text), "unknown graph name 'xxx"),
         "a long mode": (lambda: measure_synchrony(Graph(3), 1, 1, mode=long_text), "unknown mode 'xxx"),
     }
