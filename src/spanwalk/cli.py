@@ -119,6 +119,8 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             raise InputReadError(f"cannot read {excerpt(args.edge_list)}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
             raise InputReadError(f"cannot read {excerpt(args.edge_list)}: not UTF-8 text") from exc
+        except ValueError as exc:  # open() refuses a path that holds a NUL character
+            raise InputReadError(f"cannot read {excerpt(args.edge_list)}: {exc}") from exc
         g = parse_edge_list(text, directed=directed)
     else:
         g = parse_graph6(args.graph6)

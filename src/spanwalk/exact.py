@@ -125,46 +125,43 @@ def _sparse_determinant(nbrs: Adjacency, order: list[int], diagonal: list[int], 
 def spanning_tree_count(g: Graph) -> int:
     """Number of spanning trees, from the determinant of the sparser of two matrices.
 
-    When 4|E| <= n(n-1), the matrix is a principal minor of the Laplacian L(g):
-    by the matrix-tree theorem any one vertex may be deleted, and the last one
-    in the elimination order is.  Otherwise it is nI - L(complement(g)), which
-    equals L(g) + J and has determinant n^2 t(g) (Temperley 1964; Kelmans
-    1965); it has as many off-diagonal nonzeros as the complement has edges,
-    and its pattern is read from the complement's rows (_complement_rows)
-    with no complement Graph or edge set built.  Either way rows and columns
-    follow one minimum-degree order of the sparse graph, which does not
-    change the determinant, and the elimination touches only the fill of
-    that order.  Both matrices are positive semidefinite, so a zero pivot
-    ends it with determinant 0: disconnected graphs give 0 and the
-    single-vertex graph gives 1.  A disconnected graph gives 0 from one
-    breadth-first search (is_connected), before the complement's rows or
-    any order are built.  The dense branch searches only when the minimum
-    degree is below (n-1)/2: from there on every graph is connected, since
-    two non-adjacent vertices have n-2 other vertices to hold their at
-    least n-1 edges and so share a neighbour.  The order's price
+    One recipe picks four things: the sparse side's rows, the diagonal, the
+    off-diagonal value and the divisor.  When 4|E| <= n(n-1) they are g's
+    own rows, deg, -1 and 1: a principal minor of the Laplacian L(g), which
+    by the matrix-tree theorem may delete any one vertex, and deletes the
+    last one in the elimination order.  Otherwise they are the complement's
+    rows (_complement_rows, with no complement Graph or edge set built),
+    n - deg of those rows, +1 and n^2: nI - L(complement(g)) equals L(g) + J
+    and has determinant n^2 t(g) (Temperley 1964; Kelmans 1965), with as
+    many off-diagonal nonzeros as the complement has edges.  Either way
+    rows and columns follow one minimum-degree order of the sparse graph,
+    which does not change the determinant, and the elimination touches only
+    the fill of that order.  Both matrices are positive semidefinite, so a
+    zero pivot ends it with determinant 0: disconnected graphs give 0 and
+    the single-vertex graph gives 1.
+
+    One zero rule runs first on both sides: when the minimum degree is
+    below (n-1)/2, a disconnected graph gives 0 from one breadth-first
+    search (is_connected), before the complement's rows or any order are
+    built.  From there on every graph is connected, since two non-adjacent
+    vertices have n-2 other vertices to hold their at least n-1 edges and
+    so share a neighbour, and nothing is searched.  The order's price
     (_minimum_degree_order) refuses with WorkBudgetError before any
     big-integer work.
     """
-    n = g.n
+    n, nbrs = g.n, g.adjacency()
+    if 2 * min(map(len, nbrs)) < n - 1 and not is_connected(g):
+        return 0  # no tree spans it, and no order need be built
     if 4 * g.size <= n * (n - 1):
-        if not is_connected(g):
-            return 0  # no tree spans it, and no order need be built
-        nbrs = g.adjacency()
-        degrees = [len(s) for s in nbrs]
-        order = _minimum_degree_order(nbrs, max(degrees).bit_length())[:-1]
-        det = _sparse_determinant(nbrs, order, degrees, -1)
-        if det < 0:
-            raise ExactInvariantError("a Laplacian minor of an undirected graph came out negative")
-        return det
-    if 2 * min(map(len, g.adjacency())) < n - 1 and not is_connected(g):
-        return 0
-    sparse = _complement_rows(g.adjacency())
-    diagonal = [n - len(s) for s in sparse]
+        sparse, diagonal, off, divisor = nbrs, [len(s) for s in nbrs], -1, 1
+    else:
+        sparse = _complement_rows(nbrs)
+        diagonal, off, divisor = [n - len(s) for s in sparse], 1, n * n
     order = _minimum_degree_order(sparse, max(diagonal).bit_length())
-    det = _sparse_determinant(sparse, order, diagonal, 1)
-    count, remainder = divmod(det, n * n)
+    det = _sparse_determinant(sparse, order[:-1] if divisor == 1 else order, diagonal, off)
+    count, remainder = divmod(det, divisor)
     if remainder or count < 0:
-        raise ExactInvariantError(f"det(L + J) is not a nonnegative multiple of n^2 = {n * n}")
+        raise ExactInvariantError(f"the determinant {shown(det)} is not a nonnegative multiple of {divisor}")
     return count
 
 
@@ -278,10 +275,12 @@ def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tup
       |E| - |X| delta loops, delta the least degree in X, plus the row
       entries once more, each written once to build M'.  The rows are at
       least m because _bipartite_sums does more than the engine's |X|
-      orders: the recurrence of M' from |X| to m, and the shift back to
-      M, m(m+1)/2 multiply-adds of integers growing to m orders' size,
-      both bounded by m orders on m rows.  Below two orders there is no even
-      order: nothing is built or counted, and the candidate costs 0.
+      orders: it shifts M' to M on those |X| orders and continues M by its
+      recurrence from |X| to m, |X|(|X|+1)/2 + (m - |X|)|X| <= m(m+1)/2
+      multiply-adds of integers growing to m orders' size, and it still
+      writes out all m orders: both bounded by m orders on m rows.  Below
+      two orders there is no even order: nothing is built or counted, and
+      the candidate costs 0.
 
     The cheapest is taken, A on a tie, then colour 0.  Every candidate
     adds A's orders past n, continued by the recurrence
@@ -349,35 +348,36 @@ def _half_matrix(rows: Adjacency, members: list[int]) -> tuple[Adjacency, _Loops
 def _bipartite_sums(rows: Adjacency, members: list[int], orders: int) -> tuple[int, ...]:
     """p_1..p_orders of a bipartite A from M' on the class `members`: p_2k = 2 tr M^k, odd p_k = 0.
 
-    The packed engine counts floor(orders/2) sums of M'; past |X| they
-    continue by its recurrence (_power_sums_past), and the sums of
-    M = delta I + M' follow by the binomial shift (_shifted_sums).  A
-    table of one order has no even sum, and builds no M'.
+    The packed engine counts the first min(floor(orders/2), |X|) sums of
+    M'; they are shifted to M = delta I + M', and past |X| M continues by
+    its own recurrence (_shifted_sums).  A table of one order has no even
+    sum, and builds no M'.
     """
     count, sums = orders // 2, []
     if count:
         half, loops, delta = _half_matrix(rows, members)
-        sums = list(islice(_packed_walks(half, loops), count))
-        if len(sums) < count:  # all |X| sums of M' are counted
-            sums += islice(_power_sums_past(sums[:]), count - len(sums))
-        sums = _shifted_sums(delta, [len(half), *sums])
+        sums = _shifted_sums(delta, [len(half), *islice(_packed_walks(half, loops), count)], count)
     return tuple(0 if k % 2 else 2 * sums[k // 2 - 1] for k in range(1, orders + 1))
 
 
-def _shifted_sums(delta: int, sums: list[int]) -> list[int]:
-    """p_1..p_m of delta I + X from p_0..p_m of a square matrix X, p_0 its order.
+def _shifted_sums(delta: int, sums: list[int], count: int) -> list[int]:
+    """p_1..p_count of delta I + X from p_0..p_h of a square matrix X, p_0 its order.
 
     By the binomial theorem p_k(delta I + X) = sum_j C(k, j) delta^(k-j)
     p_j(X), delta I commuting with X.  The coefficients are built
     incrementally, by Pascal's rule: row i holds tr((delta I + X)^i X^j)
-    for j = 0..m-i, row i + 1 is delta * row[j] + row[j + 1], and
-    p_i(delta I + X) is row i's first entry.  That is m(m+1)/2 small
-    multiples and additions, with no product of two big integers.
+    for j = 0..h-i, row i + 1 is delta * row[j] + row[j + 1], and
+    p_i(delta I + X) is row i's first entry.  That is h(h+1)/2 small
+    multiples and additions, with no product of two big integers.  Past h,
+    which is then X's order p_0, delta I + X continues by its own
+    recurrence (_power_sums_past), O(h) integer operations per order.
     """
     shifted = []
     for _ in range(len(sums) - 1):
         sums = [delta * a + b for a, b in zip(sums, sums[1:])]
         shifted.append(sums[0])
+    if count > len(shifted):
+        shifted += islice(_power_sums_past(shifted[:]), count - len(shifted))
     return shifted
 
 
@@ -483,16 +483,16 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     """Traces tr(L^r) for r = 1..max_r of an undirected graph.
 
     Powers up to n expand L = DI + (-B) binomially over the traces of -B,
-    (-1)^i tr(B^i), by the shift that _bipartite_sums also uses
-    (_shifted_sums).  B = DI - L = A + diag(D - deg), D the largest degree,
-    is the adjacency of the D-regular multigraph made of g and D - deg(v)
-    loops at each v, kept as a diagonal beside g's own rows
-    (_power_sum_table).  B is nonnegative with every row summing to D, so the
-    walk engine counts it in the slots of g's own walks; on a regular graph
-    it has no loops and is A.  All max_r orders are priced by B's nD entries,
-    but only the first min(max_r, n) traces of B are counted and cached:
-    powers of L past n continue from L's first n traces by the
-    Cayley-Hamilton recurrence of L.
+    (-1)^i tr(B^i), and powers past n continue from L's first n traces by
+    the Cayley-Hamilton recurrence of L: the shift-then-continue step that
+    _bipartite_sums also uses (_shifted_sums).  B = DI - L = A + diag(D - deg),
+    D the largest degree, is the adjacency of the D-regular multigraph made
+    of g and D - deg(v) loops at each v, kept as a diagonal beside g's own
+    rows (_power_sum_table).  B is nonnegative with every row summing to D,
+    so the walk engine counts it in the slots of g's own walks; on a
+    regular graph it has no loops and is A.  All max_r orders are priced by
+    B's nD entries, but only the first min(max_r, n) traces of B are
+    counted and cached.
     """
     require_type("max_r", max_r)
     if max_r < 1:
@@ -503,7 +503,5 @@ def laplacian_traces(g: Graph, max_r: int) -> LaplacianTraceTable:
     if max_r > g.n:  # the door prices the first n orders; the refusal of all max_r needs no choice
         _table_plan(nbrs, loops, max_r, max_r)
     sums = _power_sum_table(nbrs, loops, min(max_r, g.n))
-    traces = _shifted_sums(delta, [g.n, *(-p if k % 2 else p for k, p in enumerate(sums, 1))])
-    if max_r > g.n:
-        traces += islice(_power_sums_past(traces[:]), max_r - g.n)
+    traces = _shifted_sums(delta, [g.n, *(-p if k % 2 else p for k, p in enumerate(sums, 1))], max_r)
     return LaplacianTraceTable(traces=tuple(traces))

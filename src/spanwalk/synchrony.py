@@ -223,7 +223,7 @@ def measure_synchrony(
             _metered(g, t, 0, 1 << floor, what, hint)
         r = _prefix_length(n, k, per_block)
         total = comb(n, k)
-        groups = total if r == k else comb(n - k + r, r)  # a group is one subset at r = k
+        groups = comb(n - k + r, r)  # a group is one subset at r = k, and C(n, k) = total
         rounds = _metered(g, t, groups * n, 2 * -(-total // per_block) - 1, what, hint)
         blocks = _exhaustive_blocks(n, k, r, per_block)
     elif mode == "monte-carlo":

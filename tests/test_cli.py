@@ -515,6 +515,13 @@ def test_an_edge_list_that_is_not_utf8_is_an_io_error_naming_the_file(tmp_path):
     assert doc["error"] == {"code": "io-error", "message": f"cannot read {excerpt(str(path))}: not UTF-8 text"}
 
 
+def test_an_edge_list_path_with_a_nul_character_is_an_io_error_naming_the_path():
+    path = "a\x00b"
+    code, doc = _run_json(["complexity", "--edge-list", path])
+    assert code == 2
+    assert doc["error"] == {"code": "io-error", "message": f"cannot read {excerpt(path)}: embedded null byte"}
+
+
 def test_echoes_of_long_arguments_stay_bounded(capsys):
     # a path echoed in an error document, and a value or command name echoed in a usage error
     long = "x" * 100_000

@@ -5,7 +5,7 @@ from __future__ import annotations
 import ast
 import random
 import time
-from itertools import islice, product
+from itertools import combinations, islice, product
 from math import comb
 from pathlib import Path
 
@@ -126,6 +126,20 @@ def test_dense_graph_of_high_minimum_degree_runs_no_search(monkeypatch):
 
     monkeypatch.setattr(exact, "is_connected", no_search)
     assert spanning_tree_count(complement(cubic)) == identify_complexity(cubic)
+
+
+def test_sparse_graph_of_minimum_degree_half_n_minus_1_runs_no_search(monkeypatch):
+    # 4|E| = n(n-1) keeps these on the sparse side, and minimum degree (n-1)/2 makes them
+    # connected: C_5, and the 4-regular rook graph K_3 x K_3 on 9 vertices
+    rook = Graph(9, frozenset((u, v) for u, v in combinations(range(9), 2) if u // 3 == v // 3 or u % 3 == v % 3))
+    assert 4 * rook.size == 9 * 8 and kirchhoff_tree_count(rook) == 11664
+
+    def no_search(g):
+        raise AssertionError("the connectivity search ran")
+
+    monkeypatch.setattr(exact, "is_connected", no_search)
+    assert spanning_tree_count(cycle(5)) == 5
+    assert spanning_tree_count(rook) == 11664
 
 
 
@@ -804,9 +818,9 @@ def test_one_order_of_a_large_bipartite_graph_builds_no_half_matrix(name, monkey
 
 @pytest.mark.parametrize("n", [4000, 20_000])
 def test_a_star_to_order_n_is_refused_at_once(n, monkeypatch):
-    # the centre's M' is the 1 x 1 matrix 0, but its m = n/2 sums are continued past that
-    # one row and shifted back by delta = n - 1, m(m+1)/2 multiply-adds of integers of up
-    # to m bit_length(n) bits: the plan prices them on m rows, not on the centre's one
+    # the centre's M' is the 1 x 1 matrix 0: its one sum is shifted by delta = n - 1 and
+    # M = (n - 1) is continued past that one row to m = n/2 orders, integers of up to
+    # m bit_length(n) bits: the plan prices them on m rows, not on the centre's one
     monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     monkeypatch.setattr(exact, "_half_matrix", _no_walks)
     g = _star_centre_last(n)
@@ -885,9 +899,9 @@ def test_a_half_matrix_with_an_empty_row_is_counted_unchanged(monkeypatch, count
     # common diagonal is 0, M itself is counted and its sums are shifted back by 0
     shift, shifts = exact._shifted_sums, []
 
-    def recorded(delta, sums):
+    def recorded(delta, sums, count):
         shifts.append(delta)
-        return shift(delta, sums)
+        return shift(delta, sums, count)
 
     monkeypatch.setattr(exact, "_shifted_sums", recorded)
     claw = Graph(5, frozenset({(0, 1), (0, 2), (0, 3)}))
@@ -905,4 +919,4 @@ def test_shifted_sums_equal_dense_traces_of_the_shifted_matrix(delta, m):
         x = [[rng.randint(-3, 4) for _ in range(m)] for _ in range(m)]
         shifted = [[a + delta * (i == j) for j, a in enumerate(row)] for i, row in enumerate(x)]
         orders = 2 * m + 3
-        assert exact._shifted_sums(delta, [m, *dense_power_traces(x, orders)]) == dense_power_traces(shifted, orders)
+        assert exact._shifted_sums(delta, [m, *dense_power_traces(x, orders)], orders) == dense_power_traces(shifted, orders)
