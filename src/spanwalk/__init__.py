@@ -1,8 +1,8 @@
 """spanwalk: exact graph complexity from closed walks.
 
-The package computes exact spanning-tree counts of graphs and of complements
-of regular graphs (the latter also from closed-walk counts alone, which close
-the paper's alternating series at order n), evaluates a suite of closed-form
+The package computes exact spanning-tree counts of graphs and of their
+complements (for regular graphs also from closed-walk counts alone, which
+close the paper's alternating series at order n), evaluates a suite of closed-form
 lower and upper bounds (the Laplacian-trace bound thm2 on every undirected
 graph, the walk bounds on regular ones), constructs triangle-minimal regular
 families and seeded random regular graphs, and measures threshold-spreading
@@ -26,6 +26,7 @@ from .exact import (
     LaplacianTraceTable,
     WalkTable,
     closed_walk_counts,
+    complement_tree_count,
     iter_closed_walk_counts,
     laplacian_traces,
     spanning_tree_count,
@@ -80,6 +81,7 @@ __all__ = [
     "bipartition",
     "closed_walk_counts",
     "complement",
+    "complement_tree_count",
     "evaluate_series",
     "fixed_point",
     "g_family",

@@ -30,7 +30,7 @@ from typing import Any
 from . import bounds as bounds_mod
 from . import families, series, synchrony
 from .errors import InputReadError, NumericFailureError, ToolkitError, excerpt, shown
-from .exact import closed_walk_counts, spanning_tree_count, triangle_count
+from .exact import closed_walk_counts, complement_tree_count, spanning_tree_count, triangle_count
 from .graph import (
     Graph,
     _read_int,
@@ -107,11 +107,11 @@ def _json(value: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
-def _load_graph(args: argparse.Namespace) -> Graph:
-    directed = bool(getattr(args, "directed", False))
+def _read_graph(args: argparse.Namespace) -> Graph:
+    """The graph the source options name, as read: --complement is the caller's to apply."""
     if args.named is not None:
-        g = families.named_graph(args.named)
-    elif args.edge_list is not None:
+        return families.named_graph(args.named)
+    if args.edge_list is not None:
         try:
             with open(args.edge_list, encoding="utf-8-sig") as fh:
                 text = fh.read()
@@ -121,27 +121,34 @@ def _load_graph(args: argparse.Namespace) -> Graph:
             raise InputReadError(f"cannot read {excerpt(args.edge_list)}: not UTF-8 text") from exc
         except ValueError as exc:  # open() refuses a path that holds a NUL character
             raise InputReadError(f"cannot read {excerpt(args.edge_list)}: {exc}") from exc
-        g = parse_edge_list(text, directed=directed)
-    else:
-        g = parse_graph6(args.graph6)
-    if args.complement:
-        g = complement(g)
-    return g
+        return parse_edge_list(text, directed=bool(getattr(args, "directed", False)))
+    return parse_graph6(args.graph6)
+
+
+def _load_graph(args: argparse.Namespace) -> Graph:
+    """The graph a command reads: the source, complemented under --complement."""
+    g = _read_graph(args)
+    return complement(g) if args.complement else g
 
 
 def _command(sub, name: str, help: str, handler, graph: bool = True, directed_ok: bool = False) -> _Parser:
-    """One command's declaration: its parser, its graph source unless graph is False, and its handler.
+    """One command's declaration: its parser, its handler, and unless graph is False its graph source.
 
-    A graph command's handler receives the graph the source names and the
+    A graph command's handler receives the graph _load_graph reads and the
     parsed args; any other receives the args alone.  Each returns its JSON
     document, which _run serializes, or CSV text.  The command's own parser
     reports _validate's usage errors.
     """
     parser = sub.add_parser(name, help=help)
     parser.set_defaults(parser=parser, run=handler)
-    if not graph:
-        return parser
-    parser.set_defaults(run=lambda args: handler(_load_graph(args), args))
+    if graph:
+        parser.set_defaults(run=lambda args: handler(_load_graph(args), args))
+        _source(parser, directed_ok)
+    return parser
+
+
+def _source(parser: _Parser, directed_ok: bool = False) -> None:
+    """The graph source options: one of --named, --edge-list and --graph6, then --complement."""
     group = parser.add_mutually_exclusive_group(required=True)
     group.add_argument("--named", choices=families.NAMED_GRAPHS, help="bundled example graph")
     group.add_argument("--edge-list", metavar="PATH", help="path to an edge-list file")
@@ -149,7 +156,6 @@ def _command(sub, name: str, help: str, handler, graph: bool = True, directed_ok
     parser.add_argument("--complement", action="store_true", help="operate on the complement of the input")
     if directed_ok:
         parser.add_argument("--directed", action="store_true", help="read the edge list as directed arcs")
-    return parser
 
 
 def build_parser() -> _Parser:
@@ -161,7 +167,8 @@ def build_parser() -> _Parser:
     _command(graph_sub, "info", "order, size, regularity, bipartiteness", _cmd_info, directed_ok=True)
     _command(graph_sub, "export", "serialize to the edge-list format", _cmd_export, directed_ok=True)
 
-    _command(sub, "complexity", "exact spanning-tree count", _cmd_complexity)
+    # complexity reads its source itself: --complement counts from the rows read, with no complement built
+    _source(_command(sub, "complexity", "exact spanning-tree count", _cmd_complexity, graph=False))
 
     walks = _command(sub, "walks", "closed-walk counts w_1..w_K", _cmd_walks)
     walks.add_argument("--max-k", type=_positive_int, required=True, metavar="K")
@@ -255,8 +262,10 @@ def _cmd_export(g: Graph, args) -> dict:
     return {"edge_list": to_edge_list_text(g)}
 
 
-def _cmd_complexity(g: Graph, args) -> dict:
-    return {"n": g.n, "spanning_trees": str(spanning_tree_count(g))}
+def _cmd_complexity(args) -> dict:
+    g = _read_graph(args)
+    count = complement_tree_count(g) if args.complement else spanning_tree_count(g)
+    return {"n": g.n, "spanning_trees": str(count)}
 
 
 def _cmd_walks(g: Graph, args) -> dict:

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Iterator
 
 from .errors import ExactInvariantError, WorkBudgetError, require_type, shown
-from .graph import Adjacency, Graph, _complement_rows, _two_colouring, is_connected
+from .graph import Adjacency, Graph, _complement_rows, _connected, _two_colouring
 
 _MAX_WALK_WORK = 2**26  # integer operations one table of power sums may cost
 _MAX_ELIMINATION_WORK = 2**27  # bit operations the fill of one elimination order may cost
@@ -39,9 +39,14 @@ def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
     minor of order k+1 of a positive semidefinite matrix, so by Hadamard's
     inequality of at most (k+1)*bits bits when `bits` is the bit length of the
     largest diagonal entry.  The price sums f(f+1)/2 * (k+1) * bits over the
-    steps, from integers alone; as soon as it passes _MAX_ELIMINATION_WORK,
-    WorkBudgetError is raised, before the rest of the order or any big-integer
-    work.
+    steps, from integers alone.  A step with no front still brings its pivot
+    up to date, one entry of (k+1)*bits bits.  Such steps are summed apart,
+    so the fronts' price alone decides every matrix whose empty fronts
+    together cost less than the budget: a Laplacian minor of a connected
+    graph has one, its last vertex, but nI - L has one per isolated vertex
+    of its pattern, and K_n's has n.  As soon as either sum passes
+    _MAX_ELIMINATION_WORK, WorkBudgetError is raised, before the rest of the
+    order or any big-integer work.
     """
     adj = [set(s) for s in nbrs]
     # (degree, vertex) entries; an entry whose degree is out of date is skipped
@@ -49,7 +54,7 @@ def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
     heapify(heap)
     taken = [False] * len(adj)
     order: list[int] = []
-    price = 0
+    price = pivots = 0
     while heap:
         degree, v = heappop(heap)
         if taken[v] or degree != len(adj[v]):
@@ -57,10 +62,13 @@ def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
         taken[v] = True
         front = adj[v]
         f = len(front)
-        price += f * (f + 1) // 2 * (len(order) + 1) * bits
-        if price > _MAX_ELIMINATION_WORK:
+        if f:
+            price += f * (f + 1) // 2 * (len(order) + 1) * bits
+        else:
+            pivots += (len(order) + 1) * bits
+        if price > _MAX_ELIMINATION_WORK or pivots > _MAX_ELIMINATION_WORK:
             raise WorkBudgetError(
-                f"eliminating a matrix of order {len(adj)} costs over {price} bit operations "
+                f"eliminating a matrix of order {len(adj)} costs over {max(price, pivots)} bit operations "
                 f"by step {len(order)}; the budget is {_MAX_ELIMINATION_WORK}"
             )
         order.append(v)
@@ -122,47 +130,65 @@ def _sparse_determinant(nbrs: Adjacency, order: list[int], diagonal: list[int], 
     return pivots[-1]
 
 
-def spanning_tree_count(g: Graph) -> int:
-    """Number of spanning trees, from the determinant of the sparser of two matrices.
+def _tree_count(rows: Adjacency, complemented: bool) -> int:
+    """Spanning trees of the graph with these rows, or of its complement when `complemented`: one elimination.
 
-    One recipe picks four things: the sparse side's rows, the diagonal, the
-    off-diagonal value and the divisor.  When 4|E| <= n(n-1) they are g's
-    own rows, deg, -1 and 1: a principal minor of the Laplacian L(g), which
-    by the matrix-tree theorem may delete any one vertex, and deletes the
-    last one in the elimination order.  Otherwise they are the complement's
-    rows (_complement_rows, with no complement Graph or edge set built),
-    n - deg of those rows, +1 and n^2: nI - L(complement(g)) equals L(g) + J
-    and has determinant n^2 t(g) (Temperley 1964; Kelmans 1965), with as
-    many off-diagonal nonzeros as the complement has edges.  Either way
-    rows and columns follow one minimum-degree order of the sparse graph,
-    which does not change the determinant, and the elimination touches only
-    the fill of that order.  Both matrices are positive semidefinite, so a
-    zero pivot ends it with determinant 0: disconnected graphs give 0 and
-    the single-vertex graph gives 1.
+    Call the counted graph H.  One zero rule runs first, before any
+    complement rows or order are built: when H's minimum degree (min deg of
+    the rows, or n - 1 - max deg for a complement) is below (n-1)/2, one
+    search (_connected) decides whether H is connected, over the rows'
+    non-edges for a complement, and a disconnected H gives 0.  From there
+    on H is connected, since two non-adjacent vertices have n-2 other
+    vertices to hold their at least n-1 edges and so share a neighbour, and
+    nothing is searched.
 
-    One zero rule runs first on both sides: when the minimum degree is
-    below (n-1)/2, a disconnected graph gives 0 from one breadth-first
-    search (is_connected), before the complement's rows or any order are
-    built.  From there on every graph is connected, since two non-adjacent
-    vertices have n-2 other vertices to hold their at least n-1 edges and
-    so share a neighbour, and nothing is searched.  The order's price
-    (_minimum_degree_order) refuses with WorkBudgetError before any
-    big-integer work.
+    The elimination runs on the sparser side: H's own rows when H has at
+    most n(n-1)/4 edges, a tie included, else its complement's.  Rows at
+    hand on the other side are complemented once (_complement_rows), and
+    `complemented` with them, so the complement of a sparse graph is
+    counted from the graph's own rows.  H's own rows give the principal
+    minor of L(H) that deletes the last vertex of the order (matrix-tree
+    theorem): diagonal deg, -1 at each edge, divisor 1.  The complement's
+    rows give nI - L(complement of H) = L(H) + J over the full order:
+    diagonal n - deg of those rows, +1 at each edge, divisor n^2 (Temperley
+    1964; Kelmans 1965).  Rows and columns follow one minimum-degree order
+    of the rows, whose price refuses with WorkBudgetError before any
+    big-integer work (_minimum_degree_order), and the elimination touches
+    only its fill.  Both matrices are positive semidefinite, so a zero
+    pivot ends it with determinant 0; the single-vertex graph gives 1.
     """
-    n, nbrs = g.n, g.adjacency()
-    if 2 * min(map(len, nbrs)) < n - 1 and not is_connected(g):
+    n, degrees = len(rows), list(map(len, rows))
+    least = n - 1 - max(degrees) if complemented else min(degrees)
+    if 2 * least < n - 1 and not _connected(rows, complemented):
         return 0  # no tree spans it, and no order need be built
-    if 4 * g.size <= n * (n - 1):
-        sparse, diagonal, off, divisor = nbrs, [len(s) for s in nbrs], -1, 1
+    at_hand = 2 * sum(degrees)  # 4|E| of these rows; a tie keeps H's own rows
+    if at_hand > n * (n - 1) or complemented and at_hand == n * (n - 1):
+        rows, complemented = _complement_rows(rows), not complemented
+    if complemented:
+        diagonal, off, divisor = [n - len(s) for s in rows], 1, n * n
     else:
-        sparse = _complement_rows(nbrs)
-        diagonal, off, divisor = [n - len(s) for s in sparse], 1, n * n
-    order = _minimum_degree_order(sparse, max(diagonal).bit_length())
-    det = _sparse_determinant(sparse, order[:-1] if divisor == 1 else order, diagonal, off)
+        diagonal, off, divisor = list(map(len, rows)), -1, 1
+    order = _minimum_degree_order(rows, max(diagonal).bit_length())
+    det = _sparse_determinant(rows, order if complemented else order[:-1], diagonal, off)
     count, remainder = divmod(det, divisor)
     if remainder or count < 0:
         raise ExactInvariantError(f"the determinant {shown(det)} is not a nonnegative multiple of {divisor}")
     return count
+
+
+def spanning_tree_count(g: Graph) -> int:
+    """Number of spanning trees of g, from the determinant of the sparser of two matrices (_tree_count)."""
+    return _tree_count(g.adjacency(), False)
+
+
+def complement_tree_count(g: Graph) -> int:
+    """Number of spanning trees of g's complement, with no complement Graph built (_tree_count).
+
+    Equal to spanning_tree_count(complement(g)).  A sparse g is eliminated
+    on its own rows, so the complement's pair budget does not apply: only
+    the elimination price refuses.
+    """
+    return _tree_count(g.adjacency(), True)
 
 
 def _widen(row: int, n: int, old: int, new: int) -> int:
@@ -315,16 +341,6 @@ def _table_plan(rows: Adjacency, loops: _Loops, count: int, counted: int) -> tup
             f"integer operations; the budget is {_MAX_WALK_WORK}"
         )
     return price, members
-
-
-def check_table_price(rows: Adjacency, loops: _Loops, count: int) -> int:
-    """The price of `count` power sums of M = A + diag(c) with these rows and loops: its cheapest plan's.
-
-    The plan is _table_plan's, as if nothing were cached, so the price does
-    not depend on the walk cache.  Raises WorkBudgetError, before any
-    work, over _MAX_WALK_WORK.
-    """
-    return _table_plan(rows, loops, count, 0)[0]
 
 
 def _half_matrix(rows: Adjacency, members: list[int]) -> tuple[Adjacency, _Loops, int]:

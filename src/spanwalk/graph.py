@@ -312,6 +312,25 @@ def bipartition(g: Graph) -> tuple[frozenset[int], frozenset[int]] | None:
     return even, frozenset(v for v, c in enumerate(colour) if c)
 
 
+def _connected(rows: Adjacency, complemented: bool) -> bool:
+    """True when the graph with these rows, or its complement when `complemented`, has one component.
+
+    One search from vertex 0 keeps the vertices not yet reached in a set and
+    takes from it, at each reached vertex u, the ones joined to u: those in
+    u's row, or those not in it for the complement.  Each vertex leaves the
+    set once, and the ones the complement's search leaves in it at u are in
+    u's row, so u costs O(1 + |row|) set work and the search O(n + |E|) on
+    either side, with no complement built.
+    """
+    unseen = set(range(1, len(rows)))
+    reached = [0]
+    for u in reached:  # grows while it is read
+        near = unseen.difference(rows[u]) if complemented else unseen.intersection(rows[u])
+        unseen -= near
+        reached += near
+    return not unseen
+
+
 def is_connected(g: Graph) -> bool:
-    """True when g has one component: exactly one vertex has depth 0 in _depths."""
-    return _depths(g.adjacency()).count(0) == 1
+    """True when g has one component (_connected on g's rows)."""
+    return _connected(g.adjacency(), False)

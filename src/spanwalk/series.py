@@ -51,7 +51,10 @@ def series_term(n: int, d: int, w_k: int, k: int) -> float:
     """Signed series term (-1)^(k-1) w_k / (k (n-d)^k), correctly rounded.
 
     Integer true division rounds the exact quotient once; a quotient past
-    the float range rounds to the signed infinity.
+    the float range rounds to the signed infinity.  When n - d >= 2 and
+    k >= w_k.bit_length() + 1075, the quotient is below 2^-1075, half the
+    least subnormal, and rounds to the signed zero that division gives:
+    it is returned with no power of n - d taken.
     """
     for name, x in (("n", n), ("d", d), ("w_k", w_k), ("k", k)):
         require_type(name, x)
@@ -61,6 +64,8 @@ def series_term(n: int, d: int, w_k: int, k: int) -> float:
         raise ValueError(f"need 0 <= d < n, got n={shown(n)}, d={shown(d)}")
     if w_k < 0:
         raise ValueError("walk counts are nonnegative")
+    if n - d >= 2 and k >= w_k.bit_length() + 1075:
+        return -0.0 if w_k and k % 2 == 0 else 0.0
     return _term(w_k, k, k * (n - d) ** k)
 
 

@@ -4,8 +4,9 @@ Nothing here touches the package's exact engines: walk counts come from DFS
 enumeration, dense matrix powers or Frobenius inner products of adjacency
 powers held as lists of lists, Laplacian traces from dense Laplacian
 powers, triangles from vertex-triple scans, and spanning-tree counts from
-deletion-contraction on explicit multigraph edge lists or from rational
-Gaussian elimination on the Laplacian minor in natural vertex order, and
+deletion-contraction on explicit multigraph edge lists, from rational
+Gaussian elimination on the Laplacian minor in natural vertex order, or for
+a cycle's complement from its Laplacian spectrum in closed form, and
 determinants from dense Bareiss elimination with row swaps.  The
 series bracket takes walk counts from its caller and encloses t(complement)
 with the paper's truncated series and an outward-rounded exponential; the
@@ -193,6 +194,22 @@ def kirchhoff_tree_count(g: Graph) -> int:
                 for j in range(k + 1, size):
                     m[i][j] -= factor * m[k][j]
     return int(det)
+
+
+def cycle_complement_tree_count(n: int) -> int:
+    """Spanning trees of the complement of C_n, n >= 3, in closed form: (-1)^(n-1) (2 - L_n) / n^2.
+
+    L_0 = 2, L_1 = -x and L_(k+1) = -x L_k - L_(k-1), x = n - 2, so
+    L_n = y^n + y^-n for y + 1/y = -x.  The Laplacian eigenvalues of the
+    complement are x + 2 cos(2 pi j / n), j = 1..n-1, and the product of
+    x + 2 cos(2 pi j / n) over all n values of j is (-1)^n (L_n - 2); the
+    j = 0 factor is n, and the matrix-tree theorem divides by n once more.
+    """
+    x = n - 2
+    previous, current = 2, -x
+    for _ in range(n - 1):
+        previous, current = current, -x * current - previous
+    return (-1) ** (n - 1) * (2 - current) // (n * n)
 
 
 def dense_bareiss_determinant(matrix: list[list[int]]) -> int:

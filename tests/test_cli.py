@@ -16,7 +16,7 @@ import pytest
 from spanwalk import Graph, cli, complement, exact, families, spanning_tree_count, synchrony, to_edge_list_text
 from spanwalk.cli import run
 from spanwalk.errors import excerpt, shown
-from oracles import complete, cycle, exact_series_partial
+from oracles import complete, cycle, cycle_complement_tree_count, exact_series_partial
 
 
 def _run(argv):
@@ -316,6 +316,23 @@ def test_complexity_over_the_elimination_price_exits_2_at_once(monkeypatch, tmp_
     assert time.perf_counter() - start < 1.0
     assert code == 2
     assert doc["error"]["code"] == "work-budget"
+
+
+def test_complexity_of_a_complement_never_builds_it(monkeypatch, tmp_path):
+    # C_1500's complement holds over 2^20 pairs: the count eliminates C_1500's own rows
+    def no_complement(*args):
+        raise AssertionError("the complement was built")
+
+    monkeypatch.setattr(cli, "complement", no_complement)
+    monkeypatch.setattr(exact, "_complement_rows", no_complement)
+    code, doc = _run_json(["complexity", "--edge-list", str(_write_cycle(tmp_path, 1500)), "--complement"])
+    assert code == 0 and doc["n"] == 1500
+    digits = doc["spanning_trees"]  # 4757 digits, past the interpreter's default limit: read 1000 at a time
+    value = 0
+    for start in range(0, len(digits), 1000):
+        chunk = digits[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    assert value == cycle_complement_tree_count(1500)
 
 
 def test_complement_over_its_price_exits_2_at_once(monkeypatch, tmp_path):

@@ -27,6 +27,7 @@ from spanwalk import (
     bipartition,
     closed_walk_counts,
     complement,
+    complement_tree_count,
     evaluate_series,
     fixed_point,
     g_family,
@@ -75,6 +76,7 @@ UNDIRECTED_ONLY = {
     "bipartition": bipartition,
     "is_connected": is_connected,
     "spanning_tree_count": spanning_tree_count,
+    "complement_tree_count": complement_tree_count,
     "iter_closed_walk_counts": lambda g: next(iter_closed_walk_counts(g)),
     "closed_walk_counts": lambda g: closed_walk_counts(g, 3),
     "triangle_count": triangle_count,

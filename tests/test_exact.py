@@ -18,6 +18,7 @@ from spanwalk import (
     WorkBudgetError,
     closed_walk_counts,
     complement,
+    complement_tree_count,
     evaluate_series,
     identify_complexity,
     iter_closed_walk_counts,
@@ -39,6 +40,7 @@ from oracles import (
     complete,
     complete_bipartite,
     cycle,
+    cycle_complement_tree_count,
     deletion_contraction_tree_count,
     dense_bareiss_determinant,
     dense_closed_walks,
@@ -121,10 +123,10 @@ def test_dense_graph_of_high_minimum_degree_runs_no_search(monkeypatch):
     # a complement of a cubic graph has minimum degree n - 4 >= (n-1)/2: connected
     cubic = random_regular(40, 3, seed=5)
 
-    def no_search(g):
+    def no_search(rows, complemented):
         raise AssertionError("the connectivity search ran")
 
-    monkeypatch.setattr(exact, "is_connected", no_search)
+    monkeypatch.setattr(exact, "_connected", no_search)
     assert spanning_tree_count(complement(cubic)) == identify_complexity(cubic)
 
 
@@ -134,10 +136,10 @@ def test_sparse_graph_of_minimum_degree_half_n_minus_1_runs_no_search(monkeypatc
     rook = Graph(9, frozenset((u, v) for u, v in combinations(range(9), 2) if u // 3 == v // 3 or u % 3 == v % 3))
     assert 4 * rook.size == 9 * 8 and kirchhoff_tree_count(rook) == 11664
 
-    def no_search(g):
+    def no_search(rows, complemented):
         raise AssertionError("the connectivity search ran")
 
-    monkeypatch.setattr(exact, "is_connected", no_search)
+    monkeypatch.setattr(exact, "_connected", no_search)
     assert spanning_tree_count(cycle(5)) == 5
     assert spanning_tree_count(rook) == 11664
 
@@ -171,6 +173,48 @@ def test_complement_counts_match_kirchhoff_oracle_under_relabelling():
         expected = kirchhoff_tree_count(complement(g))
         assert spanning_tree_count(complement(g)) == expected, g
         assert spanning_tree_count(complement(_relabelled(g, 300 + idx))) == expected, g
+
+
+def _join(a: Graph, b: Graph) -> Graph:
+    """a beside b, every vertex of a joined to every vertex of b."""
+    across = {(u, a.n + v) for u in range(a.n) for v in range(b.n)}
+    return Graph(a.n + b.n, a.edges | {(u + a.n, v + a.n) for u, v in b.edges} | across)
+
+
+def test_complement_tree_count_matches_the_complement_route():
+    graphs = [gnp(n, p, 1300 + n) for n in range(2, 31, 2) for p in (0.1, 0.3, 0.6, 0.9)]
+    graphs += [_disjoint_union(gnp(n, 0.5, 1400 + n), gnp(n + 3, 0.7, 1450 + n)) for n in (2, 5, 9)]
+    graphs += [_disjoint_union(complete(6), Graph(3)), _disjoint_union(cycle(7), cycle(8))]
+    graphs += [complete(n) for n in range(1, 9)] + [Graph(n) for n in range(1, 9)] + [star(n) for n in range(2, 12)]
+    # the complement of C_5 + C_6 is C_5 beside the prism: disconnected, with no isolated vertex
+    join = _join(cycle(5), cycle(6))
+    assert min(complement(join).degree_sequence()) == 2 and spanning_tree_count(complement(join)) == 0
+    graphs.append(join)
+    for g in graphs:
+        assert complement_tree_count(g) == spanning_tree_count(complement(g)), g
+
+
+def test_complement_tree_count_of_cycles_is_the_closed_form():
+    for n in (*range(3, 12), 150):
+        assert complement_tree_count(cycle(n)) == cycle_complement_tree_count(n), n
+    # C_1500's complement holds over 2^20 pairs; its count eliminates C_1500's own rows
+    assert complement_tree_count(cycle(1500)) == cycle_complement_tree_count(1500)
+
+
+def test_empty_fronts_are_priced(monkeypatch):
+    # the complement of an edgeless graph is K_n: nI - L(K_n) is n I, every front empty
+    assert complement_tree_count(Graph(4543)) == 4543**4541
+
+    def no_elimination(nbrs, order, diagonal, off):
+        raise AssertionError("eliminated before the price check")
+
+    monkeypatch.setattr(exact, "_sparse_determinant", no_elimination)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="by step 4543;"):
+        complement_tree_count(Graph(4544))
+    with pytest.raises(WorkBudgetError):
+        complement_tree_count(Graph(100_000))
+    assert time.perf_counter() - start < 1.0
 
 
 def _eliminated_matrix(g: Graph):
@@ -452,7 +496,7 @@ def test_table_price_at_order_n_is_the_matrix_phase(g):
     assert _loops(g) == ()  # B = DI - L of a regular graph is its adjacency
 
     def price(count):
-        return exact.check_table_price(rows, (), count)
+        return exact._table_plan(rows, (), count, 0)[0]
 
     if bfs_two_colouring(g) is None:
         # A's own orders: ceil(count/2) products of n(2|E| + 2n) = n^2 (d+2) operations
@@ -520,9 +564,9 @@ def test_laplacian_traces_far_past_n_count_and_cache_only_n_orders_of_b(monkeypa
 
 def test_padded_rows_price_a_star_by_its_n_times_max_degree_arcs(monkeypatch):
     # star(n)'s B = DI - L holds n(n-1) entries, its 2(n-1) arcs and (n-1)(n-2) loops
-    assert exact.check_table_price(star(107).adjacency(), _loops(star(107)), 107) == 66_770_568
+    assert exact._table_plan(star(107).adjacency(), _loops(star(107)), 107, 0)[0] == 66_770_568
     with pytest.raises(WorkBudgetError):
-        exact.check_table_price(star(108).adjacency(), _loops(star(108)), 108)
+        exact._table_plan(star(108).adjacency(), _loops(star(108)), 108, 0)[0]
     # refused from the entry count, before anything is counted
     monkeypatch.setattr(exact, "_packed_walks", _no_walks)
     for n in (150, 20_000):
@@ -778,7 +822,7 @@ def test_k10_10_prices_its_half_matrix_by_its_entries_and_their_writing(counted_
     # at 5 * 10 * (900 + 20) + 900 = 46 900 operations against A's 48 000.  This pins the
     # price, not a speed: the packed count of M' here is no faster than A's
     g = complete_bipartite(10, 10)
-    assert exact.check_table_price(g.adjacency(), (), g.n) == 46_900
+    assert exact._table_plan(g.adjacency(), (), g.n, 0)[0] == 46_900
     assert exact._table_price(g.n, 2 * 100, g.n) == 48_000
     assert closed_walk_counts(g, g.n).counts == tuple(dense_closed_walks(g, g.n))
 
@@ -838,9 +882,9 @@ def test_star_813_is_the_largest_star_admitted_to_order_n():
     want = tuple(0 if k % 2 else 2 * 812 ** (k // 2) for k in range(1, 814))
     assert closed_walk_counts(g, 813).counts == want
     assert time.perf_counter() - start < 1.0
-    assert exact.check_table_price(g.adjacency(), (), 813) == 66_923_416
+    assert exact._table_plan(g.adjacency(), (), 813, 0)[0] == 66_923_416
     with pytest.raises(WorkBudgetError):
-        exact.check_table_price(star(814).adjacency(), (), 814)
+        exact._table_plan(star(814).adjacency(), (), 814, 0)[0]
 
 
 def test_a_hit_that_the_adjacency_admits_runs_no_colouring(monkeypatch, counted_engine):

@@ -19,6 +19,7 @@ from spanwalk import (
     WorkBudgetError,
     closed_walk_counts,
     complement,
+    complement_tree_count,
     evaluate_series,
     identify_complexity,
     identify_complexity_report,
@@ -70,6 +71,29 @@ def test_series_term_past_the_float_range_is_a_signed_infinity():
     assert series_term(10, 3, 10**400, 3) == math.inf
     assert series_term(10, 3, 0, 2) == 0.0
     assert series_term(10, 3, 2 * 49 * int(sys.float_info.max), 2) == -sys.float_info.max
+
+
+def _same_float(a: float, b: float) -> bool:
+    """Equal, with the sign of a zero compared too."""
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+def test_series_term_of_a_huge_order_is_a_signed_zero_at_once():
+    start = time.perf_counter()
+    assert _same_float(series_term(10, 3, 1, 10**9), -0.0)
+    assert _same_float(series_term(10, 3, 1, 10**9 + 1), 0.0)
+    assert _same_float(series_term(10, 3, 0, 10**9), 0.0)
+    assert time.perf_counter() - start < 0.01
+
+
+@pytest.mark.parametrize("w_k", [1, 2**60])
+@pytest.mark.parametrize("nd", [2, 3])
+def test_series_term_near_the_zero_threshold_is_the_true_division(w_k, nd):
+    # from k = w_k.bit_length() + 1075 on, the term is returned with no power taken
+    threshold = w_k.bit_length() + 1075
+    for k in range(threshold - 5, threshold + 6):
+        want = (w_k if k % 2 else -w_k) / (k * nd**k)
+        assert _same_float(series_term(nd + 4, 4, w_k, k), want), k
 
 
 def test_evaluate_series_petersen_matches_frozen_partials():
@@ -261,14 +285,16 @@ def test_identify_matches_exact_count_on_the_bench_ladder():
         lo, hi = series_bracket(g.n, regular_degree(g), iter_closed_walk_counts(g))
         assert math.ceil(lo) == math.floor(hi), gid
         assert identify_complexity(g) == spanning_tree_count(complement(g)) == math.ceil(lo), gid
+        assert complement_tree_count(g) == math.ceil(lo), gid
 
 
 def test_identify_matches_exact_count_on_random_regulars():
     cases = [(8, 2), (9, 2), (10, 3), (11, 4), (12, 4), (13, 4), (14, 5)]
     graphs = [random_regular(n, d, seed=300 + idx) for idx, (n, d) in enumerate(cases)]
     graphs.append(circulant(61, tuple(range(1, 16))))  # d = 30: at the 2d < n edge
+    graphs += [random_regular(n, d, seed=350 + n) for n, d in ((40, 3), (60, 4), (90, 3))]
     for g in graphs:
-        assert identify_complexity(g) == spanning_tree_count(complement(g)), (g.n, g.size)
+        assert identify_complexity(g) == spanning_tree_count(complement(g)) == complement_tree_count(g), (g.n, g.size)
 
 
 def test_identify_needs_no_convergence():
