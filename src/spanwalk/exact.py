@@ -47,7 +47,19 @@ def _minimum_degree_order(nbrs: Adjacency, bits: int) -> list[int]:
     of its pattern, and K_n's has n.  As soon as either sum passes
     _MAX_ELIMINATION_WORK, WorkBudgetError is raised, before the rest of the
     order or any big-integer work.
+
+    Every step adds at least (k+1)*bits to one of the two sums, so together
+    they reach at least bits*n(n+1)/2.  When that floor is over twice the
+    budget one sum must pass it, and the order is refused at once, before
+    any set or heap is built.
     """
+    n = len(nbrs)
+    floor = bits * n * (n + 1) // 2
+    if floor > 2 * _MAX_ELIMINATION_WORK:
+        raise WorkBudgetError(
+            f"eliminating a matrix of order {n} costs at least {shown(floor)} bit operations "
+            f"over its fronts and pivots; the budget is {_MAX_ELIMINATION_WORK} for each"
+        )
     adj = [set(s) for s in nbrs]
     # (degree, vertex) entries; an entry whose degree is out of date is skipped
     heap = [(len(s), v) for v, s in enumerate(adj)]

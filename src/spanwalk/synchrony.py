@@ -22,9 +22,9 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations
+from itertools import accumulate, combinations, islice
 from math import comb
-from operator import or_
+from operator import and_, or_
 from typing import Callable, Iterable, Iterator
 
 from .errors import WorkBudgetError, excerpt, require_type, shown
@@ -49,8 +49,9 @@ def _metered(g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str
 
     Before any seed is built the sweep is charged seed_work and one round for
     each of at most blocks blocks.  A round costs n + Σ_live |src|·min(t, |src|)
-    lane-int operations: one pass over the vertex ints, and at most
-    min(t, |src|) counter updates for each in-neighbour of a live vertex.
+    lane-int operations: one pass over the vertex ints, and for each live
+    vertex its min(t, |src|) levels of running ORs (see _round), each of at
+    most |src| ints.
     rounds(x) yields x, then x after each round that changes it, and stops
     after a round that changes nothing; each _round call but a block's first
     is charged just before it runs.  WorkBudgetError is raised as soon as the
@@ -93,21 +94,23 @@ def _metered(g: Graph, t: int, seed_work: int, blocks: int, what: str, hint: str
 
 
 def _round(live: list[tuple[int, tuple[int, ...]]], t: int, x: list[int]) -> list[int]:
-    """One synchronous round on every lane: v turns on where at least t in-neighbours are on."""
+    """One synchronous round on every lane: v turns on where at least t in-neighbours are on.
+
+    Level 0 is v's in-neighbours' ints.  Level j holds, for each in-neighbour
+    from the (j+1)-th on, the lanes where it and at least j in-neighbours
+    before it are on: the running OR of level j - 1 ANDed with the ints from
+    the (j+1)-th on.  v gains the OR of level t - 1, which is never empty
+    because a live vertex has at least t in-neighbours.  Each higher level is
+    one list, so no chain of lazy iterators grows with t.
+    """
     nxt = x[:]
-    if t == 1:  # a live source has an in-neighbour, so reduce never sees an empty input
-        for v, src in live:
-            nxt[v] |= reduce(or_, map(x.__getitem__, src))
-        return nxt
+    get = x.__getitem__
+    higher = range(1, t)  # the levels past 0, none at t = 1; built once, not per vertex
     for v, src in live:
-        # c[j] holds the lanes with more than j active in-neighbours among those seen
-        c = [0] * t
-        for seen, u in enumerate(src):
-            xu = x[u]
-            for j in range(min(t - 1, seen), 0, -1):
-                c[j] |= c[j - 1] & xu
-            c[0] |= xu
-        nxt[v] |= c[-1]
+        level = map(get, src)
+        for j in higher:
+            level = list(map(and_, accumulate(level, or_), map(get, src[j:])))
+        nxt[v] |= reduce(or_, level)
     return nxt
 
 
@@ -132,9 +135,15 @@ def _check_threshold(t: int) -> None:
 
 
 def spread_step(g: Graph, active: Iterable[int], t: int) -> frozenset[int]:
-    """One synchronous round: the active set together with every newly activated vertex."""
+    """One synchronous round: the active set together with every newly activated vertex.
+
+    Charged by _metered like fixed_point, n for the seed and one round,
+    before the seed is built.
+    """
     _check_threshold(t)
-    return _active(_round(_live_sources(g, t), t, _one_lane(g, active)))
+    rounds = _metered(g, t, g.n, 1, "one round of spreading")
+    *_, x = islice(rounds(_one_lane(g, active)), 2)  # a round that changes nothing yields only the seed
+    return _active(x)
 
 
 def fixed_point(g: Graph, seed: Iterable[int], t: int) -> frozenset[int]:
@@ -219,7 +228,9 @@ def measure_synchrony(
         what = f"an exhaustive sweep of the C({n}, {k}) subsets"
         hint = "; use monte-carlo mode"
         floor = min(k, n - k) - per_block.bit_length()
-        if floor > 64:  # C(n, k) >= 2^min(k, n - k) lanes fill over 2^floor blocks: always refused
+        # C(n, k) >= 2^min(k, n - k) lanes fill over 2^floor blocks: always refused.  Below it
+        # min(k, n - k) <= 64 + 23 (per_block < 2^23), so every binomial _prefix_length evaluates is small
+        if floor > 64:
             _metered(g, t, 0, 1 << floor, what, hint)
         r = _prefix_length(n, k, per_block)
         total = comb(n, k)
@@ -313,14 +324,9 @@ def _tail_lanes(top: int, j: int):
 def _prefix_length(n: int, k: int, per_block: int) -> int:
     """The least r >= 1 whose groups, at most C(n - r, k - r) k-subsets each, fit in per_block lanes.
 
-    C(n - r, k - r) does not grow with r, so r is found by bisection.  It is
-    at least 2^min(k - r, n - k), so when n - k is at least the bit length
-    of the lanes a block holds, no r up to k minus that bit length fits: the
-    search starts past them, where every binomial is small.
+    C(n - r, k - r) does not grow with r, so r is found by bisection.
     """
-    bits = per_block.bit_length()
-    low = max(1, k - bits) if n - k >= bits else 1
-    return low + bisect_left(range(low, k), True, key=lambda r: comb(n - r, k - r) <= per_block)
+    return 1 + bisect_left(range(1, k), True, key=lambda r: comb(n - r, k - r) <= per_block)
 
 
 def _exhaustive_blocks(n: int, k: int, r: int, per_block: int):

@@ -217,6 +217,17 @@ def test_empty_fronts_are_priced(monkeypatch):
     assert time.perf_counter() - start < 1.0
 
 
+def test_hopeless_eliminations_are_refused_before_any_set_is_built():
+    # every step adds at least (k+1)·bits to one of the two sums, so
+    # 21·n(n+1)/2 over twice the budget refuses K_(2^20) before its order
+    g = Graph(2**20)
+    start = time.perf_counter()
+    with pytest.raises(WorkBudgetError, match="costs at least") as info:
+        complement_tree_count(g)
+    assert time.perf_counter() - start < 0.5
+    assert info.value.code == "work-budget"
+
+
 def _eliminated_matrix(g: Graph):
     """The sparse pattern, diagonal and off-diagonal value that spanning_tree_count eliminates for g."""
     n = g.n

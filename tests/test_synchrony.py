@@ -207,13 +207,17 @@ def test_seed_monotonicity_of_synchrony_index():
                         assert ib != math.inf and ib <= ia, (a, b, t)
 
 
+# in-degrees reach 7 or more, so every t from 1 to 7 has live vertices
+_DENSE_RANDOM = [gnp(9, 0.75, 83), directed_gnp(9, 0.75, 84)]
+
+
 def _oracle_cases():
-    graphs = [Graph(6), complete(5), cycle(7)]
+    graphs = [Graph(6), complete(5), cycle(7), *_DENSE_RANDOM]
     graphs += [gnp(n, p, 900 + n) for n in (5, 7, 9) for p in (0.3, 0.6)]
     graphs += [directed_gnp(n, p, 950 + n) for n in (5, 7, 9) for p in (0.25, 0.5)]
     for g in graphs:
         top = max(map(len, g.in_neighbor_sets()))
-        for t in sorted({1, 2, 3, top + 1}):
+        for t in sorted({*range(1, 8), top + 1}):
             yield g, t
 
 
@@ -284,6 +288,40 @@ def test_one_or_rounds_at_t1_match_the_per_seed_oracle(g):
         assert fixed_point(g, seed, 1) == spread_limit(g, seed, 1)
         histogram, stalled = synchrony_sweep(g, 1, [seed])
         assert synchrony_index(g, seed, 1) == (math.inf if stalled else next(iter(histogram)))
+
+
+@pytest.mark.parametrize("g", _DENSE_RANDOM, ids=repr)
+def test_rounds_at_every_threshold_match_the_per_seed_oracle(g):
+    assert max(map(len, g.in_neighbor_sets())) >= 7
+    for t in range(1, 8):
+        for bits in range(1 << g.n):
+            seed = [v for v in range(g.n) if bits >> v & 1]
+            assert spread_step(g, seed, t) == spread_once(g, seed, t), (seed, t)
+
+
+@pytest.mark.parametrize("g", _DENSE_RANDOM, ids=repr)
+def test_one_lane_sweeps_at_every_threshold_match_the_per_seed_oracle(monkeypatch, g):
+    # _oracle_cases sweeps the same graphs many lanes a block
+    monkeypatch.setattr(synchrony, "_MAX_BLOCK_BITS", g.n)  # every block holds one seed
+    for t in range(1, 8):
+        for k in (2, 4, 6):
+            out = measure_synchrony(g, t=t, k=k)
+            want = synchrony_sweep(g, t, combinations(range(g.n), k))
+            assert (out.i_star_histogram, out.non_synchronizing) == want, (t, k)
+
+
+@pytest.mark.parametrize("t", [3, 100, 1500])
+def test_a_large_threshold_round_on_an_in_star(t):
+    # vertex 0 has 3000 in-neighbours, so its round builds t - 1 levels of up to 3000 ints
+    g = Graph(3001, frozenset((u, 0) for u in range(1, 3001)), directed=True)
+    rng = random.Random(t)
+    for size in (t - 1, t, 2 * t):
+        seed = rng.sample(range(1, 3001), size)
+        start = time.perf_counter()
+        got = spread_step(g, seed, t)
+        assert time.perf_counter() - start < 1.0
+        assert got == spread_once(g, seed, t)
+        assert (0 in got) == (size >= t)
 
 
 def test_a_vertex_with_no_in_neighbour_is_not_live_at_t1():
@@ -377,6 +415,8 @@ _OVER_THE_PRICE = {
     "exhaustive": (cycle(3000), lambda g: measure_synchrony(g, t=1, k=1)),
     "exhaustive-half": (Graph(50_000), lambda g: measure_synchrony(g, t=1, k=25_000)),
     "monte-carlo-huge": (named_graph("petersen"), lambda g: measure_synchrony(g, 2, 3, "monte-carlo", 10**5000, 1)),
+    # one round charged 600 + 600·599·300 after the seed's 600: it ran for seconds unpriced
+    "spread_step": (complete(600), lambda g: spread_step(g, range(300), 300)),
 }
 
 
